@@ -1,5 +1,7 @@
 package core
 
+import "slices"
+
 // Batch (simultaneous) deletion: footnote 1 of the paper notes that DASH
 // "can easily handle the situation where any number of nodes are removed,
 // so long as the neighbor-of-neighbor graph remains connected". This file
@@ -59,7 +61,9 @@ func (s *State) DeleteBatchAndHeal(xs []int) HealResult {
 		for v := range candSet {
 			cands = append(cands, v)
 		}
-		sortInts(cands)
+		// A disaster ball's boundary runs to hundreds of nodes, past
+		// where sortInts' insertion sort is cheap.
+		slices.Sort(cands)
 		// One representative per current (post-deletion) G′ component,
 		// lowest initial ID first. Component identity must be computed
 		// structurally here: the stale labels cannot distinguish the
@@ -76,7 +80,7 @@ func (s *State) DeleteBatchAndHeal(xs []int) HealResult {
 		for _, v := range rep {
 			rt = append(rt, v)
 		}
-		sortInts(rt)
+		slices.Sort(rt)
 		s.SortByDelta(rt)
 		added := s.WireBinaryTree(rt)
 		s.PropagateMinID(rt)

@@ -11,21 +11,29 @@ import "repro/internal/graph"
 // B = N(D) \ D, so the post-deletion graph is connected if and only if
 // all of B lies in one component of it (when B is empty, D was the whole
 // graph and the empty remainder is trivially connected). The tracker
-// therefore checks only the mutual reachability of B — a BFS from one
-// boundary witness that stops as soon as it has seen all the others. A
-// self-healer reconnects the boundary with edges among (a subset of) B
-// itself, so in the healthy case this BFS terminates after exploring a
-// neighborhood of the wound rather than the whole graph; only an actual
-// partition degrades to a full traversal, and that is the event worth
-// paying for.
+// therefore checks only the mutual reachability of B.
 //
-// For long schedules with very many deletions, even a neighborhood BFS
-// per event adds up, so the tracker supports a check cadence: witnesses
-// accumulate and one BFS verifies a whole window of events. Deferral is
-// still sound for the latched "always connected" verdict — any path in
-// the window-start graph reroutes around each dead node via that node's
-// own deletion-time boundary, and a boundary member that itself died
-// later contributes its own boundary, recursing to strictly later
+// It does so with a multi-source search: every distinct alive witness
+// seeds its own search in one FIFO queue, so the searches grow level by
+// level in lockstep. Each node records the search that reached it first
+// (owner); an arc between nodes of two different searches unions their
+// witnesses in a small union-find, and the check stops as soon as every
+// witness is in one set. A self-healer reconnects the boundary with
+// edges among (a subset of) B itself, so in the healthy case the sets
+// merge while the searches are still scanning the witnesses' own
+// adjacency lists — even when B is the few hundred neighbors of a hub,
+// where a single-source search would have had to sweep most of the
+// graph to meet the last witness. Only an actual partition empties the
+// queue, after a full traversal of the witnesses' components, and that
+// is the event worth paying for.
+//
+// For long schedules with very many deletions, even a local search per
+// event adds up, so the tracker supports a check cadence: witnesses
+// accumulate and one search verifies a whole window of events. Deferral
+// is still sound for the latched "always connected" verdict — any path
+// in the window-start graph reroutes around each dead node via that
+// node's own deletion-time boundary, and a boundary member that itself
+// died later contributes its own boundary, recursing to strictly later
 // deletions until an alive witness is reached; so if every alive
 // witness of the window sits in one component at flush time, the whole
 // graph does. What deferral gives up is granularity: a transient
@@ -34,12 +42,12 @@ import "repro/internal/graph"
 // event and has neither caveat.
 //
 // Insertions keep connectivity whenever the newcomer attaches to at
-// least one alive node; they are checked immediately (no BFS needed).
+// least one alive node; they are checked immediately (no search needed).
 //
 // Once a disconnection is observed the tracker latches: like
 // sim.Trial.AlwaysConnected, it reports whether the network has remained
 // connected at every (observed) step, so later re-merges do not reset
-// it, and no further BFS work is done.
+// it, and no further search work is done.
 type ConnTracker struct {
 	ok         bool
 	firstBreak int // event index of the first observed disconnection, -1
@@ -48,14 +56,21 @@ type ConnTracker struct {
 	pending    []int32 // accumulated boundary witnesses (may repeat, may die)
 	sinceCheck int
 
-	// Epoch-stamped scratch: seen[v]==epoch means visited this check,
-	// target[v]==epoch means v is an unmet witness this check. Stamps
-	// make per-check resets O(1) instead of O(n).
-	epoch  int32
-	seen   []int32
-	target []int32
-	queue  []int32
+	// Epoch-stamped scratch: seen[v].epoch==epoch means v was reached
+	// this check, by the search of witness set seen[v].owner. Stamps make
+	// per-check resets O(1) instead of O(n).
+	epoch int32
+	seen  []visit
+	queue []int32
+	// parent is the union-find over this check's witness indices: a
+	// root holds minus its set's size, any other entry its parent.
+	parent []int32
 }
+
+// visit is one node's scratch: the owner is only meaningful while the
+// epoch is current. Both fields share a cache line, so the search's
+// per-arc test costs one random load.
+type visit struct{ epoch, owner int32 }
 
 // NewConnTracker starts tracking g, paying one full connectivity check
 // to anchor the induction. every is the check cadence: 1 (or less)
@@ -76,9 +91,8 @@ func (t *ConnTracker) FirstBreak() int { return t.firstBreak }
 
 // grow resizes the scratch to the graph's current slot count.
 func (t *ConnTracker) grow(n int) {
-	for len(t.seen) < n {
-		t.seen = append(t.seen, 0)
-		t.target = append(t.target, 0)
+	if len(t.seen) < n {
+		t.seen = append(t.seen, make([]visit, n-len(t.seen))...)
 	}
 }
 
@@ -119,9 +133,9 @@ func (t *ConnTracker) observe(g *graph.Graph, witnesses []int, event int) {
 	}
 }
 
-// Flush verifies all pending witnesses now (one early-exit BFS) and
-// clears the backlog. The runner calls it at trial end; callers using a
-// cadence > 1 get it automatically every cadence-th observation.
+// Flush verifies all pending witnesses now (one multi-source search)
+// and clears the backlog. The runner calls it at trial end; callers
+// using a cadence > 1 get it automatically every cadence-th observation.
 func (t *ConnTracker) Flush(g *graph.Graph, event int) {
 	if !t.ok || len(t.pending) == 0 {
 		t.pending = t.pending[:0]
@@ -130,44 +144,77 @@ func (t *ConnTracker) Flush(g *graph.Graph, event int) {
 	}
 	t.grow(g.N())
 	t.epoch++
-	remaining := 0
-	start := -1
-	for _, w32 := range t.pending {
-		w := int(w32)
+	t.queue = t.queue[:0]
+	t.parent = t.parent[:0]
+	for _, w := range t.pending {
 		// Witnesses that died later in the window contributed their own
 		// deletion-time boundary to pending; skipping them is what the
 		// rerouting argument above licenses.
-		if !g.Alive(w) || t.target[w] == t.epoch {
+		if !g.Alive(int(w)) || t.seen[w].epoch == t.epoch {
 			continue
 		}
-		t.target[w] = t.epoch
-		remaining++
-		if start < 0 {
-			start = w
-		}
+		t.seen[w] = visit{t.epoch, int32(len(t.parent))}
+		t.parent = append(t.parent, -1)
+		t.queue = append(t.queue, w)
 	}
 	t.pending = t.pending[:0]
 	t.sinceCheck = 0
-	if remaining <= 1 {
-		return // nothing to connect, or an entire component died
-	}
-	t.seen[start] = t.epoch
-	remaining--
-	t.queue = append(t.queue[:0], int32(start))
-	for head := 0; head < len(t.queue) && remaining > 0; head++ {
-		for _, u := range g.Neighbors(int(t.queue[head])) {
-			if t.seen[u] == t.epoch {
+	// The queue holds every witness before any other node, so the
+	// searches advance level by level together.
+	sets := len(t.parent)
+	for head := 0; head < len(t.queue) && sets > 1; head++ {
+		v := t.queue[head]
+		own := t.find(t.seen[v].owner)
+		for _, u := range g.Neighbors(int(v)) {
+			m := &t.seen[u]
+			if m.epoch != t.epoch {
+				*m = visit{t.epoch, own}
+				t.queue = append(t.queue, u)
 				continue
 			}
-			t.seen[u] = t.epoch
-			if t.target[u] == t.epoch {
-				remaining--
+			if m.owner == own {
+				continue
 			}
-			t.queue = append(t.queue, u)
+			// u was reached from another witness: merge the two sets if
+			// they differ, and point u at its root to shorten later finds.
+			r := t.find(m.owner)
+			m.owner = r
+			if r != own {
+				own = t.union(own, r)
+				if sets--; sets == 1 {
+					break
+				}
+			}
 		}
 	}
-	if remaining > 0 {
+	// sets == 0 means nothing to connect: every witness had died, so an
+	// entire component died with them.
+	if sets > 1 {
 		t.ok = false
 		t.firstBreak = event
 	}
+}
+
+// find returns the root of witness set a, halving the path.
+func (t *ConnTracker) find(a int32) int32 {
+	p := t.parent
+	for p[a] >= 0 {
+		if p[p[a]] >= 0 {
+			p[a] = p[p[a]]
+		}
+		a = p[a]
+	}
+	return a
+}
+
+// union merges the sets with roots a and b, the smaller under the
+// larger, and returns the new root.
+func (t *ConnTracker) union(a, b int32) int32 {
+	p := t.parent
+	if p[a] > p[b] {
+		a, b = b, a
+	}
+	p[a] += p[b]
+	p[b] = a
+	return a
 }

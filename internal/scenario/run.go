@@ -167,8 +167,10 @@ type Config struct {
 	// after every deletion event; k > 1 accumulates boundary witnesses
 	// and verifies every k-th (sound for the latched always-connected
 	// verdict, but transient partitions inside a window go unobserved
-	// and FirstBreak reports the flush event). Large churn-heavy
-	// schedules use a cadence to keep per-event cost flat.
+	// and FirstBreak reports the flush event). A healed check stays
+	// near the wound, so cadence 1 is practical even at n = 10⁶; a
+	// cadence still saves the few hops that witnesses the healer did
+	// not wire to each other search before they meet.
 	ConnectivityEvery int
 	// Observe, when non-nil, is called once per trial right after the
 	// state is constructed — e.g. to trace.Attach a recorder.
