@@ -39,7 +39,6 @@ import (
 
 	"repro"
 	"repro/internal/cli"
-	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graphio"
 	"repro/internal/metrics"
@@ -64,8 +63,6 @@ func realMain() error {
 		finalSnap = flag.String("final-snapshot", "", "write the final state to this file after draining ('-' = stdout)")
 		maxNodes  = flag.Int("max-restore-nodes", server.DefaultMaxRestoreNodes, "largest node count a restore snapshot may declare")
 		drainWait = flag.Duration("drain-timeout", 30*time.Second, "how long a signal-triggered drain may take")
-		commitW   = flag.Int("commit-workers", 0, "concurrent heal-commit workers: region-disjoint kills/joins commit in parallel (0 = single-writer apply loop; DASH/SDASH only)")
-		shards    = flag.Int("shards", 0, "graph shard count with -commit-workers (rounded up to a power of two; 0 = one per CPU)")
 	)
 	flag.Parse()
 
@@ -76,9 +73,6 @@ func realMain() error {
 	if *n <= 0 && *snapPath == "" {
 		return cli.Usagef("-n must be positive")
 	}
-	if *commitW > 0 && !core.SupportsSharded(healer) {
-		return cli.Usagef("-commit-workers requires a region-local healer (DASH, SDASH), got %s", *healName)
-	}
 	cfg := server.Config{
 		Healer:          healer,
 		QueueDepth:      *queue,
@@ -86,8 +80,6 @@ func realMain() error {
 		MaxRestoreNodes: *maxNodes,
 		SampleThreshold: *threshold,
 		SampleSources:   *sources,
-		CommitWorkers:   *commitW,
-		Shards:          *shards,
 	}
 
 	var s *server.Server

@@ -25,16 +25,11 @@ type ShardTicket struct {
 	Start  time.Time  // submission time, for latency observers
 
 	healer Healer
-	hooks  *Hooks
 	onDone func(*ShardTicket)
 	done   chan struct{}
 	id     int32
 	region []int32
 }
-
-// Done returns a channel closed when the ticket's commit (and onDone
-// callback) has completed.
-func (t *ShardTicket) Done() <-chan struct{} { return t.done }
 
 // ShardScheduler admits kills and joins from one serial goroutine,
 // computes each operation's conflict region (graph.Region: victim ∪
@@ -52,13 +47,10 @@ func (t *ShardTicket) Done() <-chan struct{} { return t.done }
 //     and commits inline through the sequential engine (the universal
 //     fallback).
 //   - Joins admit serially (node allocation and bookkeeping growth are
-//     the mini-barrier) and fire OnJoin hooks at admission, so join
-//     events enter any observer's log in node-index order — the order
-//     trace replay demands — while their attach edges commit
-//     concurrently.
+//     the mini-barrier) while their attach edges commit concurrently.
 //
 // All methods except worker-internal ones must be called from a single
-// goroutine (the apply loop / trial runner). Memory visibility between
+// goroutine (the trial runner). Memory visibility between
 // a completed commit and later admissions is through infMu: workers
 // clear their stamps under it after mutating, and admission walks
 // regions under it.
@@ -125,13 +117,12 @@ func (sc *ShardScheduler) Universals() int64 { return sc.universals }
 // Kill submits the removal and heal of v. It blocks while v's region
 // conflicts with in-flight work, then either enqueues the commit
 // (returning as soon as it is admitted) or, past the region cap,
-// drains and commits inline. hooks (optional) fire on the committing
-// goroutine; onDone (optional) runs after the commit, before the
-// ticket's Done channel closes, and may run on a worker goroutine.
-func (sc *ShardScheduler) Kill(v int, hooks *Hooks, onDone func(*ShardTicket)) *ShardTicket {
+// drains and commits inline. onDone (optional) runs after the commit,
+// before the ticket's waiters are released, and may run on a worker
+// goroutine.
+func (sc *ShardScheduler) Kill(v int, onDone func(*ShardTicket)) {
 	t := &ShardTicket{
-		Kill: true, Node: v, healer: sc.healer,
-		hooks: hooks, onDone: onDone,
+		Kill: true, Node: v, healer: sc.healer, onDone: onDone,
 		done: make(chan struct{}), Start: time.Now(),
 	}
 	for {
@@ -148,14 +139,14 @@ func (sc *ShardScheduler) Kill(v int, hooks *Hooks, onDone func(*ShardTicket)) *
 			sc.universals++
 			sc.infMu.Unlock()
 			sc.runUniversal(t)
-			return t
+			return
 		}
 		t.region = append(t.region, sc.region.Nodes...)
 		sc.stampRegion(t)
 		sc.infMu.Unlock()
 		sc.wg.Add(1)
 		sc.tasks <- t
-		return t
+		return
 	}
 }
 
@@ -163,9 +154,8 @@ func (sc *ShardScheduler) Kill(v int, hooks *Hooks, onDone func(*ShardTicket)) *
 // order-preserving), drawing the newcomer's ID from r at admission so
 // the RNG stream matches the sequential engine's issue order. It
 // returns the new node's index once admitted; the attach edges commit
-// asynchronously. OnJoin hooks fire at admission on the calling
-// goroutine.
-func (sc *ShardScheduler) Join(attachTo []int, r *rng.RNG, hooks *Hooks, onDone func(*ShardTicket)) (int, *ShardTicket) {
+// asynchronously.
+func (sc *ShardScheduler) Join(attachTo []int, r *rng.RNG, onDone func(*ShardTicket)) int {
 	attach := make([]int, 0, len(attachTo))
 	for _, u := range attachTo {
 		dup := false
@@ -180,8 +170,7 @@ func (sc *ShardScheduler) Join(attachTo []int, r *rng.RNG, hooks *Hooks, onDone 
 		}
 	}
 	t := &ShardTicket{
-		Node: -1, Attach: attach,
-		hooks: hooks, onDone: onDone,
+		Node: -1, Attach: attach, onDone: onDone,
 		done: make(chan struct{}), Start: time.Now(),
 	}
 	for {
@@ -214,12 +203,9 @@ func (sc *ShardScheduler) Join(attachTo []int, r *rng.RNG, hooks *Hooks, onDone 
 	}
 	sc.stampRegion(t)
 	sc.infMu.Unlock()
-	if hooks != nil && hooks.OnJoin != nil {
-		hooks.OnJoin(v, attach)
-	}
 	sc.wg.Add(1)
 	sc.tasks <- t
-	return v, t
+	return v
 }
 
 // Barrier drains every in-flight commit and folds counters back, after
@@ -299,7 +285,7 @@ func (sc *ShardScheduler) worker() {
 // commit applies t's kill or join on the calling goroutine.
 func (sc *ShardScheduler) commit(t *ShardTicket) {
 	if t.Kill {
-		t.HR = sc.ss.CommitKill(t.Node, t.healer, t.hooks)
+		t.HR = sc.ss.CommitKill(t.Node, t.healer)
 	} else {
 		sc.ss.CommitJoin(t.Node, t.Attach)
 	}

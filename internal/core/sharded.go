@@ -17,9 +17,8 @@ import (
 // It is a mode of the sequential engine, not a copy of it: a commit
 // runs the healer's own Heal (and State's own Remove and Join halves)
 // on a per-commit view of the State. The view shares every backing
-// array and graph, carries the operation's Hooks, and routes the few
-// writes that can leave the region through the mutation surface in
-// mutate.go.
+// array and graph, fires no hooks, and routes the few writes that can
+// leave the region through the mutation surface in mutate.go.
 //
 // Division of labor for safety (the full argument is in
 // internal/graph/README.md):
@@ -70,10 +69,6 @@ func NewShardedState(st *State, shards int) *ShardedState {
 	return ss
 }
 
-// State returns the wrapped State. Sequential use is safe only at
-// quiescence after Sync (e.g. inside a scheduler barrier).
-func (ss *ShardedState) State() *State { return ss.st }
-
 // PeakDelta returns the largest δ observed at any healed-edge endpoint
 // or join attach target since construction (a running max, mirroring
 // the scenario runner's peak tracking).
@@ -118,23 +113,22 @@ func SupportsSharded(h Healer) bool {
 }
 
 // view returns a per-commit view of the wrapped State: it shares every
-// array and graph, fires hk, and writes shared state through ss's
+// array and graph, fires no hooks, and writes shared state through ss's
 // commit. Callers must hold grow shared.
-func (ss *ShardedState) view(hk *Hooks) *State {
+func (ss *ShardedState) view() *State {
 	v := *ss.st
-	v.hooks = hk
+	v.hooks = nil
 	v.cm = &ss.cm
 	return &v
 }
 
 // CommitKill removes x and heals with h — State.DeleteAndHeal on a
 // per-commit view. The caller must own x's conflict region
-// (ShardScheduler does). Hooks fire synchronously on the committing
-// goroutine.
-func (ss *ShardedState) CommitKill(x int, h Healer, hk *Hooks) HealResult {
+// (ShardScheduler does).
+func (ss *ShardedState) CommitKill(x int, h Healer) HealResult {
 	ss.grow.RLock()
 	defer ss.grow.RUnlock()
-	res := ss.view(hk).DeleteAndHeal(x, h)
+	res := ss.view().DeleteAndHeal(x, h)
 	for _, e := range res.Added {
 		ss.notePeak(e[0])
 		ss.notePeak(e[1])
@@ -155,13 +149,11 @@ func (ss *ShardedState) AdmitJoin(attachTo []int, r *rng.RNG) int {
 }
 
 // CommitJoin wires a previously admitted join's attach edges — the
-// concurrent half. The caller must own {v} ∪ attachTo. (OnJoin hooks
-// fire at admission, on the serial goroutine, so join events keep their
-// issue order; see ShardScheduler.Join.)
+// concurrent half. The caller must own {v} ∪ attachTo.
 func (ss *ShardedState) CommitJoin(v int, attachTo []int) {
 	ss.grow.RLock()
 	defer ss.grow.RUnlock()
-	ss.view(nil).attachJoin(v, attachTo)
+	ss.view().attachJoin(v, attachTo)
 	for _, u := range attachTo {
 		ss.notePeak(u)
 	}

@@ -85,7 +85,7 @@ func benchShardedCommit(b *testing.B, workers, shards int) {
 			reset()
 			b.StartTimer()
 		}
-		sched.Kill(alive.pick(), nil, nil)
+		sched.Kill(alive.pick(), nil)
 	}
 	sched.Barrier()
 	b.StopTimer()

@@ -166,9 +166,9 @@ func TestShardedDifferentialConcurrent(t *testing.T) {
 				idR := rng.New(0x1d5eed)
 				for i, op := range ops {
 					if op.kill {
-						sched.Kill(op.v, nil, nil)
+						sched.Kill(op.v, nil)
 					} else {
-						if got, _ := sched.Join(op.attach, idR, nil, nil); got != op.v {
+						if got := sched.Join(op.attach, idR, nil); got != op.v {
 							t.Fatalf("%s: join index diverged: %d vs %d", ctx, got, op.v)
 						}
 					}
@@ -199,7 +199,7 @@ func TestShardedDifferentialKillsOnly(t *testing.T) {
 	ss := NewShardedState(conc, 4)
 	sched := NewShardScheduler(ss, DASH{}, 4)
 	for _, op := range ops {
-		sched.Kill(op.v, nil, nil)
+		sched.Kill(op.v, nil)
 	}
 	sched.Close()
 	requireStateEqual(t, seq, conc, "kills-only")
@@ -222,9 +222,9 @@ func TestShardedUniversalFallback(t *testing.T) {
 	idR := rng.New(2)
 	for _, op := range ops {
 		if op.kill {
-			sched.Kill(op.v, nil, nil)
+			sched.Kill(op.v, nil)
 		} else {
-			sched.Join(op.attach, idR, nil, nil)
+			sched.Join(op.attach, idR, nil)
 		}
 	}
 	if sched.Universals() == 0 {
@@ -252,7 +252,7 @@ func TestShardedConflictChain(t *testing.T) {
 	ss := NewShardedState(conc, 4)
 	sched := NewShardScheduler(ss, DASH{}, 4)
 	for _, v := range victims {
-		sched.Kill(v, nil, nil)
+		sched.Kill(v, nil)
 	}
 	sched.Close()
 	requireStateEqual(t, seq, conc, "conflict-chain")
@@ -311,7 +311,7 @@ func TestShardedCommitOrderExhaustive(t *testing.T) {
 				}
 				for _, oi := range perm {
 					if oi < len(c.kills) {
-						ss.CommitKill(c.kills[oi], h, nil)
+						ss.CommitKill(c.kills[oi], h)
 					} else {
 						ss.CommitJoin(joinNode, c.join)
 					}
@@ -356,9 +356,9 @@ func TestShardedDifferentialDeclaredHealer(t *testing.T) {
 	idR := rng.New(3)
 	for _, op := range ops {
 		if op.kill {
-			sched.Kill(op.v, nil, nil)
+			sched.Kill(op.v, nil)
 		} else {
-			sched.Join(op.attach, idR, nil, nil)
+			sched.Join(op.attach, idR, nil)
 		}
 	}
 	sched.Close()

@@ -77,13 +77,13 @@ func runTrialSharded(cfg Config, events []Event, victim VictimPolicy, trial int,
 					t.res.Exhausted = true
 				} else {
 					t.alive.Remove(v)
-					sched.Kill(v, nil, onDone)
+					sched.Kill(v, onDone)
 					t.res.Deletes++
 				}
 			}
 		case OpInsert:
 			attach := t.alive.RandomDistinct(ev.Size, t.opR)
-			v, _ := sched.Join(attach, t.opR, nil, onDone)
+			v := sched.Join(attach, t.opR, onDone)
 			t.alive.Add(v)
 			t.res.Inserts++
 		case OpBatchKill:

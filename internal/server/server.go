@@ -47,6 +47,11 @@ const DefaultQueueDepth = 1024
 // declare when Config.MaxRestoreNodes is unset.
 const DefaultMaxRestoreNodes = 4 << 20
 
+// MaxAttachCount bounds a join's attach_count. Random attach targets are
+// drawn by rejection sampling in the apply loop, so an unbounded count
+// would stall every other session behind one request.
+const MaxAttachCount = 1024
+
 // Config parameterizes a daemon.
 type Config struct {
 	// Healer heals every deletion; nil means core.DASH{}.
@@ -66,20 +71,6 @@ type Config struct {
 	// SampleThreshold follows metrics.NewAutoStretch; 0 means
 	// metrics.DefaultSampleThreshold.
 	SampleThreshold int
-
-	// CommitWorkers, when > 0, upgrades the apply loop to the sharded
-	// commit path: kills and joins still admit serially (validation,
-	// victim picks, RNG draws, and backpressure are unchanged — a full
-	// queue still answers 429), but region-disjoint heals commit
-	// concurrently on this many workers through core.ShardScheduler.
-	// Operations needing a quiescent graph (batch kills, snapshots,
-	// restore, stretch measurement) drain in-flight commits first.
-	// Requires a core.RegionLocal healer such as DASH or SDASH (New
-	// panics otherwise).
-	CommitWorkers int
-	// Shards is the graph shard count when CommitWorkers > 0 (rounded up
-	// to a power of two; 0 = one shard per CPU).
-	Shards int
 
 	// beforeApply, when non-nil, runs in the apply loop before each op —
 	// a test hook for making the loop arbitrarily slow.
@@ -108,12 +99,6 @@ type Server struct {
 	auto    *metrics.AutoStretch
 	pending []trace.Event // hook buffer for the op in flight
 
-	// Sharded commit path (nil when Config.CommitWorkers == 0). The
-	// scheduler is apply-loop-owned like st; commit workers touch state
-	// only through region-owned ShardedState commits.
-	ss    *core.ShardedState
-	sched *core.ShardScheduler
-
 	// Event log, guarded by mu; cond signals appends, closure, and
 	// generation changes.
 	mu      sync.Mutex
@@ -133,18 +118,11 @@ type Server struct {
 	started                  time.Time
 }
 
-// op is one unit of serialized work: run executes in the apply loop;
-// done is closed when the op has completed. Results travel through the
-// closure. run returns true when completion is deferred — the op has
-// handed itself to the shard scheduler and will close done from the
-// commit worker — and false for the ordinary synchronous case, where
-// the apply loop closes done. exclusive ops drain all in-flight sharded
-// commits before running, so they see a quiescent, exact state.
+// op is one unit of serialized work: run executes in the apply loop,
+// which closes done once it returns. Results travel through the closure.
 type op struct {
-	run       func() bool
-	exclusive bool
-	enq       time.Time
-	done      chan struct{}
+	run  func()
+	done chan struct{}
 }
 
 // New builds a daemon owning g (taking ownership). The state's node IDs
@@ -175,11 +153,11 @@ func newServer(cfg Config) (*Server, *rng.RNG) {
 	if cfg.Healer == nil {
 		cfg.Healer = core.DASH{}
 	}
-	if cfg.CommitWorkers > 0 && !core.SupportsSharded(cfg.Healer) {
-		panic(fmt.Sprintf("server: CommitWorkers requires a core.RegionLocal healer, got %s", cfg.Healer.Name()))
-	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = DefaultQueueDepth
+	}
+	if cfg.SampleSources <= 0 {
+		cfg.SampleSources = metrics.DefaultSampleSources
 	}
 	if cfg.MaxRestoreNodes <= 0 {
 		cfg.MaxRestoreNodes = DefaultMaxRestoreNodes
@@ -225,13 +203,6 @@ func (s *Server) install(st *core.State) {
 	s.initial = &graphio.Snapshot{G: g, Gp: gp, InitID: initID, CurID: curID, InitDeg: initDeg}
 	s.auto = metrics.NewAutoStretch(st.G, s.cfg.SampleThreshold, s.cfg.SampleSources, s.rng.Split())
 	s.peakDelta.Store(0)
-	if s.sched != nil {
-		s.sched.Close() // the old generation's scheduler is already drained (Restore is exclusive)
-	}
-	if s.cfg.CommitWorkers > 0 {
-		s.ss = core.NewShardedState(st, s.cfg.Shards)
-		s.sched = core.NewShardScheduler(s.ss, s.healer, s.cfg.CommitWorkers)
-	}
 
 	// Prologue: the baseline healing forest as edge events, so a stream
 	// from index 0 replays to the exact served topology *including* G′ —
@@ -247,42 +218,16 @@ func (s *Server) install(st *core.State) {
 	s.mu.Unlock()
 }
 
-// applyLoop is the single admitter: it drains the op queue until
-// Shutdown closes it. On the sharded path it is still the only
-// goroutine that validates, picks victims, and draws RNG — only the
-// commit bodies run elsewhere.
+// applyLoop is the single writer: it runs queued ops one at a time
+// until Shutdown closes the queue.
 func (s *Server) applyLoop() {
 	defer close(s.applyDone)
-	defer func() {
-		// Drain and fold the last in-flight commits so FinalSnapshot
-		// (which waits on applyDone) reads an exact state.
-		if s.sched != nil {
-			s.sched.Close()
-			s.peakMax(s.ss.PeakDelta())
-		}
-	}()
-	for op := range s.ops {
+	for o := range s.ops {
 		if s.cfg.beforeApply != nil {
 			s.cfg.beforeApply()
 		}
-		if op.exclusive && s.sched != nil {
-			s.sched.Barrier()
-			s.peakMax(s.ss.PeakDelta())
-		}
-		if !op.run() {
-			close(op.done)
-		}
-	}
-}
-
-// peakMax folds a candidate into the peak-δ gauge; safe from any
-// goroutine.
-func (s *Server) peakMax(d int64) {
-	for {
-		cur := s.peakDelta.Load()
-		if d <= cur || s.peakDelta.CompareAndSwap(cur, d) {
-			return
-		}
+		o.run()
+		close(o.done)
 	}
 }
 
@@ -294,21 +239,9 @@ var errDraining = fmt.Errorf("server: draining")
 
 // enqueue serializes run into the apply loop and waits for completion or
 // context cancellation (the op still runs after cancellation; only the
-// wait is abandoned). Ops entered here are exclusive: on the sharded
-// path they run only at quiescence, so every existing synchronous op
-// (batch kills, snapshots, restore, measurements) keeps its
-// single-writer view of the state unchanged.
+// wait is abandoned).
 func (s *Server) enqueue(ctx context.Context, run func()) error {
-	return s.enqueueOp(ctx, &op{
-		run:       func() bool { run(); return false },
-		exclusive: true,
-		done:      make(chan struct{}),
-	})
-}
-
-// enqueueOp submits a prepared op and waits on its done channel.
-func (s *Server) enqueueOp(ctx context.Context, o *op) error {
-	o.enq = time.Now()
+	o := &op{run: run, done: make(chan struct{})}
 	s.gate.RLock()
 	if s.draining {
 		s.gate.RUnlock()
@@ -330,6 +263,25 @@ func (s *Server) enqueueOp(ctx context.Context, o *op) error {
 	}
 }
 
+// timedOp runs one mutation (a join, kill or batch kill) through the
+// apply loop. apply reports a request-level failure as an *opError. On
+// success the latency from submission to completion, queue wait
+// included, is observed in the heal-latency histogram and returned in
+// microseconds.
+func (s *Server) timedOp(ctx context.Context, apply func() error) (latencyUS int64, err error) {
+	var opErr error
+	start := time.Now()
+	if err := s.enqueue(ctx, func() { opErr = apply() }); err != nil {
+		return 0, err
+	}
+	if opErr != nil {
+		return 0, opErr
+	}
+	d := time.Since(start)
+	s.healLat.Observe(d)
+	return d.Microseconds(), nil
+}
+
 // publish appends the op's pending events to the log and maintains the
 // shared counters. Runs in the apply loop.
 func (s *Server) publish(added [][2]int) {
@@ -347,22 +299,11 @@ func (s *Server) publish(added [][2]int) {
 	if len(s.pending) == 0 {
 		return
 	}
-	s.appendLog(s.pending)
-	s.pending = s.pending[:0]
-}
-
-// appendLog appends events to the current generation's log; safe from
-// any goroutine. Sharded kills append their per-ticket buffers at
-// completion (disjoint batches commute under replay); joins append at
-// admission so join events enter the log in node-index order.
-func (s *Server) appendLog(events []trace.Event) {
-	if len(events) == 0 {
-		return
-	}
 	s.mu.Lock()
-	s.log = append(s.log, events...)
+	s.log = append(s.log, s.pending...)
 	s.cond.Broadcast()
 	s.mu.Unlock()
+	s.pending = s.pending[:0]
 }
 
 // opError is a request-level failure with an HTTP status attached.
@@ -388,51 +329,27 @@ type JoinResult struct {
 // random distinct alive nodes when attach is empty.
 func (s *Server) Join(ctx context.Context, attach []int, attachCount int) (JoinResult, error) {
 	var res JoinResult
-	var opErr error
-	start := time.Now()
-	o := &op{done: make(chan struct{})}
-	o.run = func() bool {
+	lat, err := s.timedOp(ctx, func() error {
 		targets := attach
 		if len(targets) == 0 {
 			if attachCount <= 0 {
-				opErr = failf(400, "join needs attach targets or a positive attach_count")
-				return false
+				return failf(400, "join needs attach targets or a positive attach_count")
+			}
+			if attachCount > MaxAttachCount {
+				return failf(400, "attach_count %d exceeds the limit of %d", attachCount, MaxAttachCount)
 			}
 			targets = s.alive.RandomDistinct(attachCount, s.rng)
 		} else {
 			seen := make(map[int]bool, len(targets))
 			for _, u := range targets {
-				// The alive index, not the graph, is the admission-time
-				// truth: on the sharded path an in-flight kill has already
-				// left the index but not yet the graph.
 				if !s.alive.Contains(u) {
-					opErr = failf(409, "attach target %d is not alive", u)
-					return false
+					return failf(409, "attach target %d is not alive", u)
 				}
 				if seen[u] {
-					opErr = failf(400, "duplicate attach target %d", u)
-					return false
+					return failf(400, "duplicate attach target %d", u)
 				}
 				seen[u] = true
 			}
-		}
-		if s.sched != nil {
-			var buf []trace.Event
-			hooks := &core.Hooks{OnJoin: func(v int, at []int) {
-				buf = append(buf, trace.Event{
-					Kind: trace.KindJoin, Node: v, Attach: append([]int(nil), at...),
-				})
-			}}
-			v, _ := s.sched.Join(targets, s.rng, hooks, func(tk *core.ShardTicket) {
-				s.peakMax(s.ss.PeakDelta())
-				res = JoinResult{Node: tk.Node, Attach: tk.Attach}
-				close(o.done)
-			})
-			s.alive.Add(v)
-			s.aliveN.Add(1)
-			s.joins.Add(1)
-			s.appendLog(buf) // at admission: join events stay in node-index order
-			return true
 		}
 		v := s.st.Join(targets, s.rng)
 		s.alive.Add(v)
@@ -448,17 +365,13 @@ func (s *Server) Join(ctx context.Context, attach []int, attachCount int) (JoinR
 		s.peakDelta.Store(peak)
 		s.publish(nil)
 		res = JoinResult{Node: v, Attach: targets}
-		return false
-	}
-	err := s.enqueueOp(ctx, o)
+		return nil
+	})
 	if err != nil {
-		return res, err
+		return JoinResult{}, err
 	}
-	if opErr == nil {
-		res.LatencyUS = time.Since(start).Microseconds()
-		s.healLat.Observe(time.Since(start))
-	}
-	return res, opErr
+	res.LatencyUS = lat
+	return res, nil
 }
 
 // KillResult reports a served kill.
@@ -472,66 +385,30 @@ type KillResult struct {
 // and heals the hole.
 func (s *Server) Kill(ctx context.Context, node int) (KillResult, error) {
 	var res KillResult
-	var opErr error
-	start := time.Now()
-	o := &op{done: make(chan struct{})}
-	o.run = func() bool {
+	lat, err := s.timedOp(ctx, func() error {
 		v := node
 		if v < 0 {
 			if s.alive.Len() == 0 {
-				opErr = failf(409, "no alive nodes to kill")
-				return false
+				return failf(409, "no alive nodes to kill")
 			}
 			v = s.alive.Random(s.rng)
 		} else if !s.alive.Contains(v) {
-			// Admission-time truth (see Join): an in-flight sharded kill
-			// has left the alive index already, so a repeat kill of the
-			// same node is rejected here rather than double-committed.
-			opErr = failf(409, "node %d is not alive", v)
-			return false
+			return failf(409, "node %d is not alive", v)
 		}
 		s.alive.Remove(v)
 		s.aliveN.Add(-1)
-		if s.sched != nil {
-			var buf []trace.Event
-			hooks := &core.Hooks{
-				OnRemove: func(x int) {
-					buf = append(buf, trace.Event{Kind: trace.KindRemove, Node: x})
-				},
-				OnEdge: func(u, w int, newInG, inGp bool) {
-					buf = append(buf, trace.Event{Kind: trace.KindEdge, U: u, V: w, NewInG: newInG, InGp: inGp})
-				},
-				OnAdopt: func(x int, id uint64) {
-					buf = append(buf, trace.Event{Kind: trace.KindAdopt, Node: x, ID: id})
-				},
-			}
-			s.sched.Kill(v, hooks, func(tk *core.ShardTicket) {
-				s.kills.Add(1)
-				s.nodesKilled.Add(1)
-				s.healEdges.Add(int64(len(tk.HR.Added)))
-				s.peakMax(s.ss.PeakDelta())
-				s.appendLog(buf)
-				res = KillResult{Node: v, HealEdges: len(tk.HR.Added)}
-				close(o.done)
-			})
-			return true
-		}
 		hr := s.st.DeleteAndHeal(v, s.healer)
 		s.kills.Add(1)
 		s.nodesKilled.Add(1)
 		s.publish(hr.Added)
 		res = KillResult{Node: v, HealEdges: len(hr.Added)}
-		return false
-	}
-	err := s.enqueueOp(ctx, o)
+		return nil
+	})
 	if err != nil {
-		return res, err
+		return KillResult{}, err
 	}
-	if opErr == nil {
-		res.LatencyUS = time.Since(start).Microseconds()
-		s.healLat.Observe(time.Since(start))
-	}
-	return res, opErr
+	res.LatencyUS = lat
+	return res, nil
 }
 
 // BatchKillResult reports a served batch kill.
@@ -547,37 +424,30 @@ type BatchKillResult struct {
 // correlated rack/region failure shape.
 func (s *Server) BatchKill(ctx context.Context, nodes []int, size, center int) (BatchKillResult, error) {
 	var res BatchKillResult
-	var opErr error
-	start := time.Now()
-	err := s.enqueue(ctx, func() {
+	lat, err := s.timedOp(ctx, func() error {
 		batch := nodes
 		if len(batch) == 0 {
 			if size <= 0 {
-				opErr = failf(400, "batch kill needs nodes or a positive size")
-				return
+				return failf(400, "batch kill needs nodes or a positive size")
 			}
 			if s.alive.Len() == 0 {
-				opErr = failf(409, "no alive nodes to kill")
-				return
+				return failf(409, "no alive nodes to kill")
 			}
 			c := center
 			if c < 0 {
 				c = s.alive.Random(s.rng)
 			} else if !s.st.G.Alive(c) {
-				opErr = failf(409, "epicenter %d is not alive", c)
-				return
+				return failf(409, "epicenter %d is not alive", c)
 			}
 			batch = s.st.G.BFSBall(c, size)
 		} else {
 			seen := make(map[int]bool, len(batch))
 			for _, v := range batch {
 				if !s.st.G.Alive(v) {
-					opErr = failf(409, "node %d is not alive", v)
-					return
+					return failf(409, "node %d is not alive", v)
 				}
 				if seen[v] {
-					opErr = failf(400, "duplicate node %d in batch", v)
-					return
+					return failf(400, "duplicate node %d in batch", v)
 				}
 				seen[v] = true
 			}
@@ -591,15 +461,13 @@ func (s *Server) BatchKill(ctx context.Context, nodes []int, size, center int) (
 		s.nodesKilled.Add(int64(len(batch)))
 		s.publish(hr.Added)
 		res = BatchKillResult{Killed: batch, HealEdges: len(hr.Added)}
+		return nil
 	})
 	if err != nil {
-		return res, err
+		return BatchKillResult{}, err
 	}
-	if opErr == nil {
-		res.LatencyUS = time.Since(start).Microseconds()
-		s.healLat.Observe(time.Since(start))
-	}
-	return res, opErr
+	res.LatencyUS = lat
+	return res, nil
 }
 
 // SnapshotResult pairs a full-state snapshot with the log position and
@@ -866,9 +734,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		}
 	}
 	// A sentinel op marks the drain point: once it runs, every op that
-	// ever entered the queue has been applied (exclusive, so in-flight
-	// sharded commits have drained too).
-	o := &op{run: func() bool { return false }, exclusive: true, enq: time.Now(), done: make(chan struct{})}
+	// ever entered the queue has been applied.
+	o := &op{run: func() {}, done: make(chan struct{})}
 	select {
 	case s.ops <- o:
 	case <-ctx.Done():

@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"repro/internal/gen"
+	"repro/internal/metrics"
 	"repro/internal/rng"
 	"repro/internal/trace"
 )
@@ -65,6 +66,7 @@ func TestRequestValidation(t *testing.T) {
 		{"unknown field", "/v1/join", `{"atach":[1]}`, 400},
 		{"join duplicate attach", "/v1/join", `{"attach":[3,3]}`, 400},
 		{"join negative count", "/v1/join", `{"attach_count":-2}`, 400},
+		{"join count over limit", "/v1/join", fmt.Sprintf(`{"attach_count":%d}`, MaxAttachCount+1), 400},
 		{"kill negative node", "/v1/kill", `{"node":-4}`, 400},
 		{"kill out of range", "/v1/kill", `{"node":99999}`, 409},
 		{"leave without node", "/v1/leave", `{}`, 400},
@@ -108,6 +110,32 @@ func TestRequestValidation(t *testing.T) {
 	}
 	if resp, body := postJSON(t, ts.URL+"/v1/kill", `{"node":7}`); resp.StatusCode != 409 {
 		t.Errorf("second kill of node 7: status %d (body %s), want 409", resp.StatusCode, body)
+	}
+}
+
+// SampleSources <= 0 means metrics.DefaultSampleSources, not "every
+// alive node": a sampled stretch read must pick exactly that many
+// diameter sources, so it draws from the server's RNG like an explicit
+// default does and the next random victim is the same.
+func TestSampleSourcesZeroMeansDefault(t *testing.T) {
+	ctx := context.Background()
+	victim := func(sources int) int {
+		s, _ := newTestServer(t, Config{Seed: 8, SampleThreshold: 16, SampleSources: sources}, 200)
+		if s.cfg.SampleSources != metrics.DefaultSampleSources {
+			t.Errorf("SampleSources %d normalised to %d, want %d", sources, s.cfg.SampleSources, metrics.DefaultSampleSources)
+		}
+		m, err := s.MeasureStretch(ctx)
+		if err != nil || !m.Sampled {
+			t.Fatalf("stretch read: %+v, %v; want a sampled measurement", m, err)
+		}
+		k, err := s.Kill(ctx, -1)
+		if err != nil {
+			t.Fatalf("kill: %v", err)
+		}
+		return k.Node
+	}
+	if got, want := victim(0), victim(metrics.DefaultSampleSources); got != want {
+		t.Errorf("victim after a stretch read with SampleSources 0 is %d, with the default %d", got, want)
 	}
 }
 
