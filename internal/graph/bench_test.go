@@ -2,7 +2,7 @@ package graph_test
 
 // BenchmarkGraphOps is the graph-layer micro-suite: it pins the cost of
 // the primitive operations (AddEdge, RemoveEdge, Neighbors, BFS,
-// AllDistances, Diameter) at several sizes so regressions in the
+// MultiBFSInto, AllDistances, Diameter) at several sizes so regressions in the
 // adjacency representation are visible independent of the end-to-end
 // figure benchmarks in the repository root.
 
@@ -80,6 +80,39 @@ func BenchmarkGraphOpsBFS(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				_ = g.BFS(i % n)
+			}
+		})
+	}
+}
+
+// BenchmarkMultiBFS is the stretch read's sweep at service scale: 16
+// and 64 sources on a BA graph with n = 10⁵, as one MultiBFSInto call
+// ("multi") and as one BFSInto per source ("single").
+func BenchmarkMultiBFS(b *testing.B) {
+	const n = 100_000
+	g := ba(n)
+	for _, k := range []int{16, 64} {
+		r := rng.New(uint64(k))
+		sources := make([]int, k)
+		rows := make([][]int32, k)
+		for i := range sources {
+			sources[i] = r.Intn(n)
+			rows[i] = make([]int32, n)
+		}
+		b.Run(fmt.Sprintf("k=%d/multi", k), func(b *testing.B) {
+			var sc graph.MultiBFSScratch
+			b.ReportAllocs()
+			for b.Loop() {
+				g.MultiBFSInto(sources, rows, &sc)
+			}
+		})
+		b.Run(fmt.Sprintf("k=%d/single", k), func(b *testing.B) {
+			var queue []int32
+			b.ReportAllocs()
+			for b.Loop() {
+				for i, s := range sources {
+					queue = g.BFSInto(s, rows[i], queue)
+				}
 			}
 		})
 	}

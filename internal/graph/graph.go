@@ -436,25 +436,34 @@ func (g *Graph) MaxDegree() int {
 // knob only. It must not be changed while a sweep is running.
 var SweepWorkers = 0
 
-// sourceWorkers returns how many workers an n-source sweep should fan out
-// across: every CPU (or SweepWorkers), but never more than the sources.
-func sourceWorkers(n int) int {
-	w := SweepWorkers
+// sweepSources returns the sources of an all-sources sweep, the node
+// indices 0..n-1; how many MultiBFSWidth-source batches cover them; and
+// how many workers the batches fan out across: the caller's positive
+// workers, else SweepWorkers, else every CPU, but never more than the
+// batches.
+func sweepSources(n, workers int) (ids []int, batches, w int) {
+	ids = make([]int, n)
+	for v := range ids {
+		ids[v] = v
+	}
+	batches = (n + MultiBFSWidth - 1) / MultiBFSWidth
+	w = workers
+	if w <= 0 {
+		w = SweepWorkers
+	}
 	if w <= 0 {
 		w = runtime.NumCPU()
 	}
-	if w > n {
-		w = n
-	}
-	return w
+	return ids, batches, min(w, batches)
 }
 
 // AllDistances computes all-pairs shortest-path distances between alive
-// nodes by running a BFS from every alive node, fanned out across all
-// CPUs (row v is owned by exactly one worker, so the result is identical
-// at any parallelism). Entry [u][v] is -1 when u or v is dead or
-// unreachable. The rows share one flat n² int32 block; callers are
-// expected to bound n.
+// nodes by running MultiBFSInto over every node in batches of
+// MultiBFSWidth sources, fanned out across all CPUs (each batch's rows
+// are owned by exactly one worker, so the result is identical at any
+// parallelism). Entry [u][v] is -1 when u or v is dead or unreachable.
+// The rows share one flat n² int32 block; callers are expected to bound
+// n.
 func (g *Graph) AllDistances() [][]int32 {
 	return g.AllDistancesWorkers(0)
 }
@@ -473,43 +482,45 @@ func (g *Graph) AllDistancesWorkers(workers int) [][]int32 {
 	for v := range out {
 		out[v] = flat[v*n : (v+1)*n : (v+1)*n]
 	}
-	if workers <= 0 {
-		workers = sourceWorkers(n)
-	} else if workers > n {
-		workers = n
-	}
-	queues := make([][]int32, workers)
-	par.Do(n, workers, func(w, v int) {
-		queues[w] = g.BFSInto(v, out[v], queues[w])
+	ids, batches, workers := sweepSources(n, workers)
+	scratch := make([]MultiBFSScratch, workers)
+	par.Do(batches, workers, func(w, b int) {
+		lo, hi := b*MultiBFSWidth, min((b+1)*MultiBFSWidth, n)
+		g.MultiBFSInto(ids[lo:hi], out[lo:hi], &scratch[w])
 	})
 	return out
 }
 
 // Diameter returns the largest finite pairwise distance among alive nodes
 // (0 for empty or singleton graphs). Disconnected pairs are ignored. The
-// per-source BFS sweep reuses one distance/queue scratch per worker and
-// fans out across all CPUs; max-merging worker results is
-// order-independent, so the answer is deterministic at any parallelism.
+// sweep runs MultiBFSInto over batches of MultiBFSWidth sources with one
+// set of rows and scratch per worker, fanned out across all CPUs;
+// max-merging worker results is order-independent, so the answer is
+// deterministic at any parallelism.
 func (g *Graph) Diameter() int {
 	n := len(g.adj)
 	if n == 0 {
 		return 0
 	}
-	workers := sourceWorkers(n)
+	ids, batches, workers := sweepSources(n, 0)
 	maxes := make([]int32, workers)
-	dists := make([][]int32, workers)
-	queues := make([][]int32, workers)
-	par.Do(n, workers, func(w, v int) {
-		if !g.alive[v] {
-			return
+	rows := make([][][]int32, workers)
+	scratch := make([]MultiBFSScratch, workers)
+	par.Do(batches, workers, func(w, b int) {
+		if rows[w] == nil {
+			width := min(MultiBFSWidth, n)
+			flat := make([]int32, width*n)
+			for i := 0; i < width; i++ {
+				rows[w] = append(rows[w], flat[i*n:(i+1)*n:(i+1)*n])
+			}
 		}
-		if dists[w] == nil {
-			dists[w] = make([]int32, n)
-		}
-		queues[w] = g.BFSInto(v, dists[w], queues[w])
-		for _, d := range dists[w] {
-			if d > maxes[w] {
-				maxes[w] = d
+		lo, hi := b*MultiBFSWidth, min((b+1)*MultiBFSWidth, n)
+		g.MultiBFSInto(ids[lo:hi], rows[w][:hi-lo], &scratch[w])
+		for _, row := range rows[w][:hi-lo] {
+			for _, d := range row {
+				if d > maxes[w] {
+					maxes[w] = d
+				}
 			}
 		}
 	})

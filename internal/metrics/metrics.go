@@ -11,12 +11,11 @@ import (
 )
 
 // Stretch measures path dilation against a snapshot of the original
-// network taken at construction time. A Stretch value is not safe for
-// concurrent use: Measure reuses internal BFS scratch across calls.
+// network taken at construction time. Measure only reads the snapshot
+// and takes its BFS scratch from a pool, so one Stretch may be measured
+// from several goroutines at once.
 type Stretch struct {
-	base  [][]int32 // original all-pairs distances
-	dist  []int32   // BFS scratch, reused across Measure calls
-	queue []int32
+	base [][]int32 // original all-pairs distances
 }
 
 // NewStretch snapshots g's all-pairs distances. It costs O(n·m) time and
@@ -44,16 +43,19 @@ type Result struct {
 func (st *Stretch) Measure(cur *graph.Graph) Result {
 	res := Result{Max: 1}
 	var sum float64
-	alive := cur.AliveNodes()
-	if len(st.dist) != cur.N() {
-		st.dist = make([]int32, cur.N()) // the graph grew (churn): regrow once
-	}
+	scratch := bfsPool.Get().(*bfsScratch)
+	defer bfsPool.Put(scratch)
+	alive := cur.AppendAliveNodes(scratch.alive[:0])
+	scratch.alive = alive
+	sources := scratch.sources[:0]
 	for _, u := range alive {
-		if u >= len(st.base) {
-			continue // joined after the snapshot: no original distance
+		if u < len(st.base) { // nodes joined after the snapshot have no original distance
+			sources = append(sources, u)
 		}
-		st.queue = cur.BFSInto(u, st.dist, st.queue)
-		du := st.dist
+	}
+	scratch.sources = sources
+	scratch.sweep(cur, sources, func(i int, du []int32) {
+		u := sources[i]
 		for _, v := range alive {
 			if v <= u || v >= len(st.base) {
 				continue
@@ -74,7 +76,7 @@ func (st *Stretch) Measure(cur *graph.Graph) Result {
 			}
 			sum += ratio
 		}
-	}
+	})
 	if ok := res.Pairs - res.Disconnected; ok > 0 {
 		res.Mean = sum / float64(ok)
 	} else if res.Pairs == 0 {

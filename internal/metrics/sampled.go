@@ -3,8 +3,9 @@ package metrics
 // Sampled metrics: the exact stretch and diameter computations cost a BFS
 // per node (O(n·m)), which is fine at the paper's sizes (n ≤ a few
 // thousand) and hopeless at the scenario engine's (n = 10⁵–10⁶). The
-// estimators here run k random-source BFS sweeps instead — O(k·m) — and
-// report normal-approximation confidence intervals over the per-source
+// estimators here sweep k random sources instead — O(k·m), run through
+// graph.MultiBFSInto 64 sources per traversal — and report
+// normal-approximation confidence intervals over the per-source
 // statistics (stats.Summary.CI95), so large-scale scenario checkpoints
 // state their uncertainty instead of hiding it.
 //
@@ -16,6 +17,7 @@ package metrics
 
 import (
 	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/graph"
@@ -23,28 +25,46 @@ import (
 	"repro/internal/stats"
 )
 
-// bfsScratch pools BFS dist/queue buffers across sampled measurements.
-// server.MeasureStretch and large-scale scenario checkpoints call the
-// samplers repeatedly on 10⁵–10⁷-node graphs; without the pool every
-// call allocates an n-length dist row (4 MB at n = 10⁶) that is garbage
-// one call later. Buffers are taken per Measure call and returned
-// before it ends, so pooling does not change any concurrency contract.
+// bfsScratch pools the multi-source BFS words and distance rows across
+// measurements. server.MeasureStretch and large-scale scenario
+// checkpoints call the samplers repeatedly on 10⁵–10⁷-node graphs;
+// without the pool every call allocates up to graph.MultiBFSWidth
+// n-length rows that are garbage one call later. A scratch is taken per
+// call and returned before it ends, so pooling does not change any
+// concurrency contract.
 type bfsScratch struct {
-	dist  []int32
-	queue []int32
-	alive []int // source-sampling buffer (SampledDiameter)
+	ms      graph.MultiBFSScratch
+	flat    []int32   // backing store of rows
+	rows    [][]int32 // one distance row per source of a batch
+	alive   []int     // alive-node buffer
+	sources []int     // source-list buffer (Stretch.Measure)
 }
 
 var bfsPool = sync.Pool{New: func() any { return new(bfsScratch) }}
 
-// getBFSScratch returns a pooled scratch with dist sized to n.
-func getBFSScratch(n int) *bfsScratch {
-	b := bfsPool.Get().(*bfsScratch)
-	if cap(b.dist) < n {
-		b.dist = make([]int32, n)
+// sweep calls visit(i, row) for every source in order, row holding the
+// hop distances in g from sources[i] with BFSInto's conventions. The
+// sources run through graph.MultiBFSInto graph.MultiBFSWidth at a time,
+// so at most that many rows are held; a row is valid only during its
+// visit call.
+func (b *bfsScratch) sweep(g *graph.Graph, sources []int, visit func(i int, row []int32)) {
+	n := g.N()
+	width := min(len(sources), graph.MultiBFSWidth)
+	if cap(b.flat) < width*n {
+		b.flat = make([]int32, width*n)
 	}
-	b.dist = b.dist[:n]
-	return b
+	b.rows = b.rows[:0]
+	for j := 0; j < width; j++ {
+		b.rows = append(b.rows, b.flat[j*n:(j+1)*n:(j+1)*n])
+	}
+	for lo := 0; lo < len(sources); lo += width {
+		batch := sources[lo:min(lo+width, len(sources))]
+		rows := b.rows[:len(batch)]
+		g.MultiBFSInto(batch, rows, &b.ms)
+		for j, row := range rows {
+			visit(lo+j, row)
+		}
+	}
 }
 
 // DefaultSampleThreshold is the alive-node count at or above which the
@@ -71,8 +91,8 @@ type SampledResult struct {
 
 // SampledStretch measures path dilation like Stretch, but only over pairs
 // (s, v) whose first endpoint is one of k random sources fixed at
-// construction time. Snapshot cost is O(k·m) time and O(k·n) memory. Not
-// safe for concurrent use.
+// construction time. Snapshot cost is O(k·m) time and O(k·n) memory.
+// Like Stretch, it may be measured from several goroutines at once.
 type SampledStretch struct {
 	sources []int
 	base    [][]int32 // one original-distance row per source
@@ -83,10 +103,15 @@ type SampledStretch struct {
 // estimate is then exact). Sources are drawn without replacement from r.
 func NewSampledStretch(g *graph.Graph, k int, r *rng.RNG) *SampledStretch {
 	st := &SampledStretch{sources: sampleAlive(g, k, r)}
+	n := g.N()
+	flat := make([]int32, len(st.sources)*n)
 	st.base = make([][]int32, len(st.sources))
-	for i, s := range st.sources {
-		st.base[i] = g.BFS(s)
+	for i := range st.base {
+		st.base[i] = flat[i*n : (i+1)*n : (i+1)*n]
 	}
+	scratch := bfsPool.Get().(*bfsScratch)
+	defer bfsPool.Put(scratch)
+	g.MultiBFSInto(st.sources, st.base, &scratch.ms)
 	return st
 }
 
@@ -109,16 +134,8 @@ func pickSources(alive []int, k int, r *rng.RNG) []int {
 		alive[i], alive[j] = alive[j], alive[i]
 	}
 	picked := alive[:k]
-	sortInts(picked)
+	slices.Sort(picked)
 	return picked
-}
-
-func sortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }
 
 // Measure estimates the stretch of cur over the sampled source rows.
@@ -129,27 +146,26 @@ func (st *SampledStretch) Measure(cur *graph.Graph) SampledResult {
 	res := SampledResult{Result: Result{Max: 1}, Sampled: true}
 	var sum float64
 	var perSourceMeans []float64
-	scratch := getBFSScratch(cur.N())
+	scratch := bfsPool.Get().(*bfsScratch)
 	defer bfsPool.Put(scratch)
-	for i, src := range st.sources {
+	scratch.sweep(cur, st.sources, func(i int, dist []int32) {
+		src := st.sources[i]
 		if !cur.Alive(src) {
-			continue
+			return
 		}
-		scratch.queue = cur.BFSInto(src, scratch.dist, scratch.queue)
-		row := st.base[i]
 		var srcSum float64
 		srcPairs := 0
-		for v, orig := range row {
+		for v, orig := range st.base[i] {
 			if v == src || orig <= 0 || !cur.Alive(v) {
 				continue
 			}
 			res.Pairs++
-			if scratch.dist[v] < 0 {
+			if dist[v] < 0 {
 				res.Disconnected++
 				res.Max = math.Inf(1)
 				continue
 			}
-			ratio := float64(scratch.dist[v]) / float64(orig)
+			ratio := float64(dist[v]) / float64(orig)
 			if ratio > res.Max {
 				res.Max = ratio
 			}
@@ -161,7 +177,7 @@ func (st *SampledStretch) Measure(cur *graph.Graph) SampledResult {
 			res.Sources++
 			perSourceMeans = append(perSourceMeans, srcSum/float64(srcPairs))
 		}
-	}
+	})
 	if ok := res.Pairs - res.Disconnected; ok > 0 {
 		res.Mean = sum / float64(ok)
 	} else if res.Pairs == 0 {
@@ -233,7 +249,7 @@ type DiameterEstimate struct {
 // count, making the result exact). Disconnected pairs are ignored, as in
 // Diameter.
 func SampledDiameter(g *graph.Graph, k int, r *rng.RNG) DiameterEstimate {
-	scratch := getBFSScratch(g.N())
+	scratch := bfsPool.Get().(*bfsScratch)
 	defer bfsPool.Put(scratch)
 	scratch.alive = g.AppendAliveNodes(scratch.alive[:0])
 	sources := pickSources(scratch.alive, k, r)
@@ -242,10 +258,9 @@ func SampledDiameter(g *graph.Graph, k int, r *rng.RNG) DiameterEstimate {
 		return est
 	}
 	eccs := make([]float64, 0, len(sources))
-	for _, src := range sources {
-		scratch.queue = g.BFSInto(src, scratch.dist, scratch.queue)
+	scratch.sweep(g, sources, func(_ int, dist []int32) {
 		ecc := int32(0)
-		for _, d := range scratch.dist {
+		for _, d := range dist {
 			if d > ecc {
 				ecc = d
 			}
@@ -254,7 +269,7 @@ func SampledDiameter(g *graph.Graph, k int, r *rng.RNG) DiameterEstimate {
 			est.Diameter = int(ecc)
 		}
 		eccs = append(eccs, float64(ecc))
-	}
+	})
 	est.Sources = len(sources)
 	s := stats.Summarize(eccs)
 	est.MeanEcc = s.Mean

@@ -12,9 +12,13 @@
 //	                     view (deterministic order by construction),
 //	                     HasEdge is a binary search, BFSInto runs
 //	                     breadth-first search into caller-reused scratch,
-//	                     and the all-sources sweeps (AllDistances,
-//	                     Diameter) fan out across every CPU with results
-//	                     identical at any parallelism
+//	                     and MultiBFSInto runs up to 64 sources in one
+//	                     bit-parallel traversal (MS-BFS). Every stretch
+//	                     and diameter sweep (AllDistances, Diameter,
+//	                     internal/metrics) runs on MultiBFSInto; the
+//	                     all-sources sweeps fan its 64-source batches out
+//	                     across every CPU with results identical at any
+//	                     parallelism
 //	internal/core        DASH, SDASH, healing state, MINID flood, rem(v)
 //	internal/baseline    GraphHeal, BinaryTreeHeal, LineHeal, DegreeHeal, NoHeal
 //	internal/forgiving   ForgivingTree and ForgivingGraph, the successor
