@@ -8,8 +8,8 @@
 // stretch/diameter estimates (k random BFS sources, 95% CIs) instead of
 // exact O(n·m) sweeps, so large runs complete in seconds.
 //
-// The MaxNode victim policy is backed by the degree-bucketed index
-// (graph.MaxDegreeIndex fed from healed-edge endpoints), so adversarial
+// The MaxNode and NeighborOfMax victim policies pick through the
+// graph's own degree-bucketed index (G.MaxDegreeNode), so adversarial
 // runs scale to the same sizes as Uniform ones.
 //
 // With -differential the preset is not swept but replayed: trial 0 runs
@@ -119,23 +119,16 @@ func realMain() error {
 // victimPolicy resolves the -victim flag into a per-trial policy
 // constructor (nil means the default O(1) Uniform sampler).
 func victimPolicy(victim string) (func() scenario.VictimPolicy, error) {
-	switch victim {
-	case "", "Uniform":
+	if victim == "" || victim == "Uniform" {
 		return nil, nil
-	case "MaxNode":
-		// The bucketed-index policy: same victim sequence as
-		// attack.MaxDegree (property-tested), without the O(n) scan per
-		// event, so MaxNode runs scale like Uniform ones.
-		return scenario.NewMaxDegree, nil
-	default:
-		newAttack, err := repro.AttackByName(victim)
-		if err != nil {
-			return nil, err
-		}
-		return func() scenario.VictimPolicy {
-			return scenario.FromAttack{S: newAttack()}
-		}, nil
 	}
+	newAttack, err := repro.AttackByName(victim)
+	if err != nil {
+		return nil, err
+	}
+	return func() scenario.VictimPolicy {
+		return scenario.FromAttack{S: newAttack()}
+	}, nil
 }
 
 // runDifferential replays a preset differentially: the scenario runner

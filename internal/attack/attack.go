@@ -75,13 +75,21 @@ type Random struct{}
 // Name implements Strategy.
 func (Random) Name() string { return "Random" }
 
-// Next implements Strategy.
+// Next implements Strategy. It draws the victim's rank among the alive
+// nodes and walks to it, without materializing the alive list.
 func (Random) Next(s *core.State, r *rng.RNG) int {
-	alive := s.G.AliveNodes()
-	if len(alive) == 0 {
+	if s.G.NumAlive() == 0 {
 		return NoTarget
 	}
-	return alive[r.Intn(len(alive))]
+	k := r.Intn(s.G.NumAlive())
+	for v := 0; ; v++ {
+		if s.G.Alive(v) {
+			if k == 0 {
+				return v
+			}
+			k--
+		}
+	}
 }
 
 // MinDegree deletes the alive node with the smallest degree (ties broken
@@ -94,8 +102,8 @@ func (MinDegree) Name() string { return "MinNode" }
 // Next implements Strategy.
 func (MinDegree) Next(s *core.State, _ *rng.RNG) int {
 	best, bestDeg := NoTarget, int(^uint(0)>>1)
-	for _, v := range s.G.AliveNodes() {
-		if d := s.G.Degree(v); d < bestDeg {
+	for v, n := 0, s.G.N(); v < n; v++ {
+		if d := s.G.Degree(v); d < bestDeg && s.G.Alive(v) {
 			best, bestDeg = v, d
 		}
 	}

@@ -217,3 +217,52 @@ func TestLimitedExhaustsEarly(t *testing.T) {
 		t.Fatalf("Limited name %q should mark the budget", name)
 	}
 }
+
+// aliveListRandom and aliveListMinDegree are Random.Next and
+// MinDegree.Next as they were when both materialized G.AliveNodes() on
+// every pick: the references the allocation-free versions are pinned to.
+func aliveListRandom(s *core.State, r *rng.RNG) int {
+	alive := s.G.AliveNodes()
+	if len(alive) == 0 {
+		return NoTarget
+	}
+	return alive[r.Intn(len(alive))]
+}
+
+func aliveListMinDegree(s *core.State) int {
+	best, bestDeg := NoTarget, int(^uint(0)>>1)
+	for _, v := range s.G.AliveNodes() {
+		if d := s.G.Degree(v); d < bestDeg {
+			best, bestDeg = v, d
+		}
+	}
+	return best
+}
+
+// TestRandomAndMinDegreeMatchAliveList pins Random and MinDegree to the
+// alive-list references pick for pick, on graphs whose alive set has
+// holes (DASH-healed deletions) and grows (joins): Random must make the
+// same RNG draws and name the same victim, and MinDegree the same node.
+func TestRandomAndMinDegreeMatchAliveList(t *testing.T) {
+	for seed := uint64(1); seed <= 3; seed++ {
+		s := core.NewState(gen.BarabasiAlbert(150, 3, rng.New(seed)), rng.New(seed+10))
+		got, want, opR := rng.New(seed+20), rng.New(seed+20), rng.New(seed+30)
+		for step := 0; s.G.NumAlive() > 0; step++ {
+			if a, b := (MinDegree{}).Next(s, nil), aliveListMinDegree(s); a != b {
+				t.Fatalf("seed %d step %d: MinDegree picked %d, reference %d", seed, step, a, b)
+			}
+			v := (Random{}).Next(s, got)
+			if ref := aliveListRandom(s, want); v != ref {
+				t.Fatalf("seed %d step %d: Random picked %d, reference %d", seed, step, v, ref)
+			}
+			if step%4 == 3 {
+				s.Join([]int{v}, opR)
+				continue
+			}
+			s.DeleteAndHeal(v, core.DASH{})
+		}
+		if (MinDegree{}).Next(s, nil) != NoTarget || (Random{}).Next(s, got) != NoTarget {
+			t.Fatalf("seed %d: empty graph did not return NoTarget", seed)
+		}
+	}
+}

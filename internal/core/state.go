@@ -125,9 +125,29 @@ func (s *State) InitDegree(v int) int { return s.initDeg[v] }
 // returned to it.
 func (s *State) Delta(v int) int { return s.G.Degree(v) - s.initDeg[v] }
 
+// PeakDelta returns the larger of peak and the δ of each node in raised.
+// δ rises only where a node gains a G edge, so folding in the endpoints
+// of each event's new G edges — a heal's Added, a join's attach targets —
+// right after the event keeps the exact running peak of MaxDelta
+// without its O(n) scan per event.
+func (s *State) PeakDelta(peak int, raised ...int) int {
+	for _, v := range raised {
+		peak = max(peak, s.Delta(v))
+	}
+	return peak
+}
+
+// PeakDeltaEdges is PeakDelta over both endpoints of each edge in added.
+func (s *State) PeakDeltaEdges(peak int, added [][2]int) int {
+	for _, e := range added {
+		peak = s.PeakDelta(peak, e[0], e[1])
+	}
+	return peak
+}
+
 // MaxDelta returns the largest δ over alive nodes (0 for an empty graph).
-// It runs once per simulated round, so it scans indices directly instead
-// of materializing the alive list.
+// It scans indices directly instead of materializing the alive list;
+// per-event peaks use PeakDelta instead.
 func (s *State) MaxDelta() int {
 	maxD := 0
 	for v, n := 0, s.G.N(); v < n; v++ {

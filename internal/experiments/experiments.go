@@ -358,10 +358,7 @@ func Batch(n int, batchSizes []int, trials int, seed uint64) *stats.Table {
 				for _, i := range att.Perm(len(alive))[:size] {
 					batch = append(batch, alive[i])
 				}
-				s.DeleteBatchAndHeal(batch)
-				if d := s.MaxDelta(); d > peak {
-					peak = d
-				}
+				peak = s.PeakDeltaEdges(peak, s.DeleteBatchAndHeal(batch).Added)
 				if !s.G.Connected() {
 					connected = false
 				}

@@ -138,15 +138,13 @@ func Churn(n, steps, trials int, seed uint64) *stats.Table {
 						attach = append(attach, alive[i])
 					}
 					s.Join(attach, joinR)
+					peak = s.PeakDelta(peak, attach...)
 				} else {
 					v := att.Next(s, attackR)
 					if v == attack.NoTarget {
 						break
 					}
-					s.DeleteAndHeal(v, core.DASH{})
-				}
-				if d := s.MaxDelta(); d > peak {
-					peak = d
+					peak = s.PeakDeltaEdges(peak, s.DeleteAndHeal(v, core.DASH{}).Added)
 				}
 				if !s.G.Connected() {
 					connected = false

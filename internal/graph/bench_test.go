@@ -2,7 +2,7 @@ package graph_test
 
 // BenchmarkGraphOps is the graph-layer micro-suite: it pins the cost of
 // the primitive operations (AddEdge, RemoveEdge, Neighbors, BFS,
-// MultiBFSInto, AllDistances, Diameter) at several sizes so regressions in the
+// MultiBFSInto, AllDistances, Diameter, MaxDegreeNode) at several sizes so regressions in the
 // adjacency representation are visible independent of the end-to-end
 // figure benchmarks in the repository root.
 
@@ -139,6 +139,37 @@ func BenchmarkGraphOpsDiameter(b *testing.B) {
 				sink = g.Diameter()
 			}
 		})
+	}
+}
+
+// BenchmarkGraphOpsMaxDegreeNode is one NeighborOfMax-style round per op
+// on BA n=4096: pick the max-degree node, remove a random neighbour of
+// it, and re-wire that neighbour's former neighbours in a line, as a
+// heal would. When half the nodes are gone it starts over on a fresh
+// clone, whose first pick rebuilds the index.
+func BenchmarkGraphOpsMaxDegreeNode(b *testing.B) {
+	const n = 4096
+	base := ba(n)
+	g := base.Clone()
+	r := rng.New(11)
+	var nbrs []int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if g.NumAlive() < n/2 {
+			b.StopTimer()
+			g = base.Clone()
+			b.StartTimer()
+		}
+		x := g.MaxDegreeNode()
+		if nb := g.Neighbors(x); len(nb) > 0 {
+			x = int(nb[r.Intn(len(nb))])
+		}
+		nbrs = g.AppendNeighbors(nbrs[:0], x)
+		g.RemoveNode(x)
+		for j := 1; j < len(nbrs); j++ {
+			g.AddEdge(nbrs[j-1], nbrs[j])
+		}
 	}
 }
 

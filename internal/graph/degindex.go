@@ -1,55 +1,42 @@
 package graph
 
-// MaxDegreeIndex answers MaxDegreeNode-style queries — "which alive node
-// has the largest degree, smallest index on ties?" — without the O(n)
-// scan, so MaxDegree-style adversaries can drive 10⁵–10⁶-node scenario
-// runs where one scan per event would dominate the profile.
+// maxDegreeIndex answers MaxDegreeNode — "which alive node has the
+// largest degree, smallest index on ties?" — without an O(n) scan, so the
+// MaxDegree-style adversaries cost O(heal) per round instead of O(n). The
+// Graph owns it: MaxDegreeNode builds it on its first call and AddEdge
+// and AddNode keep it current from then on.
 //
 // Nodes are filed in degree buckets, each a min-heap on node index. The
-// index is deliberately lazy about degree *drops* (a deletion's
-// neighbors quietly lose edges, and no one tells us): a node may sit
-// filed above its true degree and is demoted on discovery when the
-// top-down scan reaches it. Degree *rises* must be reported eagerly via
-// NoteRise — in the self-healing setting those are exactly the healed-
-// edge endpoints and a join's attach targets, which the caller already
-// has in hand — because a node filed below its true degree would be
+// index is deliberately lazy about degree *drops* (RemoveNode's
+// neighbours and RemoveEdge's endpoints lose edges, and no one tells
+// it): a node may sit filed above its true degree and is demoted on
+// discovery when the top-down scan reaches it. Degree *rises* are noted
+// eagerly by AddEdge, because a node filed below its true degree would be
 // invisible to the scan. Under that contract every alive node v
-// satisfies filed(v) ≥ degree(v), so when the scan finds its first
-// exact match all higher buckets are empty and the match is the true
-// maximum, with the heap delivering the smallest index among equals:
-// bit-identical to the naive MaxDegreeNode scan.
+// satisfies filed(v) ≥ degree(v), so when the scan finds its first exact
+// match all higher buckets are empty and the match is the true maximum,
+// with the heap delivering the smallest index among equals:
+// bit-identical to a naive scan.
 //
 // Costs are amortized: every demotion strictly lowers a node's filed
 // degree (bounded by total degree decrements), every stale duplicate
-// discarded was paid for by one NoteRise, and the top-bucket cursor
-// only rises with filed degrees. The structure never mutates the graph
-// and tolerates dead nodes silently (they are discarded on discovery).
-//
-// Ownership contract: the index is single-owner. NoteRise, NoteJoin,
-// and Max all mutate the unsynchronized buckets and read live degrees
-// from the graph, so exactly one goroutine may call them, and only
-// while no other goroutine is mutating the graph. That is why the
-// sharded commit path accepts only Uniform victims: a degree-indexed
-// adversary would need the graph quiescent at every pick.
-type MaxDegreeIndex struct {
+// discarded was paid for by one rise, and the top-bucket cursor only
+// rises with filed degrees. Dead nodes are discarded on discovery.
+type maxDegreeIndex struct {
 	g       *Graph
 	buckets [][]int32 // buckets[d]: min-heap of node indices filed at degree d
 	filed   []int32   // node -> degree it is currently filed under, -1 none
 	maxDeg  int       // highest possibly-non-empty bucket
 }
 
-// NewMaxDegreeIndex indexes the alive nodes of g at their current
-// degrees. The graph is retained for degree/liveness validation; all
-// later mutations must be either degree drops (handled lazily) or rises
-// reported through NoteRise/NoteJoin.
-func NewMaxDegreeIndex(g *Graph) *MaxDegreeIndex {
-	ix := &MaxDegreeIndex{g: g, filed: make([]int32, g.N())}
-	for i := range ix.filed {
-		ix.filed[i] = -1
-	}
-	for v, n := 0, g.N(); v < n; v++ {
-		if g.Alive(v) {
-			ix.file(v, g.Degree(v))
+// newMaxDegreeIndex indexes the alive nodes of g at their current
+// degrees.
+func newMaxDegreeIndex(g *Graph) *maxDegreeIndex {
+	ix := &maxDegreeIndex{g: g, filed: make([]int32, g.N())}
+	for v := range ix.filed {
+		ix.filed[v] = -1
+		if g.alive[v] {
+			ix.file(v, len(g.adj[v]))
 		}
 	}
 	return ix
@@ -58,7 +45,7 @@ func NewMaxDegreeIndex(g *Graph) *MaxDegreeIndex {
 // file pushes v into bucket d and records it as v's filed degree. Any
 // entry v left in another bucket becomes a stale duplicate, discarded
 // when the scan reaches it.
-func (ix *MaxDegreeIndex) file(v, d int) {
+func (ix *maxDegreeIndex) file(v, d int) {
 	for len(ix.buckets) <= d {
 		ix.buckets = append(ix.buckets, nil)
 	}
@@ -69,31 +56,28 @@ func (ix *MaxDegreeIndex) file(v, d int) {
 	}
 }
 
-// NoteRise re-files v at its current degree after the caller added an
-// edge incident to it. Calling it for a node whose degree did not rise
-// (or that is dead) is harmless.
-func (ix *MaxDegreeIndex) NoteRise(v int) {
-	if v < 0 || !ix.g.Alive(v) {
-		return
-	}
-	if d := ix.g.Degree(v); int32(d) != ix.filed[v] {
+// rise re-files the alive node v, whose degree just rose to d, unless it
+// is already filed at d or above (a lazy drop left it there; the scan
+// demotes it when it gets that far).
+func (ix *maxDegreeIndex) rise(v, d int) {
+	if int32(d) > ix.filed[v] {
 		ix.file(v, d)
 	}
 }
 
-// NoteJoin files a node that did not exist when the index was built.
-func (ix *MaxDegreeIndex) NoteJoin(v int) {
+// join files the fresh, isolated node v.
+func (ix *maxDegreeIndex) join(v int) {
 	for len(ix.filed) <= v {
 		ix.filed = append(ix.filed, -1)
 	}
-	ix.NoteRise(v)
+	ix.file(v, 0)
 }
 
-// Max returns the alive node with the largest degree, ties broken by
-// smallest index — exactly MaxDegreeNode — or -1 when no alive node is
-// filed. The returned node stays filed (callers typically kill it next;
-// its entry is then discarded as dead on a later scan).
-func (ix *MaxDegreeIndex) Max() int {
+// max returns the alive node with the largest degree, ties broken by
+// smallest index, or -1 when no alive node is filed. The returned node
+// stays filed (callers typically kill it next; its entry is then
+// discarded as dead on a later scan).
+func (ix *maxDegreeIndex) max() int {
 	for ix.maxDeg >= 0 {
 		if len(ix.buckets) <= ix.maxDeg || len(ix.buckets[ix.maxDeg]) == 0 {
 			ix.maxDeg--
@@ -101,7 +85,7 @@ func (ix *MaxDegreeIndex) Max() int {
 		}
 		b := ix.buckets[ix.maxDeg]
 		v := int(b[0])
-		if !ix.g.Alive(v) {
+		if !ix.g.alive[v] {
 			heapPop(&ix.buckets[ix.maxDeg])
 			if ix.filed[v] == int32(ix.maxDeg) {
 				ix.filed[v] = -1
@@ -109,11 +93,11 @@ func (ix *MaxDegreeIndex) Max() int {
 			continue
 		}
 		if ix.filed[v] != int32(ix.maxDeg) {
-			// Stale duplicate left behind by a NoteRise.
+			// Stale duplicate left behind by a rise.
 			heapPop(&ix.buckets[ix.maxDeg])
 			continue
 		}
-		if d := ix.g.Degree(v); d != ix.maxDeg {
+		if d := len(ix.g.adj[v]); d != ix.maxDeg {
 			// Degree dropped since filing; demote and keep scanning.
 			heapPop(&ix.buckets[ix.maxDeg])
 			ix.file(v, d)

@@ -29,6 +29,7 @@ type Graph struct {
 	alive []bool
 	nAliv int
 	nEdge int
+	maxIx *maxDegreeIndex // built by the first MaxDegreeNode; nil until then
 }
 
 // New returns a graph with n alive, isolated nodes.
@@ -53,10 +54,14 @@ func (g *Graph) N() int { return len(g.adj) }
 // AddNode appends a fresh, alive, isolated node and returns its index.
 // Supports churn workloads where the network grows during an attack.
 func (g *Graph) AddNode() int {
+	v := len(g.adj)
 	g.adj = append(g.adj, nil)
 	g.alive = append(g.alive, true)
 	g.nAliv++
-	return len(g.adj) - 1
+	if g.maxIx != nil {
+		g.maxIx.join(v)
+	}
+	return v
 }
 
 // NumAlive returns the number of alive nodes.
@@ -129,6 +134,10 @@ func (g *Graph) AddEdge(u, v int) bool {
 	iv, _ := search(g.adj[v], int32(u))
 	g.insertArc(v, u, iv)
 	g.nEdge++
+	if g.maxIx != nil {
+		g.maxIx.rise(u, len(g.adj[u]))
+		g.maxIx.rise(v, len(g.adj[v]))
+	}
 	return true
 }
 
@@ -231,7 +240,8 @@ func (g *Graph) Edges() [][2]int {
 	return out
 }
 
-// Clone returns a deep copy of g.
+// Clone returns a deep copy of g's nodes and edges. The copy starts
+// without a max-degree index; its first MaxDegreeNode builds its own.
 func (g *Graph) Clone() *Graph {
 	c := &Graph{
 		adj:   make([][]int32, len(g.adj)),
@@ -408,20 +418,21 @@ func (g *Graph) IsSubgraphOf(h *Graph) bool {
 
 // MaxDegreeNode returns the alive node with the largest degree, breaking
 // ties by the smallest index. It returns -1 for an empty graph.
+//
+// It is not a pure read: the first call builds g's max-degree index in
+// O(n), and every call tidies that index as it answers (amortized
+// O(log n) per degree change since the last call). So it falls under the
+// same single-owner rule as AddEdge: no other goroutine may read or
+// mutate g during the call.
 func (g *Graph) MaxDegreeNode() int {
-	best, bestDeg := -1, -1
-	for v := range g.adj {
-		if !g.alive[v] {
-			continue
-		}
-		if d := len(g.adj[v]); d > bestDeg {
-			best, bestDeg = v, d
-		}
+	if g.maxIx == nil {
+		g.maxIx = newMaxDegreeIndex(g)
 	}
-	return best
+	return g.maxIx.max()
 }
 
 // MaxDegree returns the largest degree among alive nodes (0 if empty).
+// It asks MaxDegreeNode, so the same single-owner rule applies.
 func (g *Graph) MaxDegree() int {
 	v := g.MaxDegreeNode()
 	if v < 0 {

@@ -68,8 +68,10 @@ const MaxShards = 1 << 10
 // mutation shards. shards <= 0 defaults to runtime.NumCPU(); any value
 // is rounded up to a power of two and capped at MaxShards. While any
 // primitive may be running, the wrapped graph must be mutated only
-// through the returned Sharded.
+// through the returned Sharded. Sharded's inserts do not note degree
+// rises, so NewSharded drops g's max-degree index, and so does Sync.
 func NewSharded(g *Graph, shards int) *Sharded {
+	g.maxIx = nil
 	if shards <= 0 {
 		shards = runtime.NumCPU()
 	}
@@ -204,7 +206,9 @@ func (s *Sharded) NumEdges() int {
 // nAliv/nEdge and zeroes them. It must only run with no primitive in
 // flight (the scheduler calls it from barriers after draining in-flight
 // commits). After Sync the plain Graph is exact and safe for sequential
-// use until the next primitive.
+// use until the next primitive. It also drops the graph's max-degree
+// index, which missed every insert since the last barrier; the next
+// MaxDegreeNode rebuilds it.
 func (s *Sharded) Sync() {
 	dAliv, dArc := 0, 0
 	for i := range s.cells {
@@ -221,4 +225,5 @@ func (s *Sharded) Sync() {
 	}
 	s.g.nAliv += dAliv
 	s.g.nEdge += dArc / 2
+	s.g.maxIx = nil
 }

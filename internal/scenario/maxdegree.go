@@ -3,14 +3,12 @@ package scenario
 import (
 	"repro/internal/attack"
 	"repro/internal/core"
-	"repro/internal/graph"
-	"repro/internal/rng"
 )
 
 // HealObserver is an optional VictimPolicy extension: the runner feeds
 // implementing policies every mutation that can raise a node's degree —
-// the endpoints of healed edges and a join's wiring — so the policy can
-// maintain an incremental index instead of rescanning the graph per
+// the endpoints of healed edges and a join's wiring — so a policy can
+// keep its own incremental state instead of rescanning the graph per
 // pick. Degree drops (a deletion's neighbors losing edges) are not
 // reported; policies must tolerate them lazily.
 type HealObserver interface {
@@ -21,59 +19,8 @@ type HealObserver interface {
 	ObserveJoin(s *core.State, v int, attach []int)
 }
 
-// MaxDegree is the scenario-scale MaxNode adversary: always delete the
-// highest-degree alive node (smallest index on ties), like
-// attack.MaxDegree, but backed by a degree-bucketed index
-// (graph.MaxDegreeIndex) fed from healed-edge endpoints instead of an
-// O(n) scan per event — the difference between MaxNode attacks being
-// usable or not at n = 10⁵–10⁶. The victim sequence is bit-identical to
-// the naive scan (property-tested in maxdegree_test.go).
-type MaxDegree struct {
-	ix *graph.MaxDegreeIndex
-}
-
-// NewMaxDegree returns a fresh policy value (the index is per-trial
-// state, built lazily from the trial's graph on first pick).
-func NewMaxDegree() VictimPolicy { return &MaxDegree{} }
-
-// Name implements VictimPolicy; it matches attack.MaxDegree's table name.
-func (m *MaxDegree) Name() string { return "MaxNode" }
-
-// Pick implements VictimPolicy.
-func (m *MaxDegree) Pick(s *core.State, _ *AliveSet, _ *rng.RNG) int {
-	if m.ix == nil {
-		// First pick: index the graph as it stands now. Any earlier
-		// events are already reflected in the degrees, so the lazy build
-		// never misses a rise.
-		m.ix = graph.NewMaxDegreeIndex(s.G)
-	}
-	v := m.ix.Max()
-	if v < 0 {
-		return attack.NoTarget
-	}
-	return v
-}
-
-// ObserveHeal implements HealObserver: healed edges are the only way a
-// deletion round raises degrees.
-func (m *MaxDegree) ObserveHeal(_ *core.State, added [][2]int) {
-	if m.ix == nil {
-		return
-	}
-	for _, e := range added {
-		m.ix.NoteRise(e[0])
-		m.ix.NoteRise(e[1])
-	}
-}
-
-// ObserveJoin implements HealObserver: the newcomer enters the index and
-// each attach target gained an edge.
-func (m *MaxDegree) ObserveJoin(_ *core.State, v int, attach []int) {
-	if m.ix == nil {
-		return
-	}
-	m.ix.NoteJoin(v)
-	for _, u := range attach {
-		m.ix.NoteRise(u)
-	}
-}
+// NewMaxDegree returns the MaxNode victim policy: attack.MaxDegree,
+// which picks through G.MaxDegreeNode's graph-owned index, so a pick
+// costs O(heal) rather than O(n) and MaxNode runs scale to 10⁵–10⁶
+// nodes.
+func NewMaxDegree() VictimPolicy { return FromAttack{S: attack.MaxDegree{}} }

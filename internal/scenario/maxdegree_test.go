@@ -4,20 +4,30 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/attack"
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/rng"
 )
 
-// TestMaxDegreeIndexMatchesNaiveScan is the property test for the
-// degree-bucketed index: across seeded churn sequences — MaxNode kills
-// with DASH healing, random joins, and random batch kills — the index's
-// answer must equal the naive O(n) G.MaxDegreeNode() scan before every
-// event. The index only hears about degree rises (healed-edge endpoints
-// and join wiring); drops from deletions reach it lazily, which is
-// exactly the contract the scenario runner provides.
+// scanMaxDegreeNode is the reference MaxNode pick: the naive O(n) scan
+// for the alive node with the largest degree, smallest index on ties.
+func scanMaxDegreeNode(g *graph.Graph) int {
+	best, bestDeg := -1, -1
+	for v := 0; v < g.N(); v++ {
+		if g.Alive(v) && g.Degree(v) > bestDeg {
+			best, bestDeg = v, g.Degree(v)
+		}
+	}
+	return best
+}
+
+// TestMaxDegreeIndexMatchesNaiveScan is the end-to-end property test for
+// the graph-owned degree index: across seeded churn sequences — MaxNode
+// kills with DASH healing, random joins, and random batch kills —
+// G.MaxDegreeNode must equal the naive O(n) scan before every event. The
+// index hears about rises only through the AddEdge calls inside core's
+// heals and joins; drops from deletions reach it lazily.
 func TestMaxDegreeIndexMatchesNaiveScan(t *testing.T) {
 	for seed := uint64(1); seed <= 6; seed++ {
 		seed := seed
@@ -26,23 +36,18 @@ func TestMaxDegreeIndexMatchesNaiveScan(t *testing.T) {
 			master := rng.New(seed)
 			g := gen.BarabasiAlbert(128, 3, master.Split())
 			s := core.NewState(g, master.Split())
-			ix := graph.NewMaxDegreeIndex(s.G)
 			opR := master.Split()
 
 			for step := 0; s.G.NumAlive() > 0; step++ {
-				want := s.G.MaxDegreeNode()
-				got := ix.Max()
+				want := scanMaxDegreeNode(s.G)
+				got := s.G.MaxDegreeNode()
 				if got != want {
 					t.Fatalf("step %d: index says %d (deg %d), naive scan %d (deg %d)",
 						step, got, s.G.Degree(got), want, s.G.Degree(want))
 				}
 				switch opR.Intn(4) {
 				case 0, 1: // MaxNode kill + DASH heal
-					hr := s.DeleteAndHeal(want, core.DASH{})
-					for _, e := range hr.Added {
-						ix.NoteRise(e[0])
-						ix.NoteRise(e[1])
-					}
+					s.DeleteAndHeal(want, core.DASH{})
 				case 2: // join to up to 3 random targets
 					alive := s.G.AliveNodes()
 					k := 1 + opR.Intn(3)
@@ -60,11 +65,7 @@ func TestMaxDegreeIndexMatchesNaiveScan(t *testing.T) {
 							attachTo = append(attachTo, u)
 						}
 					}
-					v := s.Join(attachTo, opR)
-					ix.NoteJoin(v)
-					for _, u := range attachTo {
-						ix.NoteRise(u)
-					}
+					s.Join(attachTo, opR)
 				case 3: // batch kill of up to 5 random victims
 					alive := s.G.AliveNodes()
 					k := 1 + opR.Intn(5)
@@ -80,14 +81,10 @@ func TestMaxDegreeIndexMatchesNaiveScan(t *testing.T) {
 							batch = append(batch, v)
 						}
 					}
-					hr := s.DeleteBatchAndHeal(batch)
-					for _, e := range hr.Added {
-						ix.NoteRise(e[0])
-						ix.NoteRise(e[1])
-					}
+					s.DeleteBatchAndHeal(batch)
 				}
 			}
-			if got := ix.Max(); got != -1 {
+			if got := s.G.MaxDegreeNode(); got != -1 {
 				t.Fatalf("empty graph: index says %d, want -1", got)
 			}
 		})
@@ -95,9 +92,9 @@ func TestMaxDegreeIndexMatchesNaiveScan(t *testing.T) {
 }
 
 // TestMaxDegreePolicyMatchesFromAttack pins the end-to-end contract:
-// running the same schedule with the bucketed MaxDegree policy and with
-// the naive FromAttack adapter must produce identical trial results —
-// same victims, same heals, same everything.
+// running the same schedule with the MaxDegree policy and with the
+// FromAttack adapter around a naive-scan strategy must produce identical
+// trial results — same victims, same heals, same everything.
 func TestMaxDegreePolicyMatchesFromAttack(t *testing.T) {
 	sc := Schedule{Name: "mixed", Phases: []Phase{
 		Attrition(20),
@@ -118,7 +115,7 @@ func TestMaxDegreePolicyMatchesFromAttack(t *testing.T) {
 	fast := base
 	fast.NewVictim = NewMaxDegree
 	naive := base
-	naive.NewVictim = func() VictimPolicy { return FromAttack{S: attack.MaxDegree{}} }
+	naive.NewVictim = func() VictimPolicy { return FromAttack{S: scanMaxNode{}} }
 
 	fastRes, err := Run(fast)
 	if err != nil {
@@ -134,7 +131,15 @@ func TestMaxDegreePolicyMatchesFromAttack(t *testing.T) {
 	for i := range fastRes.Trials {
 		f, n := fastRes.Trials[i], naiveRes.Trials[i]
 		if !reflect.DeepEqual(f, n) {
-			t.Fatalf("trial %d diverged:\nbucketed: %+v\nnaive:    %+v", i, f, n)
+			t.Fatalf("trial %d diverged:\nindexed: %+v\nnaive:   %+v", i, f, n)
 		}
 	}
 }
+
+// scanMaxNode is attack.MaxDegree with the reference scan in place of
+// G.MaxDegreeNode.
+type scanMaxNode struct{}
+
+func (scanMaxNode) Name() string { return "MaxNode" }
+
+func (scanMaxNode) Next(s *core.State, _ *rng.RNG) int { return scanMaxDegreeNode(s.G) }

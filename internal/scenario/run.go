@@ -118,9 +118,11 @@ func (Uniform) Pick(_ *core.State, alive *AliveSet, r *rng.RNG) int {
 
 // FromAttack adapts an attack.Strategy to a VictimPolicy, so the paper's
 // adversaries (MaxDegree, NeighborOfMax, CutVertex, …) can drive
-// scenario deletions. Most strategies scan all nodes per pick, so this
-// is for moderate sizes; at 10⁵+ use Uniform, or MaxDegree (this
-// package's bucketed-index MaxNode) instead of FromAttack{attack.MaxDegree{}}.
+// scenario deletions. attack.MaxDegree and NeighborOfMax pick through
+// G.MaxDegreeNode's graph-owned index, O(heal) per pick, so they scale
+// to 10⁵–10⁶ nodes. Random and MinDegree still walk every
+// node slot per pick and CutVertex runs an O(n+m) search, so those are
+// for moderate sizes; at 10⁵+ use Uniform.
 type FromAttack struct{ S attack.Strategy }
 
 // Name implements VictimPolicy.
@@ -434,7 +436,7 @@ func (t *trialRun) doDelete(event int) {
 	}
 	t.res.Deletes++
 	t.res.EdgesAdded += len(hr.Added)
-	t.notePeak(hr.Added)
+	t.res.PeakDelta = t.s.PeakDeltaEdges(t.res.PeakDelta, hr.Added)
 	t.noteHeal(hr.Added)
 	if t.conn != nil {
 		t.conn.AfterDelete(t.s.G, t.nbrScratch, event)
@@ -459,11 +461,7 @@ func (t *trialRun) doInsert(size int) {
 	}
 	// The attach targets each gained a G edge; δ can only have risen
 	// there (the newcomer itself starts at δ = 0).
-	for _, u := range attach {
-		if d := t.s.Delta(u); d > t.res.PeakDelta {
-			t.res.PeakDelta = d
-		}
-	}
+	t.res.PeakDelta = t.s.PeakDelta(t.res.PeakDelta, attach...)
 	if t.conn != nil {
 		t.conn.AfterJoin(t.s.G, len(attach), t.res.Events)
 	}
@@ -486,7 +484,7 @@ func (t *trialRun) doBatchKill(event, size int) {
 	t.res.BatchKills++
 	t.res.Killed += len(batch)
 	t.res.EdgesAdded += len(hr.Added)
-	t.notePeak(hr.Added)
+	t.res.PeakDelta = t.s.PeakDeltaEdges(t.res.PeakDelta, hr.Added)
 	t.noteHeal(hr.Added)
 	if t.conn != nil {
 		t.conn.AfterBatch(t.s.G, boundary, event)
@@ -546,24 +544,8 @@ func (t *trialRun) batchBoundary(batch []int) []int {
 	return out
 }
 
-// notePeak folds the endpoints of freshly added healing edges into the
-// peak-δ accounting. δ only increases when a node gains a G edge, and
-// healing edges are the only G edges a deletion round adds, so checking
-// these endpoints after each event maintains the exact peak max δ
-// without an O(n) MaxDelta sweep per event.
-func (t *trialRun) notePeak(added [][2]int) {
-	for _, e := range added {
-		if d := t.s.Delta(e[0]); d > t.res.PeakDelta {
-			t.res.PeakDelta = d
-		}
-		if d := t.s.Delta(e[1]); d > t.res.PeakDelta {
-			t.res.PeakDelta = d
-		}
-	}
-}
-
-// noteHeal forwards freshly added healing edges to an index-maintaining
-// victim policy (degree rises are exactly these endpoints).
+// noteHeal forwards freshly added healing edges to a HealObserver victim
+// policy (degree rises are exactly these endpoints).
 func (t *trialRun) noteHeal(added [][2]int) {
 	if len(added) == 0 {
 		return

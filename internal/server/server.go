@@ -286,16 +286,7 @@ func (s *Server) timedOp(ctx context.Context, apply func() error) (latencyUS int
 // shared counters. Runs in the apply loop.
 func (s *Server) publish(added [][2]int) {
 	s.healEdges.Add(int64(len(added)))
-	peak := s.peakDelta.Load()
-	for _, e := range added {
-		if d := int64(s.st.Delta(e[0])); d > peak {
-			peak = d
-		}
-		if d := int64(s.st.Delta(e[1])); d > peak {
-			peak = d
-		}
-	}
-	s.peakDelta.Store(peak)
+	s.peakDelta.Store(int64(s.st.PeakDeltaEdges(int(s.peakDelta.Load()), added)))
 	if len(s.pending) == 0 {
 		return
 	}
@@ -356,13 +347,7 @@ func (s *Server) Join(ctx context.Context, attach []int, attachCount int) (JoinR
 		s.aliveN.Add(1)
 		s.joins.Add(1)
 		// Attach targets gained G edges; δ can only have risen there.
-		peak := s.peakDelta.Load()
-		for _, u := range targets {
-			if d := int64(s.st.Delta(u)); d > peak {
-				peak = d
-			}
-		}
-		s.peakDelta.Store(peak)
+		s.peakDelta.Store(int64(s.st.PeakDelta(int(s.peakDelta.Load()), targets...)))
 		s.publish(nil)
 		res = JoinResult{Node: v, Attach: targets}
 		return nil

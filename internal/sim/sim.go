@@ -182,9 +182,7 @@ func runTrial(cfg Config, tr *rng.RNG) Trial {
 		if hr.Surrogated {
 			trial.Surrogations++
 		}
-		if d := s.MaxDelta(); d > trial.PeakMaxDelta {
-			trial.PeakMaxDelta = d
-		}
+		trial.PeakMaxDelta = s.PeakDeltaEdges(trial.PeakMaxDelta, hr.Added)
 		if cfg.TrackConnectivity && !s.G.Connected() {
 			trial.AlwaysConnected = false
 		}
