@@ -87,10 +87,29 @@ func BenchmarkGraphOpsBFS(b *testing.B) {
 
 // BenchmarkMultiBFS is the stretch read's sweep at service scale: 16
 // and 64 sources on a BA graph with n = 10⁵, as one MultiBFSInto call
-// ("multi") and as one BFSInto per source ("single").
+// ("multi") and as one BFSInto per source ("single"). "k=32/fused" is
+// the shape of one sampled stretch read: 32 sources, rows for the first
+// 16, eccentricities for all.
 func BenchmarkMultiBFS(b *testing.B) {
 	const n = 100_000
 	g := ba(n)
+	b.Run("k=32/fused", func(b *testing.B) {
+		r := rng.New(32)
+		sources := make([]int, 32)
+		rows := make([][]int32, 16)
+		for i := range sources {
+			sources[i] = r.Intn(n)
+		}
+		for i := range rows {
+			rows[i] = make([]int32, n)
+		}
+		ecc := make([]int32, len(sources))
+		var sc graph.MultiBFSScratch
+		b.ReportAllocs()
+		for b.Loop() {
+			g.MultiBFSInto(sources, rows, ecc, &sc)
+		}
+	})
 	for _, k := range []int{16, 64} {
 		r := rng.New(uint64(k))
 		sources := make([]int, k)
@@ -103,7 +122,7 @@ func BenchmarkMultiBFS(b *testing.B) {
 			var sc graph.MultiBFSScratch
 			b.ReportAllocs()
 			for b.Loop() {
-				g.MultiBFSInto(sources, rows, &sc)
+				g.MultiBFSInto(sources, rows, nil, &sc)
 			}
 		})
 		b.Run(fmt.Sprintf("k=%d/single", k), func(b *testing.B) {

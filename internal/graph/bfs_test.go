@@ -2,6 +2,7 @@ package graph_test
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/gen"
@@ -35,12 +36,9 @@ func killSome(g *graph.Graph, r *rng.RNG, frac float64) {
 	}
 }
 
-// TestMultiBFSMatchesBFSInto pins the bit-parallel kernel to BFSInto: on
-// random, disconnected and damaged graphs, for source lists below, at
-// and across the 64-source batch width, with dead and repeated sources,
-// every row must equal the single-source BFS from that source.
-func TestMultiBFSMatchesBFSInto(t *testing.T) {
-	r := rng.New(16)
+// kernelGraphs are the kernel tests' graphs: random, disconnected,
+// grown past their first size and damaged, in a fixed order.
+func kernelGraphs(r *rng.RNG) ([]string, map[string]*graph.Graph) {
 	grown := gen.BarabasiAlbert(150, 2, r.Split())
 	for i := 0; i < 20; i++ {
 		v := grown.AddNode()
@@ -56,40 +54,60 @@ func TestMultiBFSMatchesBFSInto(t *testing.T) {
 	killSome(graphs["ba-damaged"], r.Split(), 0.3)
 	graphs["union-damaged"] = graphs["union"].Clone()
 	killSome(graphs["union-damaged"], r.Split(), 0.15)
+	return []string{"ba", "ws", "union", "grown", "ba-damaged", "union-damaged"}, graphs
+}
 
-	var sc graph.MultiBFSScratch // reused across every call, as the sweeps do
-	for _, name := range []string{"ba", "ws", "union", "grown", "ba-damaged", "union-damaged"} {
-		g := graphs[name]
-		n := g.N()
-		dead := -1
-		for v := 0; v < n; v++ {
+// kernelSources draws k sources of g from r; from three sources on, the
+// last repeats the first and, when g has a dead node, the middle one is
+// dead.
+func kernelSources(g *graph.Graph, r *rng.RNG, k int) []int {
+	sources := make([]int, k)
+	for i := range sources {
+		sources[i] = r.Intn(g.N())
+	}
+	if k >= 3 {
+		sources[k-1] = sources[0]
+		for v := 0; v < g.N(); v++ {
 			if !g.Alive(v) {
-				dead = v
+				sources[k/2] = v
 				break
 			}
 		}
+	}
+	return sources
+}
+
+// staleRows returns k rows of length n holding stale contents the
+// kernel must overwrite.
+func staleRows(k, n int) [][]int32 {
+	rows := make([][]int32, k)
+	for i := range rows {
+		rows[i] = make([]int32, n)
+		for v := range rows[i] {
+			rows[i][v] = 7
+		}
+	}
+	return rows
+}
+
+// TestMultiBFSMatchesBFSInto pins the bit-parallel kernel to BFSInto: on
+// random, disconnected and damaged graphs, for source lists below, at
+// and across the 64-source batch width, with dead and repeated sources,
+// every row must equal the single-source BFS from that source.
+func TestMultiBFSMatchesBFSInto(t *testing.T) {
+	r := rng.New(16)
+	names, graphs := kernelGraphs(r)
+	var sc graph.MultiBFSScratch // reused across every call, as the sweeps do
+	for _, name := range names {
+		g := graphs[name]
+		n := g.N()
 		for _, k := range []int{0, 1, 63, 64, 65, 200} {
 			// Stop at the first failing case: a broken kernel may not
 			// terminate on the cases after it.
 			if !t.Run(fmt.Sprintf("%s/k=%d", name, k), func(t *testing.T) {
-				sources := make([]int, k)
-				for i := range sources {
-					sources[i] = r.Intn(n)
-				}
-				if k >= 3 {
-					sources[k-1] = sources[0] // a repeated source
-					if dead >= 0 {
-						sources[k/2] = dead
-					}
-				}
-				rows := make([][]int32, k)
-				for i := range rows {
-					rows[i] = make([]int32, n)
-					for v := range rows[i] {
-						rows[i][v] = 7 // stale contents the kernel must overwrite
-					}
-				}
-				g.MultiBFSInto(sources, rows, &sc)
+				sources := kernelSources(g, r, k)
+				rows := staleRows(k, n)
+				g.MultiBFSInto(sources, rows, nil, &sc)
 				want := make([]int32, n)
 				for i, s := range sources {
 					g.BFSInto(s, want, nil)
@@ -107,11 +125,51 @@ func TestMultiBFSMatchesBFSInto(t *testing.T) {
 	}
 }
 
-// A nil scratch and mismatched rows are the two argument edge cases.
+// With rows for only a prefix of the sources and an eccentricity slice,
+// the kernel must fill exactly that prefix as BFSInto would and give
+// every source the largest entry of its BFSInto row, whatever the
+// prefix's length relative to the batch width. The graphs run in
+// reverse, so the shared scratch also grows past a smaller graph.
+func TestMultiBFSRowPrefixAndEccentricities(t *testing.T) {
+	r := rng.New(17)
+	names, graphs := kernelGraphs(r)
+	slices.Reverse(names)
+	var sc graph.MultiBFSScratch
+	for _, name := range names {
+		g := graphs[name]
+		n := g.N()
+		for _, tc := range []struct{ k, rowed int }{{1, 0}, {1, 1}, {32, 16}, {64, 63}, {80, 40}, {80, 64}, {150, 70}, {200, 0}} {
+			if !t.Run(fmt.Sprintf("%s/k=%d/rows=%d", name, tc.k, tc.rowed), func(t *testing.T) {
+				sources := kernelSources(g, r, tc.k)
+				rows := staleRows(tc.rowed, n)
+				ecc := make([]int32, tc.k)
+				for i := range ecc {
+					ecc[i] = 7
+				}
+				g.MultiBFSInto(sources, rows, ecc, &sc)
+				want := make([]int32, n)
+				for i, s := range sources {
+					g.BFSInto(s, want, nil)
+					if i < tc.rowed && !slices.Equal(rows[i], want) {
+						t.Fatalf("source %d (#%d, alive=%v): row differs from BFSInto", s, i, g.Alive(s))
+					}
+					if e := slices.Max(want); ecc[i] != e {
+						t.Fatalf("source %d (#%d, alive=%v): eccentricity %d, BFSInto row max %d", s, i, g.Alive(s), ecc[i], e)
+					}
+				}
+			}) {
+				return
+			}
+		}
+	}
+}
+
+// A nil scratch, and rows or eccentricities that do not fit the
+// sources, are the argument edge cases.
 func TestMultiBFSArguments(t *testing.T) {
 	g := gen.Line(5)
 	rows := [][]int32{make([]int32, 5)}
-	g.MultiBFSInto([]int{4}, rows, nil)
+	g.MultiBFSInto([]int{4}, rows, nil, nil)
 	if rows[0][0] != 4 || rows[0][4] != 0 {
 		t.Fatalf("nil scratch: row %v", rows[0])
 	}
@@ -119,9 +177,11 @@ func TestMultiBFSArguments(t *testing.T) {
 		name    string
 		sources []int
 		rows    [][]int32
+		ecc     []int32
 	}{
-		{"fewer rows than sources", []int{0, 1}, rows},
-		{"short row", []int{0}, [][]int32{make([]int32, 4)}},
+		{"more rows than sources", []int{0}, [][]int32{rows[0], make([]int32, 5)}, nil},
+		{"short row", []int{0}, [][]int32{make([]int32, 4)}, nil},
+		{"fewer eccentricities than sources", []int{0, 1}, nil, make([]int32, 1)},
 	} {
 		func() {
 			defer func() {
@@ -129,7 +189,7 @@ func TestMultiBFSArguments(t *testing.T) {
 					t.Errorf("%s: no panic", tc.name)
 				}
 			}()
-			g.MultiBFSInto(tc.sources, tc.rows, nil)
+			g.MultiBFSInto(tc.sources, tc.rows, tc.ecc, nil)
 		}()
 	}
 }

@@ -19,6 +19,7 @@ package graph
 import (
 	"fmt"
 	"runtime"
+	"slices"
 
 	"repro/internal/par"
 )
@@ -497,49 +498,28 @@ func (g *Graph) AllDistancesWorkers(workers int) [][]int32 {
 	scratch := make([]MultiBFSScratch, workers)
 	par.Do(batches, workers, func(w, b int) {
 		lo, hi := b*MultiBFSWidth, min((b+1)*MultiBFSWidth, n)
-		g.MultiBFSInto(ids[lo:hi], out[lo:hi], &scratch[w])
+		g.MultiBFSInto(ids[lo:hi], out[lo:hi], nil, &scratch[w])
 	})
 	return out
 }
 
 // Diameter returns the largest finite pairwise distance among alive nodes
 // (0 for empty or singleton graphs). Disconnected pairs are ignored. The
-// sweep runs MultiBFSInto over batches of MultiBFSWidth sources with one
-// set of rows and scratch per worker, fanned out across all CPUs;
-// max-merging worker results is order-independent, so the answer is
-// deterministic at any parallelism.
+// sweep runs MultiBFSInto over batches of MultiBFSWidth sources, fanned
+// out across all CPUs, and keeps only each source's eccentricity, so it
+// writes no distance rows. Each batch owns its slice of eccentricities,
+// so the answer is deterministic at any parallelism.
 func (g *Graph) Diameter() int {
 	n := len(g.adj)
 	if n == 0 {
 		return 0
 	}
 	ids, batches, workers := sweepSources(n, 0)
-	maxes := make([]int32, workers)
-	rows := make([][][]int32, workers)
+	ecc := make([]int32, n)
 	scratch := make([]MultiBFSScratch, workers)
 	par.Do(batches, workers, func(w, b int) {
-		if rows[w] == nil {
-			width := min(MultiBFSWidth, n)
-			flat := make([]int32, width*n)
-			for i := 0; i < width; i++ {
-				rows[w] = append(rows[w], flat[i*n:(i+1)*n:(i+1)*n])
-			}
-		}
 		lo, hi := b*MultiBFSWidth, min((b+1)*MultiBFSWidth, n)
-		g.MultiBFSInto(ids[lo:hi], rows[w][:hi-lo], &scratch[w])
-		for _, row := range rows[w][:hi-lo] {
-			for _, d := range row {
-				if d > maxes[w] {
-					maxes[w] = d
-				}
-			}
-		}
+		g.MultiBFSInto(ids[lo:hi], nil, ecc[lo:hi], &scratch[w])
 	})
-	maxD := int32(0)
-	for _, m := range maxes {
-		if m > maxD {
-			maxD = m
-		}
-	}
-	return int(maxD)
+	return int(max(0, slices.Max(ecc)))
 }

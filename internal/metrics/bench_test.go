@@ -9,8 +9,8 @@ import (
 )
 
 // BenchmarkSampledStretchRead is the work of one dashd stretch read at
-// service scale: AutoStretch.Measure plus SampledDiameter with the
-// default 16 sources, on a BA graph (n = 10⁵, m = 3) after 2·10⁴ DASH
+// service scale: AutoStretch.Checkpoint with the default 16 stretch and
+// 16 diameter sources, on a BA graph (n = 10⁵, m = 3) after 2·10⁴ DASH
 // kills.
 func BenchmarkSampledStretchRead(b *testing.B) {
 	r := rng.New(1)
@@ -26,8 +26,7 @@ func BenchmarkSampledStretchRead(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for b.Loop() {
-		auto.Measure(g)
-		SampledDiameter(g, DefaultSampleSources, r)
+		auto.Checkpoint(g, r)
 	}
 }
 

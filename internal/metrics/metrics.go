@@ -6,6 +6,7 @@ package metrics
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -41,25 +42,33 @@ type Result struct {
 // are tallied in Disconnected. A graph with fewer than two alive nodes
 // yields the identity stretch 1.
 func (st *Stretch) Measure(cur *graph.Graph) Result {
-	res := Result{Max: 1}
-	var sum float64
 	scratch := bfsPool.Get().(*bfsScratch)
 	defer bfsPool.Put(scratch)
 	alive := cur.AppendAliveNodes(scratch.alive[:0])
 	scratch.alive = alive
-	sources := scratch.sources[:0]
-	for _, u := range alive {
-		if u < len(st.base) { // nodes joined after the snapshot have no original distance
-			sources = append(sources, u)
-		}
-	}
-	scratch.sources = sources
-	scratch.sweep(cur, sources, func(i int, du []int32) {
+	res, _ := st.measure(cur, alive[:st.known(alive)], scratch)
+	return res
+}
+
+// known returns how many nodes of alive, ascending, the snapshot knows:
+// they are a prefix, since nodes that joined after it have higher
+// indices.
+func (st *Stretch) known(alive []int) int {
+	k, _ := slices.BinarySearch(alive, len(st.base))
+	return k
+}
+
+// measure is Measure over one sweep of sources, cur's alive nodes in
+// ascending order or a prefix of them; only the pairs among the nodes
+// the snapshot knows are scored. It also returns every source's
+// eccentricity, as sweep does.
+func (st *Stretch) measure(cur *graph.Graph, sources []int, scratch *bfsScratch) (Result, []int32) {
+	res := Result{Max: 1}
+	var sum float64
+	known := st.known(sources)
+	ecc := scratch.sweep(cur, sources, known, func(i int, du []int32) {
 		u := sources[i]
-		for _, v := range alive {
-			if v <= u || v >= len(st.base) {
-				continue
-			}
+		for _, v := range sources[i+1 : known] {
 			orig := st.base[u][v]
 			if orig <= 0 {
 				continue // originally disconnected or identical
@@ -82,7 +91,7 @@ func (st *Stretch) Measure(cur *graph.Graph) Result {
 	} else if res.Pairs == 0 {
 		res.Mean = 1
 	}
-	return res
+	return res, ecc
 }
 
 // DegreeStats summarizes the alive degree distribution of g.

@@ -154,6 +154,15 @@ func sameBits(a, b SampledResult) bool {
 		a.Sources == b.Sources && a.Sampled == b.Sampled
 }
 
+// sameDiameter reports whether two estimates are identical field by
+// field, comparing floats by their bit patterns.
+func sameDiameter(a, b DiameterEstimate) bool {
+	return a.Diameter == b.Diameter && a.Sources == b.Sources && a.Exact == b.Exact &&
+		math.Float64bits(a.MeanEcc) == math.Float64bits(b.MeanEcc) &&
+		math.Float64bits(a.EccLo) == math.Float64bits(b.EccLo) &&
+		math.Float64bits(a.EccHi) == math.Float64bits(b.EccHi)
+}
+
 // churn runs DASH kills and joins on g: every third op joins a node to
 // two random alive nodes (so g.N() grows past any snapshot), the rest
 // kill a random alive node and heal. The sampled sources in dead die
@@ -229,14 +238,43 @@ func TestMultiBFSMeasurementsMatchReference(t *testing.T) {
 						t.Fatalf("%s: SampledStretch.Measure = %+v, reference %+v", name, got, want)
 					}
 				}
-				for _, k := range []int{0, 1, 16, 100} {
+				for _, k := range []int{0, 1, 16, 40, 100} {
 					got := SampledDiameter(g, k, rng.New(seed+uint64(k)))
 					want := refSampledDiameter(g, k, rng.New(seed+uint64(k)))
-					if got.Diameter != want.Diameter || got.Sources != want.Sources || got.Exact != want.Exact ||
-						math.Float64bits(got.MeanEcc) != math.Float64bits(want.MeanEcc) ||
-						math.Float64bits(got.EccLo) != math.Float64bits(want.EccLo) ||
-						math.Float64bits(got.EccHi) != math.Float64bits(want.EccHi) {
+					if !sameDiameter(got, want) {
 						t.Fatalf("k=%d: SampledDiameter = %+v, reference %+v", k, got, want)
+					}
+				}
+				// A checkpoint is the stretch read and then the diameter
+				// read, fused into one sweep. "all" makes every diameter
+				// source a stretch source too. After "few"'s 24 stretch
+				// sources, 40 diameter sources fill exactly one 64-source
+				// batch and 100 spill into a second.
+				autos := map[string]*AutoStretch{"exact": {exact: exact}}
+				for _, k := range []int{0, 1, 16, 40, 100} {
+					autos[fmt.Sprintf("few/k=%d", k)] = &AutoStretch{sampled: few, k: k}
+					autos[fmt.Sprintf("all/k=%d", k)] = &AutoStretch{sampled: all, k: k}
+				}
+				for name, a := range autos {
+					gotR, wantR := rng.New(seed+7), rng.New(seed+7)
+					gotS, gotD := a.Checkpoint(g, gotR)
+					var wantS SampledResult
+					var wantD DiameterEstimate
+					if a.exact != nil {
+						wantS = exactResult(refStretchMeasure(exact.base, g))
+						wantD = refSampledDiameter(g, 0, wantR)
+					} else {
+						wantS = refSampledMeasure(a.sampled, g)
+						wantD = refSampledDiameter(g, a.k, wantR)
+					}
+					if !sameBits(gotS, wantS) {
+						t.Fatalf("%s: Checkpoint stretch = %+v, reference %+v", name, gotS, wantS)
+					}
+					if !sameDiameter(gotD, wantD) {
+						t.Fatalf("%s: Checkpoint diameter = %+v, reference %+v", name, gotD, wantD)
+					}
+					if *gotR != *wantR {
+						t.Fatalf("%s: Checkpoint left the RNG at %+v, the reference at %+v", name, *gotR, *wantR)
 					}
 				}
 			})
@@ -256,9 +294,11 @@ func TestConcurrentMeasurementsMatchSerial(t *testing.T) {
 	wantExact := exact.Measure(g)
 	wantSampled := sampled.Measure(g)
 	wantDiam := SampledDiameter(g, 70, rng.New(3))
+	auto := &AutoStretch{sampled: sampled, k: 70}
+	wantCkS, wantCkD := auto.Checkpoint(g, rng.New(4))
 	const workers, reps = 4, 5
 	var wg sync.WaitGroup
-	errs := make(chan string, workers*reps*3)
+	errs := make(chan string, workers*reps*4)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
@@ -272,6 +312,9 @@ func TestConcurrentMeasurementsMatchSerial(t *testing.T) {
 				}
 				if got := SampledDiameter(g, 70, rng.New(3)); got != wantDiam {
 					errs <- fmt.Sprintf("SampledDiameter = %+v, serial %+v", got, wantDiam)
+				}
+				if gotS, gotD := auto.Checkpoint(g, rng.New(4)); !sameBits(gotS, wantCkS) || gotD != wantCkD {
+					errs <- fmt.Sprintf("Checkpoint = %+v, %+v, serial %+v, %+v", gotS, gotD, wantCkS, wantCkD)
 				}
 			}
 		}()

@@ -9,6 +9,13 @@ package metrics
 // statistics (stats.Summary.CI95), so large-scale scenario checkpoints
 // state their uncertainty instead of hiding it.
 //
+// One stretch read (AutoStretch.Checkpoint, behind dashd's
+// GET /metrics?stretch=1 and every scenario checkpoint) is a single
+// traversal: the diameter sources ride along with the stretch sources,
+// only the stretch sources get distance rows, and the diameter is
+// summarised from the kernel's eccentricities. Its results are bit for
+// bit those of the stretch read followed by SampledDiameter.
+//
 // The estimates are conservative in a useful direction: a k-source
 // stretch maximum and a k-source diameter are both lower bounds on their
 // exact counterparts (every sampled pair is a real pair), and they equal
@@ -25,46 +32,58 @@ import (
 	"repro/internal/stats"
 )
 
-// bfsScratch pools the multi-source BFS words and distance rows across
-// measurements. server.MeasureStretch and large-scale scenario
-// checkpoints call the samplers repeatedly on 10⁵–10⁷-node graphs;
-// without the pool every call allocates up to graph.MultiBFSWidth
-// n-length rows that are garbage one call later. A scratch is taken per
-// call and returned before it ends, so pooling does not change any
-// concurrency contract.
+// bfsScratch pools the multi-source BFS words, distance rows and
+// eccentricities across measurements. server.MeasureStretch and
+// large-scale scenario checkpoints measure repeatedly on 10⁵–10⁷-node
+// graphs; without the pool every call allocates up to
+// graph.MultiBFSWidth n-length rows that are garbage one call later. A
+// scratch is taken per call and returned before it ends, so pooling does
+// not change any concurrency contract.
 type bfsScratch struct {
 	ms      graph.MultiBFSScratch
 	flat    []int32   // backing store of rows
 	rows    [][]int32 // one distance row per source of a batch
+	ecc     []int32   // one eccentricity per source of a sweep
 	alive   []int     // alive-node buffer
-	sources []int     // source-list buffer (Stretch.Measure)
+	sources []int     // source-list buffer (AutoStretch.Checkpoint)
 }
 
 var bfsPool = sync.Pool{New: func() any { return new(bfsScratch) }}
 
-// sweep calls visit(i, row) for every source in order, row holding the
-// hop distances in g from sources[i] with BFSInto's conventions. The
-// sources run through graph.MultiBFSInto graph.MultiBFSWidth at a time,
-// so at most that many rows are held; a row is valid only during its
-// visit call.
-func (b *bfsScratch) sweep(g *graph.Graph, sources []int, visit func(i int, row []int32)) {
+// sweep runs sources through graph.MultiBFSInto graph.MultiBFSWidth at
+// a time and calls visit(i, row) in order for each of the first rowed
+// sources, row holding the hop distances in g from sources[i] with
+// BFSInto's conventions. The sources past rowed get no row. At most
+// graph.MultiBFSWidth rows are held, so a row is valid only during its
+// visit call. sweep returns every source's eccentricity (graph.
+// MultiBFSInto's ecc), valid until the scratch is next used.
+func (b *bfsScratch) sweep(g *graph.Graph, sources []int, rowed int, visit func(i int, row []int32)) []int32 {
 	n := g.N()
-	width := min(len(sources), graph.MultiBFSWidth)
-	if cap(b.flat) < width*n {
-		b.flat = make([]int32, width*n)
+	width := min(rowed, graph.MultiBFSWidth)
+	if need := width * n; cap(b.flat) < need {
+		// Growing rows get a quarter of headroom: dashd's graph gains
+		// a node slot per join, and an exact fit would reallocate on
+		// every read after one. A first allocation is exact.
+		if cap(b.flat) > 0 {
+			need += need / 4
+		}
+		b.flat = make([]int32, need)
 	}
 	b.rows = b.rows[:0]
 	for j := 0; j < width; j++ {
 		b.rows = append(b.rows, b.flat[j*n:(j+1)*n:(j+1)*n])
 	}
-	for lo := 0; lo < len(sources); lo += width {
-		batch := sources[lo:min(lo+width, len(sources))]
-		rows := b.rows[:len(batch)]
-		g.MultiBFSInto(batch, rows, &b.ms)
+	ecc := slices.Grow(b.ecc[:0], len(sources))[:len(sources)]
+	b.ecc = ecc
+	for lo := 0; lo < len(sources); lo += graph.MultiBFSWidth {
+		hi := min(lo+graph.MultiBFSWidth, len(sources))
+		rows := b.rows[:max(0, min(hi, rowed)-lo)]
+		g.MultiBFSInto(sources[lo:hi], rows, ecc[lo:hi], &b.ms)
 		for j, row := range rows {
 			visit(lo+j, row)
 		}
 	}
+	return ecc
 }
 
 // DefaultSampleThreshold is the alive-node count at or above which the
@@ -111,7 +130,7 @@ func NewSampledStretch(g *graph.Graph, k int, r *rng.RNG) *SampledStretch {
 	}
 	scratch := bfsPool.Get().(*bfsScratch)
 	defer bfsPool.Put(scratch)
-	g.MultiBFSInto(st.sources, st.base, &scratch.ms)
+	g.MultiBFSInto(st.sources, st.base, nil, &scratch.ms)
 	return st
 }
 
@@ -143,12 +162,20 @@ func pickSources(alive []int, k int, r *rng.RNG) []int {
 // snapshot have no original distance and are skipped, exactly as in
 // Stretch.Measure. Pairs now disconnected contribute +Inf to Max.
 func (st *SampledStretch) Measure(cur *graph.Graph) SampledResult {
+	scratch := bfsPool.Get().(*bfsScratch)
+	defer bfsPool.Put(scratch)
+	res, _ := st.measure(cur, st.sources, scratch)
+	return res
+}
+
+// measure is Measure over one sweep of sources, which begin with
+// st.sources; the sources after them are traversed without a row. It
+// also returns every source's eccentricity, as sweep does.
+func (st *SampledStretch) measure(cur *graph.Graph, sources []int, scratch *bfsScratch) (SampledResult, []int32) {
 	res := SampledResult{Result: Result{Max: 1}, Sampled: true}
 	var sum float64
 	var perSourceMeans []float64
-	scratch := bfsPool.Get().(*bfsScratch)
-	defer bfsPool.Put(scratch)
-	scratch.sweep(cur, st.sources, func(i int, dist []int32) {
+	ecc := scratch.sweep(cur, sources, len(st.sources), func(i int, dist []int32) {
 		src := st.sources[i]
 		if !cur.Alive(src) {
 			return
@@ -187,7 +214,7 @@ func (st *SampledStretch) Measure(cur *graph.Graph) SampledResult {
 	if len(perSourceMeans) > 1 {
 		res.MeanLo, res.MeanHi = stats.Summarize(perSourceMeans).CI95()
 	}
-	return res
+	return res, ecc
 }
 
 // AutoStretch picks the measurement mode by size: graphs with fewer than
@@ -197,6 +224,7 @@ func (st *SampledStretch) Measure(cur *graph.Graph) SampledResult {
 type AutoStretch struct {
 	exact   *Stretch
 	sampled *SampledStretch
+	k       int // diameter sources per sampled Checkpoint
 }
 
 // NewAutoStretch snapshots g with the mode the threshold selects.
@@ -210,9 +238,9 @@ func NewAutoStretch(g *graph.Graph, threshold, k int, r *rng.RNG) *AutoStretch {
 		k = DefaultSampleSources
 	}
 	if g.NumAlive() < threshold {
-		return &AutoStretch{exact: NewStretch(g)}
+		return &AutoStretch{exact: NewStretch(g), k: k}
 	}
-	return &AutoStretch{sampled: NewSampledStretch(g, k, r)}
+	return &AutoStretch{sampled: NewSampledStretch(g, k, r), k: k}
 }
 
 // Sampled reports whether measurements are estimates (true) or exact.
@@ -222,10 +250,37 @@ func (a *AutoStretch) Sampled() bool { return a.sampled != nil }
 // are wrapped in a SampledResult with Sampled=false and a collapsed CI.
 func (a *AutoStretch) Measure(cur *graph.Graph) SampledResult {
 	if a.exact != nil {
-		r := a.exact.Measure(cur)
-		return SampledResult{Result: r, MeanLo: r.Mean, MeanHi: r.Mean}
+		return exactResult(a.exact.Measure(cur))
 	}
 	return a.sampled.Measure(cur)
+}
+
+// exactResult wraps an exact stretch result as a SampledResult.
+func exactResult(r Result) SampledResult {
+	return SampledResult{Result: r, MeanLo: r.Mean, MeanHi: r.Mean}
+}
+
+// Checkpoint is one stretch read: it returns what Measure(cur) and then
+// SampledDiameter(cur, k, r) would, with the same draws from r, from a
+// single sweep. In exact mode k is 0, so every alive node is a diameter
+// source, and one all-alive sweep serves both. In sampled mode k is the
+// construction's source count: the k diameter sources are drawn from r
+// and appended to the stretch sources, and only the stretch sources get
+// distance rows; the diameter needs just each source's eccentricity.
+func (a *AutoStretch) Checkpoint(cur *graph.Graph, r *rng.RNG) (SampledResult, DiameterEstimate) {
+	scratch := bfsPool.Get().(*bfsScratch)
+	defer bfsPool.Put(scratch)
+	alive := cur.AppendAliveNodes(scratch.alive[:0])
+	scratch.alive = alive
+	if a.exact != nil {
+		res, ecc := a.exact.measure(cur, alive, scratch)
+		return exactResult(res), estimate(ecc, true)
+	}
+	diam := pickSources(alive, a.k, r)
+	sources := append(append(scratch.sources[:0], a.sampled.sources...), diam...)
+	scratch.sources = sources
+	res, ecc := a.sampled.measure(cur, sources, scratch)
+	return res, estimate(ecc[len(a.sampled.sources):], len(diam) == cur.NumAlive())
 }
 
 // DiameterEstimate is a k-source approximation of the diameter of the
@@ -253,24 +308,22 @@ func SampledDiameter(g *graph.Graph, k int, r *rng.RNG) DiameterEstimate {
 	defer bfsPool.Put(scratch)
 	scratch.alive = g.AppendAliveNodes(scratch.alive[:0])
 	sources := pickSources(scratch.alive, k, r)
-	est := DiameterEstimate{Exact: len(sources) == g.NumAlive()}
-	if len(sources) == 0 {
+	return estimate(scratch.sweep(g, sources, 0, nil), len(sources) == g.NumAlive())
+}
+
+// estimate summarises the eccentricities of alive diameter sources, in
+// source order.
+func estimate(ecc []int32, exact bool) DiameterEstimate {
+	est := DiameterEstimate{Exact: exact}
+	if len(ecc) == 0 {
 		return est
 	}
-	eccs := make([]float64, 0, len(sources))
-	scratch.sweep(g, sources, func(_ int, dist []int32) {
-		ecc := int32(0)
-		for _, d := range dist {
-			if d > ecc {
-				ecc = d
-			}
-		}
-		if int(ecc) > est.Diameter {
-			est.Diameter = int(ecc)
-		}
-		eccs = append(eccs, float64(ecc))
-	})
-	est.Sources = len(sources)
+	eccs := make([]float64, len(ecc))
+	for i, e := range ecc {
+		est.Diameter = max(est.Diameter, int(e))
+		eccs[i] = float64(e)
+	}
+	est.Sources = len(ecc)
 	s := stats.Summarize(eccs)
 	est.MeanEcc = s.Mean
 	est.EccLo, est.EccHi = s.CI95()

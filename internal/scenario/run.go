@@ -324,11 +324,10 @@ type trialRun struct {
 	victim VictimPolicy
 	healer core.Healer // per-trial instance of cfg.Healer (core.InstanceFor)
 
-	s       *core.State
-	alive   *AliveSet
-	conn    *ConnTracker
-	auto    *metrics.AutoStretch
-	sources int // effective sampled-metrics source count
+	s     *core.State
+	alive *AliveSet
+	conn  *ConnTracker
+	auto  *metrics.AutoStretch
 
 	victimR  *rng.RNG
 	opR      *rng.RNG
@@ -367,11 +366,7 @@ func newTrialRun(cfg Config, events []Event, victim VictimPolicy, trial int, tr 
 		},
 	}
 	if cfg.MeasureEvery >= 0 {
-		t.sources = cfg.SampleSources
-		if t.sources <= 0 {
-			t.sources = metrics.DefaultSampleSources
-		}
-		t.auto = metrics.NewAutoStretch(s.G, cfg.SampleThreshold, t.sources, measureR)
+		t.auto = metrics.NewAutoStretch(s.G, cfg.SampleThreshold, cfg.SampleSources, measureR)
 		t.res.SampledMetrics = t.auto.Sampled()
 	}
 	if cfg.TrackConnectivity {
@@ -571,15 +566,7 @@ func (t *trialRun) checkpoint(phase int) {
 		cp.Connected = t.conn.StillConnected()
 	}
 	if t.auto != nil && t.s.G.NumAlive() >= 2 {
-		cp.Stretch = t.auto.Measure(t.s.G)
-		// Exact (all-sources) diameter below the sampling threshold,
-		// k-source estimate above it — never an accidental O(n·m) sweep
-		// on a large graph.
-		k := t.sources
-		if !t.auto.Sampled() {
-			k = 0
-		}
-		cp.Diameter = metrics.SampledDiameter(t.s.G, k, t.measureR)
+		cp.Stretch, cp.Diameter = t.auto.Checkpoint(t.s.G, t.measureR)
 		cp.MaxStretch = cp.Stretch.Max
 		cp.MeanStretch = cp.Stretch.Mean
 		cp.StretchLo = cp.Stretch.MeanLo

@@ -538,15 +538,11 @@ func (s *Server) MeasureStretch(ctx context.Context) (StretchSample, error) {
 		res.MaxDelta = s.st.MaxDelta()
 		res.PeakDelta = int(s.peakDelta.Load())
 		if s.st.G.NumAlive() >= 2 {
-			m := s.auto.Measure(s.st.G)
+			m, d := s.auto.Checkpoint(s.st.G, s.rng)
 			res.MaxStretch, res.MeanStretch = m.Max, m.Mean
 			res.StretchLo, res.StretchHi = m.MeanLo, m.MeanHi
 			res.Sampled = m.Sampled
-			k := s.cfg.SampleSources
-			if !s.auto.Sampled() {
-				k = 0
-			}
-			res.DiameterLB = metrics.SampledDiameter(s.st.G, k, s.rng).Diameter
+			res.DiameterLB = d.Diameter
 		}
 	})
 	return res, err

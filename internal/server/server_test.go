@@ -139,6 +139,71 @@ func TestSampleSourcesZeroMeansDefault(t *testing.T) {
 	}
 }
 
+// MeasureStretch runs the stretch and diameter reads as one fused
+// sweep (metrics.AutoStretch.Checkpoint). On a fixed seed it must
+// return, field for field and byte for byte as JSON, what the two
+// separate reads return on a copy of the graph and of the server's RNG,
+// and leave the RNG where they leave it, so the next random victim is
+// the same. Both the sampled and the exact mode are covered, each after
+// churn that kills nodes and joins new ones.
+func TestMeasureStretchMatchesSeparateReads(t *testing.T) {
+	ctx := context.Background()
+	for _, threshold := range []int{64, 0} { // sampled at n = 400; exact below the default threshold
+		t.Run(fmt.Sprintf("threshold=%d", threshold), func(t *testing.T) {
+			s, _ := newTestServer(t, Config{Seed: 21, SampleThreshold: threshold}, 400)
+			for i := 0; i < 60; i++ {
+				var err error
+				if i%3 == 2 {
+					_, err = s.Join(ctx, nil, 3)
+				} else {
+					_, err = s.Kill(ctx, -1)
+				}
+				if err != nil {
+					t.Fatalf("churn op %d: %v", i, err)
+				}
+			}
+			var want StretchSample
+			var wantVictim int
+			if err := s.enqueue(ctx, func() {
+				g, r := s.st.G.Clone(), *s.rng
+				m := s.auto.Measure(g)
+				k := s.cfg.SampleSources
+				if !s.auto.Sampled() {
+					k = 0
+				}
+				want = StretchSample{
+					MaxDelta: s.st.MaxDelta(), PeakDelta: int(s.peakDelta.Load()),
+					MaxStretch: m.Max, MeanStretch: m.Mean, StretchLo: m.MeanLo, StretchHi: m.MeanHi,
+					DiameterLB: metrics.SampledDiameter(g, k, &r).Diameter,
+					Sampled:    m.Sampled,
+				}
+				wantVictim = s.alive.Random(&r)
+			}); err != nil {
+				t.Fatal(err)
+			}
+			got, err := s.MeasureStretch(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Sampled != (threshold > 0) {
+				t.Fatalf("sampled = %v with threshold %d", got.Sampled, threshold)
+			}
+			gotJSON, _ := json.Marshal(got)
+			wantJSON, _ := json.Marshal(want)
+			if got != want || string(gotJSON) != string(wantJSON) {
+				t.Fatalf("MeasureStretch = %s, separate reads %s", gotJSON, wantJSON)
+			}
+			k, err := s.Kill(ctx, -1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if k.Node != wantVictim {
+				t.Fatalf("victim after the read is %d, after the separate reads %d", k.Node, wantVictim)
+			}
+		})
+	}
+}
+
 func TestJoinAndKillRoundTrip(t *testing.T) {
 	s, ts := newTestServer(t, Config{Seed: 2}, 40)
 	resp, body := postJSON(t, ts.URL+"/v1/join", `{"attach":[1,2,3]}`)

@@ -13,7 +13,9 @@
 //	                     HasEdge is a binary search, BFSInto runs
 //	                     breadth-first search into caller-reused scratch,
 //	                     and MultiBFSInto runs up to 64 sources in one
-//	                     bit-parallel traversal (MS-BFS). Every stretch
+//	                     bit-parallel traversal (MS-BFS), writing
+//	                     distance rows for a prefix of the sources and
+//	                     eccentricities for all of them. Every stretch
 //	                     and diameter sweep (AllDistances, Diameter,
 //	                     internal/metrics) runs on MultiBFSInto; the
 //	                     all-sources sweeps fan its 64-source batches out
@@ -32,7 +34,9 @@
 //	                     per-trial seeds pre-split in trial order, so
 //	                     aggregate tables are bit-identical to a serial
 //	                     run at any worker count
-//	internal/metrics     stretch and degree statistics
+//	internal/metrics     stretch and degree statistics; one stretch read
+//	                     (AutoStretch.Checkpoint) measures stretch and
+//	                     estimates the diameter in a single traversal
 //	internal/dist        goroutine-per-node distributed DASH/SDASH: death
 //	                     notices, locally elected leaders collecting heal
 //	                     reports, attach orders with acks, hop-tagged MINID
