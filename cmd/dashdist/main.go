@@ -2,7 +2,8 @@
 // goroutine per network node, all coordination via messages (death
 // notices, leader-collected heal reports, attach orders, hop-tagged
 // label floods, NoN gossip). It optionally cross-checks every round
-// against the sequential reference implementation.
+// against the sequential reference implementation: topology, healing
+// edges, every label and δ, and the Lemma 9 flood accounting.
 //
 // With -batch k, each round is a correlated disaster instead of a
 // single kill: a BFS ball of up to k alive nodes around the attack's
@@ -127,13 +128,14 @@ func realMain() error {
 		nw.Kill(x)
 
 		if *verify || round%*every == 0 || seq.G.NumAlive() == 0 {
-			snap := nw.Snapshot()
-			match := snap.G.Equal(seq.G) && snap.Gp.Equal(seq.Gp)
+			err := nw.Diverges(seq)
+			match := err == nil
 			if *verify && !match {
 				divergence = true
-				fmt.Printf("round %d: DIVERGENCE from sequential reference\n", round)
+				fmt.Printf("round %d: DIVERGENCE from sequential reference: %v\n", round, err)
 			}
 			if round%*every == 0 || seq.G.NumAlive() == 0 {
+				snap := nw.Snapshot()
 				var label, coord, non int64
 				for v := 0; v < *n; v++ {
 					label += snap.MsgSent[v]
@@ -220,16 +222,14 @@ func runBatchMode(w io.Writer, seq *core.State, nw *dist.Network, att attack.Str
 		nw.KillBatch(ball)
 
 		if verify || round%every == 0 || seq.G.NumAlive() == 0 {
-			snap := nw.Snapshot()
-			match := snap.G.Equal(seq.G) && snap.Gp.Equal(seq.Gp)
-			for _, v := range seq.G.AliveNodes() {
-				match = match && snap.CurID[v] == seq.CurID(v) && snap.Delta[v] == seq.Delta(v)
-			}
+			err := nw.Diverges(seq)
+			match := err == nil
 			if verify && !match {
 				diverged = true
-				fmt.Fprintf(w, "epoch %d: DIVERGENCE from sequential reference\n", round)
+				fmt.Fprintf(w, "epoch %d: DIVERGENCE from sequential reference: %v\n", round, err)
 			}
 			if round%every == 0 || seq.G.NumAlive() == 0 {
+				snap := nw.Snapshot()
 				fSum, fMax, rounds := nw.FloodStats()
 				fmt.Fprintf(w, "epoch %4d: killed %3d (ball around %5d) alive=%5d connected=%v match=%v | flood depth amortized=%s worst=%d\n",
 					round, len(ball), center, snap.G.NumAlive(), snap.G.Connected(), match,
@@ -243,12 +243,10 @@ func runBatchMode(w io.Writer, seq *core.State, nw *dist.Network, att attack.Str
 // pickHealer maps the flag to the distributed rule and the matching
 // sequential reference healer.
 func pickHealer(name string) (dist.HealerKind, core.Healer, error) {
-	switch name {
-	case "DASH":
-		return dist.HealDASH, core.DASH{}, nil
-	case "SDASH":
-		return dist.HealSDASH, core.SDASH{}, nil
-	default:
-		return 0, nil, fmt.Errorf("unknown distributed healer %q (want DASH or SDASH)", name)
+	h, err := repro.HealerByName(name)
+	if err != nil {
+		return 0, nil, err
 	}
+	kind, err := dist.KindOf(h)
+	return kind, h, err
 }

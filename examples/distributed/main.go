@@ -5,8 +5,9 @@
 // failure detector and waits for quiescence between attacks.
 //
 // The run below also executes the identical attack against the
-// sequential reference implementation and verifies, round by round, that
-// the two produce the same topology — the protocol really is DASH.
+// sequential reference implementation and verifies, at every checkpoint,
+// that the two agree exactly — topology, healing edges, every label and
+// δ, and the flood accounting — so the protocol really is DASH.
 //
 //	go run ./examples/distributed
 package main
@@ -49,11 +50,13 @@ func main() {
 		nw.Kill(x) // death notices -> leader election -> heal -> quiescence
 
 		if round%50 == 0 {
-			snap := nw.Snapshot()
-			same := snap.G.Equal(seq.G)
+			err := nw.Diverges(seq) // G, G′, labels, δ and flood accounting
+			same := err == nil
 			if !same {
 				divergences++
+				fmt.Printf("round %3d: DIVERGENCE: %v\n", round, err)
 			}
+			snap := nw.Snapshot()
 			var coord, non, lemma8 int64
 			maxDelta := 0
 			for v := 0; v < n; v++ {

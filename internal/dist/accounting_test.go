@@ -51,52 +51,8 @@ func TestBatchProbeMessageAccounting(t *testing.T) {
 	}
 
 	batch := pickBatch(seq.G, 16, attR)
-	// Per-cluster candidate counts from the pre-deletion state: cluster
-	// victims via union-find over victim-victim G edges, candidates as
-	// surviving G neighbors of the cluster.
-	inBatch := make(map[int]bool, len(batch))
-	for _, v := range batch {
-		inBatch[v] = true
-	}
-	root := make(map[int]int, len(batch))
-	for _, v := range batch {
-		root[v] = v
-	}
-	var find func(int) int
-	find = func(v int) int {
-		for root[v] != v {
-			root[v] = root[root[v]]
-			v = root[v]
-		}
-		return v
-	}
-	for _, v := range batch {
-		for _, u := range seq.G.Neighbors(v) {
-			if inBatch[int(u)] {
-				a, b := find(v), find(int(u))
-				if a != b {
-					if a > b {
-						a, b = b, a
-					}
-					root[b] = a
-				}
-			}
-		}
-	}
-	clusterCands := make(map[int]map[int]struct{})
-	for _, v := range batch {
-		r := find(v)
-		set := clusterCands[r]
-		if set == nil {
-			set = make(map[int]struct{})
-			clusterCands[r] = set
-		}
-		for _, u := range seq.G.Neighbors(v) {
-			if !inBatch[int(u)] {
-				set[int(u)] = struct{}{}
-			}
-		}
-	}
+	// Per-cluster candidate sets from the pre-deletion state.
+	clusterCands := coreClusters(seq.G, batch)
 
 	startBefore := nw.msgKindTotal(msgCompProbeStart)
 	probeBefore := nw.msgKindTotal(msgCompProbe)

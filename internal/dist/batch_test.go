@@ -1,6 +1,8 @@
 package dist
 
 import (
+	"maps"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -34,114 +36,62 @@ func pickBatch(g *graph.Graph, size int, r *rng.RNG) []int {
 	return g.BFSBall(alive[r.Intn(len(alive))], size)
 }
 
-// expectRoots computes, from the pre-kill topology, the smallest member
-// index of every dead cluster that has at least one surviving neighbor —
-// exactly the clusters the distributed epoch records and heals.
-func expectRoots(g *graph.Graph, batch []int) []int {
-	inBatch := make(map[int]bool, len(batch))
-	for _, v := range batch {
-		inBatch[v] = true
-	}
-	root := make(map[int]int, len(batch))
-	var find func(int) int
-	find = func(v int) int {
-		for root[v] != v {
-			root[v] = root[root[v]]
-			v = root[v]
-		}
-		return v
-	}
-	for _, v := range batch {
-		root[v] = v
-	}
-	for _, v := range batch {
-		for _, u := range g.Neighbors(v) {
-			if inBatch[int(u)] {
-				ra, rb := find(v), find(int(u))
-				if ra < rb {
-					root[rb] = ra
-				} else if rb < ra {
-					root[ra] = rb
+// coreClusters is the sequential reference for a batch's dead clusters:
+// core.ClusterDeletions on a throwaway copy of g, keyed by each
+// cluster's smallest member, with the surviving G neighbors of its
+// members as the cluster's candidates. A cluster without candidates
+// heals nothing and is left out, exactly as the distributed epoch
+// records and heals them.
+func coreClusters(g *graph.Graph, batch []int) map[int]map[int]struct{} {
+	probe := core.NewState(g.Clone(), rng.New(1))
+	out := make(map[int]map[int]struct{})
+	for _, cl := range core.ClusterDeletions(probe.RemoveBatch(batch)) {
+		root := cl[0].Node
+		cands := make(map[int]struct{})
+		for _, d := range cl {
+			root = min(root, d.Node)
+			for _, v := range d.GNbrs {
+				if probe.G.Alive(v) {
+					cands[v] = struct{}{}
 				}
 			}
 		}
-	}
-	hasCand := make(map[int]bool)
-	for _, v := range batch {
-		for _, u := range g.Neighbors(v) {
-			if !inBatch[int(u)] {
-				hasCand[find(v)] = true
-			}
+		if len(cands) > 0 {
+			out[root] = cands
 		}
 	}
-	var roots []int
-	for _, v := range batch {
-		if find(v) == v && hasCand[v] {
-			roots = append(roots, v)
-		}
-	}
-	sortInts(roots)
-	return roots
-}
-
-func sortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
+	return out
 }
 
 func assertStateEqual(t *testing.T, round int, nw *Network, seq *core.State) {
 	t.Helper()
-	snap := nw.Snapshot()
-	if !snap.G.Equal(seq.G) {
-		t.Fatalf("round %d: distributed G diverged from sequential", round)
-	}
-	if !snap.Gp.Equal(seq.Gp) {
-		t.Fatalf("round %d: distributed G′ diverged from sequential", round)
-	}
-	if !snap.Gp.IsSubgraphOf(snap.G) {
-		t.Fatalf("round %d: G′ ⊄ G", round)
-	}
-	for _, v := range seq.G.AliveNodes() {
-		if snap.CurID[v] != seq.CurID(v) {
-			t.Fatalf("round %d: node %d label %d, sequential %d", round, v, snap.CurID[v], seq.CurID(v))
-		}
-		if snap.Delta[v] != seq.Delta(v) {
-			t.Fatalf("round %d: node %d δ=%d, sequential %d", round, v, snap.Delta[v], seq.Delta(v))
-		}
+	if err := nw.Diverges(seq); err != nil {
+		t.Fatalf("round %d: %v", round, err)
 	}
 }
 
 // TestBatchEquivalenceWithSequential drives mixed epochs — batch kills
 // of both shapes, single kills, joins — through the distributed network
 // and core.DeleteBatchAndHeal / DeleteAndHeal / Join in lockstep,
-// demanding exact G/G′/label/δ equality after every round, plus exact
-// Lemma 9 flood accounting at the end. Batches may legitimately
+// demanding exact G/G′/label/δ equality and exact Lemma 9 flood
+// accounting after every round. Batches may legitimately
 // disconnect the survivors (footnote 1's precondition is on the batch's
 // NoN graph), so unlike the single-kill equivalence test this one does
 // not assert connectivity.
 func TestBatchEquivalenceWithSequential(t *testing.T) {
-	kinds := []struct {
-		kind   HealerKind
-		healer core.Healer
-	}{
-		{HealDASH, core.DASH{}},
-		{HealSDASH, core.SDASH{}},
-	}
+	kinds := []HealerKind{HealDASH, HealSDASH}
 	for _, k := range kinds {
 		for seed := uint64(1); seed <= 3; seed++ {
 			k, seed := k, seed
-			t.Run(k.healer.Name()+"/"+string(rune('0'+seed)), func(t *testing.T) {
+			t.Run(k.Healer().Name()+"/"+string(rune('0'+seed)), func(t *testing.T) {
 				t.Parallel()
-				runBatchEquivalence(t, k.kind, k.healer, 96, seed)
+				runBatchEquivalence(t, k, 96, seed)
 			})
 		}
 	}
 }
 
-func runBatchEquivalence(t *testing.T, kind HealerKind, healer core.Healer, n int, seed uint64) {
+func runBatchEquivalence(t *testing.T, kind HealerKind, n int, seed uint64) {
 	master := rng.New(seed)
 	g := gen.BarabasiAlbert(n, 3, master.Split())
 	seq := core.NewState(g.Clone(), master.Split())
@@ -159,7 +109,7 @@ func runBatchEquivalence(t *testing.T, kind HealerKind, healer core.Healer, n in
 		switch opR.Intn(4) {
 		case 0, 1: // batch kill, 2..9 victims
 			batch := pickBatch(seq.G, 2+opR.Intn(8), opR)
-			roots := expectRoots(seq.G, batch)
+			roots := slices.Sorted(maps.Keys(coreClusters(seq.G, batch)))
 			seq.DeleteBatchAndHeal(batch)
 			if err := nw.KillBatchWithTimeout(batch, testTimeout); err != nil {
 				t.Fatalf("round %d (batch %v): %v", round, batch, err)
@@ -168,19 +118,14 @@ func runBatchEquivalence(t *testing.T, kind HealerKind, healer core.Healer, n in
 			for _, c := range nw.lastClusters {
 				got = append(got, c.root)
 			}
-			sortInts(got)
-			if len(got) != len(roots) {
-				t.Fatalf("round %d: protocol found clusters %v, union-find expects %v", round, got, roots)
-			}
-			for i := range got {
-				if got[i] != roots[i] {
-					t.Fatalf("round %d: protocol found clusters %v, union-find expects %v", round, got, roots)
-				}
+			slices.Sort(got)
+			if !slices.Equal(got, roots) {
+				t.Fatalf("round %d: protocol found clusters %v, core expects %v", round, got, roots)
 			}
 		case 2: // single kill
 			alive := seq.G.AliveNodes()
 			x := alive[opR.Intn(len(alive))]
-			seq.DeleteAndHeal(x, healer)
+			seq.DeleteAndHeal(x, kind.Healer())
 			if err := nw.KillWithTimeout(x, testTimeout); err != nil {
 				t.Fatalf("round %d (kill %d): %v", round, x, err)
 			}
@@ -209,15 +154,6 @@ func runBatchEquivalence(t *testing.T, kind HealerKind, healer core.Healer, n in
 		}
 		assertStateEqual(t, round, nw, seq)
 	}
-
-	sum, maxDepth, rounds := nw.FloodStats()
-	if rounds != seq.Rounds() {
-		t.Fatalf("distributed saw %d rounds, sequential %d", rounds, seq.Rounds())
-	}
-	if sum != seq.FloodDepthSum() || maxDepth != seq.MaxFloodDepth() {
-		t.Fatalf("flood stats (%d,%d), sequential (%d,%d)",
-			sum, maxDepth, seq.FloodDepthSum(), seq.MaxFloodDepth())
-	}
 }
 
 // TestBatchKillClusterMatchesCore pins the message-built clustering
@@ -241,24 +177,7 @@ func TestBatchKillClusterMatchesCore(t *testing.T) {
 		batch := pickBatch(seq.G, 3+opR.Intn(10), opR)
 		// Core-side clustering from the deletion snapshots, on a clone so
 		// the shared run stays in lockstep.
-		probe := core.NewState(seq.G.Clone(), rng.New(uint64(trial)+99))
-		clusters := core.ClusterDeletions(probe.RemoveBatch(batch))
-		wantRoots := map[int]bool{}
-		for _, cl := range clusters {
-			root := cl[0].Node
-			cands := false
-			for _, d := range cl {
-				if d.Node < root {
-					root = d.Node
-				}
-				for _, v := range d.GNbrs {
-					cands = cands || probe.G.Alive(v)
-				}
-			}
-			if cands {
-				wantRoots[root] = true
-			}
-		}
+		wantRoots := coreClusters(seq.G, batch)
 
 		seq.DeleteBatchAndHeal(batch)
 		if err := nw.KillBatchWithTimeout(batch, testTimeout); err != nil {
@@ -269,7 +188,7 @@ func TestBatchKillClusterMatchesCore(t *testing.T) {
 				trial, len(nw.lastClusters), len(wantRoots))
 		}
 		for _, c := range nw.lastClusters {
-			if !wantRoots[c.root] {
+			if _, ok := wantRoots[c.root]; !ok {
 				t.Fatalf("trial %d: protocol root %d not a core cluster root %v", trial, c.root, wantRoots)
 			}
 		}

@@ -46,7 +46,7 @@ func measureProtocolRounds(serial bool, n, kills int) int {
 		// means later arrivals queue behind them, so this is exactly one
 		// maximal parallel delivery step.
 		for _, ev := range evs {
-			s.Deliver(ev)
+			s.Apply(ev)
 		}
 	}
 }

@@ -44,7 +44,7 @@ type FaultOp uint8
 
 const (
 	// FaultHandle delivers the channel's oldest mailbox message to the
-	// receiver's handler (Sim.Deliver).
+	// receiver's handler (Sim.Apply).
 	FaultHandle FaultOp = iota
 	// FaultWire moves the channel's oldest wire frame into the
 	// receiver's reliable-channel endpoint (dedup/resequence/ack) and
@@ -260,7 +260,7 @@ func (fs *FaultSim) retransmitSeq(ch *wireChan) uint64 {
 func (fs *FaultSim) Apply(ev FaultEvent) {
 	switch ev.Op {
 	case FaultHandle:
-		fs.sim.Deliver(SimEvent{To: ev.To, From: ev.From})
+		fs.sim.Apply(SimEvent{To: ev.To, From: ev.From})
 	case FaultWire:
 		fs.wireDeliver(ev.To, ev.From)
 	case FaultDrop:
@@ -386,7 +386,7 @@ func (fs *FaultSim) mailboxHasSender(to, from int) bool {
 }
 
 // handleNow runs the receiver's handler inline and ticks the tracker,
-// exactly as Sim.Deliver does for a mailbox message.
+// exactly as Sim.Apply does for a mailbox message.
 func (fs *FaultSim) handleNow(to int, msg message) {
 	if fs.sim.nw.node(to).handle(msg) {
 		fs.sim.gone[to] = true

@@ -138,46 +138,11 @@ func runChaosCase(t *testing.T, opsData, sched, faults []byte) (ChaosStats, bool
 
 	// Oracle: sequential replay of the effective-operation log.
 	seq := core.NewState(fuzzGraph(), rng.New(11))
-	joinR2 := rng.New(12)
-	for i, op := range nw.EffectiveOps() {
-		switch op.Kind {
-		case EffKill:
-			seq.DeleteAndHeal(op.Victim, core.DASH{})
-		case EffJoin:
-			v := seq.Join(op.Attach, joinR2)
-			if v != op.NewID {
-				t.Fatalf("effective op %d: replay join slot %d, network %d", i, v, op.NewID)
-			}
-			if seq.InitID(v) != op.InitID {
-				t.Fatalf("effective op %d: replay join ID %d, network %d", i, seq.InitID(v), op.InitID)
-			}
-		case EffBatch:
-			seq.DeleteBatchAndHeal(op.Batch)
-		}
+	if err := ReplayEffective(seq, nw.EffectiveOps(), core.DASH{}, rng.New(12)); err != nil {
+		t.Fatal(err)
 	}
-
-	snap := nw.Snapshot()
-	if !snap.G.Equal(seq.G) {
-		t.Fatal("G diverged from effective-op replay")
-	}
-	if !snap.Gp.Equal(seq.Gp) {
-		t.Fatal("G′ diverged from effective-op replay")
-	}
-	if !snap.Gp.IsSubgraphOf(snap.G) {
-		t.Fatal("G′ ⊄ G")
-	}
-	for _, v := range seq.G.AliveNodes() {
-		if snap.CurID[v] != seq.CurID(v) {
-			t.Fatalf("node %d label %d, replay %d", v, snap.CurID[v], seq.CurID(v))
-		}
-		if snap.Delta[v] != seq.Delta(v) {
-			t.Fatalf("node %d δ=%d, replay %d", v, snap.Delta[v], seq.Delta(v))
-		}
-	}
-	sum, max, rounds := nw.FloodStats()
-	if sum != seq.FloodDepthSum() || max != seq.MaxFloodDepth() || rounds != seq.Rounds() {
-		t.Fatalf("flood stats (sum=%d max=%d rounds=%d) diverged from replay (%d, %d, %d)",
-			sum, max, rounds, seq.FloodDepthSum(), seq.MaxFloodDepth(), seq.Rounds())
+	if err := nw.Diverges(seq); err != nil {
+		t.Fatalf("effective-op replay: %v", err)
 	}
 	stats, chaotic := nw.ChaosTransportStats()
 	return stats, chaotic

@@ -211,7 +211,7 @@ func FuzzPipelinedSchedule(f *testing.F) {
 				pick = int(sched[si]) % len(evs)
 				si++
 			}
-			s.Deliver(evs[pick])
+			s.Apply(evs[pick])
 		}
 
 		for i, ep := range eps {
@@ -219,28 +219,8 @@ func FuzzPipelinedSchedule(f *testing.F) {
 				t.Fatalf("op %d (epoch %d) never completed:\n%s", i, ep.ID(), nw.DumpState())
 			}
 		}
-		snap := nw.Snapshot()
-		if !snap.G.Equal(seq.G) {
-			t.Fatal("G diverged from sequential")
-		}
-		if !snap.Gp.Equal(seq.Gp) {
-			t.Fatal("G′ diverged from sequential")
-		}
-		if !snap.Gp.IsSubgraphOf(snap.G) {
-			t.Fatal("G′ ⊄ G")
-		}
-		for _, v := range seq.G.AliveNodes() {
-			if snap.CurID[v] != seq.CurID(v) {
-				t.Fatalf("node %d label %d, sequential %d", v, snap.CurID[v], seq.CurID(v))
-			}
-			if snap.Delta[v] != seq.Delta(v) {
-				t.Fatalf("node %d δ=%d, sequential %d", v, snap.Delta[v], seq.Delta(v))
-			}
-		}
-		sum, max, rounds := nw.FloodStats()
-		if sum != seq.FloodDepthSum() || max != seq.MaxFloodDepth() || rounds != seq.Rounds() {
-			t.Fatalf("flood stats (sum=%d max=%d rounds=%d) diverged from sequential (%d, %d, %d)",
-				sum, max, rounds, seq.FloodDepthSum(), seq.MaxFloodDepth(), seq.Rounds())
+		if err := nw.Diverges(seq); err != nil {
+			t.Fatal(err)
 		}
 	})
 }

@@ -33,20 +33,8 @@ func TestJoinMatchesSequential(t *testing.T) {
 
 	check := func(stage string) {
 		t.Helper()
-		snap := nw.Snapshot()
-		if !snap.G.Equal(seq.G) {
-			t.Fatalf("%s: G diverged", stage)
-		}
-		if !snap.Gp.Equal(seq.Gp) {
-			t.Fatalf("%s: G′ diverged", stage)
-		}
-		for _, v := range seq.G.AliveNodes() {
-			if snap.CurID[v] != seq.CurID(v) {
-				t.Fatalf("%s: node %d label %d, sequential %d", stage, v, snap.CurID[v], seq.CurID(v))
-			}
-			if snap.Delta[v] != seq.Delta(v) {
-				t.Fatalf("%s: node %d δ %d, sequential %d", stage, v, snap.Delta[v], seq.Delta(v))
-			}
+		if err := nw.Diverges(seq); err != nil {
+			t.Fatalf("%s: %v", stage, err)
 		}
 	}
 

@@ -7,21 +7,6 @@ import (
 	"repro/internal/graph"
 )
 
-func runFaulty(t *testing.T, cfg FaultConfig) FaultResult {
-	t.Helper()
-	res, err := RunFaulty(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Terminals == 0 {
-		t.Fatal("enumeration reached no terminal state")
-	}
-	t.Logf("states=%d terminals=%d crashedTerminals=%d oracles=%d deliveries=%d maxDepth=%d",
-		res.States, res.Terminals, res.CrashedTerminals, res.Oracles,
-		res.Deliveries, res.MaxDepth)
-	return res
-}
-
 // TestMessageLossExhaustive is the message-loss acceptance
 // configuration: one kill on a 4-node graph with a drop budget of 2 and
 // a dup budget of 1, enumerated exhaustively. Every interleaving of
@@ -39,20 +24,18 @@ func TestMessageLossExhaustive(t *testing.T) {
 		g.AddEdge(2, 3)
 		return g
 	}
-	cfg := FaultConfig{
-		Config: Config{
-			Graph:  diamond,
-			Seed:   11,
-			Healer: dist.HealDASH,
-			Ops:    []Op{{Kind: OpKill, Victim: 0}},
-		},
-		Drops: 2,
-		Dups:  1,
+	cfg := Config{
+		Graph:  diamond,
+		Seed:   11,
+		Healer: dist.HealDASH,
+		Ops:    []Op{{Kind: OpKill, Victim: 0}},
+		Drops:  2,
+		Dups:   1,
 	}
 	if testing.Short() {
 		cfg.Drops, cfg.Dups = 1, 0
 	}
-	res := runFaulty(t, cfg)
+	res := run(t, cfg)
 	if res.Oracles != 1 {
 		t.Fatalf("loss-only run saw %d distinct effective logs, want 1 (faults must not change the oracle)", res.Oracles)
 	}
@@ -73,17 +56,15 @@ func TestLeaderCrashExhaustive(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large enumeration; run without -short")
 	}
-	cfg := FaultConfig{
-		Config: Config{
-			Graph:  bridgedTriangles,
-			Seed:   12,
-			Healer: dist.HealDASH,
-			Ops:    []Op{{Kind: OpKill, Victim: 0}},
-		},
+	cfg := Config{
+		Graph:        bridgedTriangles,
+		Seed:         12,
+		Healer:       dist.HealDASH,
+		Ops:          []Op{{Kind: OpKill, Victim: 0}},
 		Crashes:      1,
 		CrashTargets: []int{1, 2}, // victim 0's orphans: leader + reporter
 	}
-	res := runFaulty(t, cfg)
+	res := run(t, cfg)
 	if res.CrashedTerminals == 0 {
 		t.Fatal("no terminal state crashed: the schedule space never exercised recovery")
 	}
@@ -103,17 +84,15 @@ func TestStandaloneCrashExhaustive(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large enumeration; run without -short")
 	}
-	cfg := FaultConfig{
-		Config: Config{
-			Graph:  bridgedTriangles,
-			Seed:   13,
-			Healer: dist.HealDASH,
-			Ops:    []Op{{Kind: OpKill, Victim: 5}},
-		},
+	cfg := Config{
+		Graph:        bridgedTriangles,
+		Seed:         13,
+		Healer:       dist.HealDASH,
+		Ops:          []Op{{Kind: OpKill, Victim: 5}},
 		Crashes:      1,
 		CrashTargets: []int{1}, // not in kill(5)'s region
 	}
-	res := runFaulty(t, cfg)
+	res := run(t, cfg)
 	if res.CrashedTerminals == 0 {
 		t.Fatal("no terminal state crashed")
 	}
@@ -133,17 +112,15 @@ func TestCrashNoticeOrderExhaustive(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large enumeration; run without -short")
 	}
-	cfg := FaultConfig{
-		Config: Config{
-			Graph:  bridgedTriangles,
-			Seed:   14,
-			Healer: dist.HealDASH,
-			Ops:    []Op{{Kind: OpKill, Victim: 5}},
-		},
+	cfg := Config{
+		Graph:        bridgedTriangles,
+		Seed:         14,
+		Healer:       dist.HealDASH,
+		Ops:          []Op{{Kind: OpKill, Victim: 5}},
 		Crashes:      1,
 		CrashTargets: []int{4}, // victim 5's orphan, with a smaller index
 	}
-	res := runFaulty(t, cfg)
+	res := run(t, cfg)
 	if res.CrashedTerminals == 0 {
 		t.Fatal("no terminal state crashed: the schedule space never exercised recovery")
 	}
@@ -152,20 +129,27 @@ func TestCrashNoticeOrderExhaustive(t *testing.T) {
 	}
 }
 
-// TestFaultyMatchesFaultFree pins that RunFaulty with zero budgets
-// degenerates to exactly the fault-free enumeration (same oracle, same
-// verification), so the faulty harness itself adds no behavior.
+// TestFaultyMatchesFaultFree pins that the hostile wire with zero
+// budgets degenerates to exactly the fault-free enumeration: the search
+// over dist.FaultSim reports the same result, field for field, as Run's
+// search over dist.Sim, so FaultSim itself adds no behavior.
 func TestFaultyMatchesFaultFree(t *testing.T) {
-	cfg := FaultConfig{
-		Config: Config{
-			Graph:  bridgedTriangles,
-			Seed:   1,
-			Healer: dist.HealDASH,
-			Ops:    []Op{{Kind: OpKill, Victim: 0}, {Kind: OpKill, Victim: 5}},
-		},
+	cfg := Config{
+		Graph:  bridgedTriangles,
+		Seed:   1,
+		Healer: dist.HealDASH,
+		Ops:    []Op{{Kind: OpKill, Victim: 0}, {Kind: OpKill, Victim: 5}},
 	}
-	res := runFaulty(t, cfg)
-	if res.Oracles != 1 {
-		t.Fatalf("fault-free run saw %d effective logs, want 1", res.Oracles)
+	faulty, err := search(cfg, cfg.Healer.Healer(), faultSim(cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := run(t, cfg)
+	if faulty != want {
+		t.Fatalf("zero-budget FaultSim search %+v, Sim search %+v", faulty, want)
+	}
+	if want.Oracles != 1 || want.CrashedTerminals != 0 {
+		t.Fatalf("fault-free run saw %d effective logs and %d crashed terminals, want 1 and 0",
+			want.Oracles, want.CrashedTerminals)
 	}
 }

@@ -13,8 +13,19 @@
 // including every schedule where a second deletion's epoch runs while a
 // prior MINID flood is still draining.
 //
+// One search loop serves two simulators. A fault-free configuration
+// runs on dist.Sim. A configuration with a drop, duplicate or crash
+// budget runs on dist.FaultSim, so the nondeterminism also includes
+// budgeted frame drops, duplicates, retransmissions, and
+// supervisor-granted fail-stops, interleaved every possible way with
+// protocol deliveries. Both expose the same method set (Enabled, Apply,
+// Fingerprint, Quiet, Network), and the checker is generic over it.
+// FaultSim with zero budgets reaches exactly Sim's states, but hashing
+// its wire state makes it about a third slower, which is why fault-free
+// configurations stay on Sim.
+//
 // The search is a depth-first walk of the schedule tree with
-// state-identity pruning: Sim.Fingerprint hashes the complete
+// state-identity pruning: Fingerprint hashes the complete
 // behavior-relevant network state, and a schedule prefix that reaches
 // an already-visited state is cut off. Commuting deliveries reach the
 // same state by definition, so this is a partial-order reduction in
@@ -22,16 +33,29 @@
 // relation) — without it even six-node configurations are intractable;
 // with it they enumerate in seconds.
 //
-// What a passing run proves, and what it does not: every delivery
-// order of the given operations on the given graph — up to Budget
-// distinct states, and the run errors out rather than passing if the
-// budget truncates the search — reaches the bit-identical G, G′,
-// labels, δ, and Lemma 9 flood accounting of core applied in issue
-// order. It says nothing about other graphs, other operation mixes, or
-// configurations larger than enumeration reaches; the randomized
-// differential harness (scenario.ReplayDifferential in Pipelined mode)
-// covers that scale, with this package as the ground truth for why its
-// oracle is the sequential engine.
+// The oracle is dist.Network.Diverges against a sequential state. A
+// terminal where no crash fired must equal core applied to the
+// operations in issue order. A crash rewrites history (an aborted kill
+// never heals; the recovery heals the crashed set as one batch), so a
+// crashed terminal must instead equal the sequential replay of the
+// network's own effective-operation log (dist.ReplayEffective).
+// Distinct schedules that crash differently reach different effective
+// logs; each log's oracle is built once and cached. Drops, duplicates,
+// and retransmissions do NOT change the oracle — the reliable channel
+// delivers every message exactly once in per-sender order regardless —
+// which is precisely the hardening claim the faulty mode proves on
+// small configurations.
+//
+// What a passing run proves, and what it does not: every schedule of
+// the given operations on the given graph — up to Budget distinct
+// states, and the run errors out rather than passing if the budget
+// truncates the search — reaches the bit-identical G, G′, labels, δ,
+// and Lemma 9 flood accounting of its oracle. It says nothing about
+// other graphs, other operation mixes, or configurations larger than
+// enumeration reaches; the randomized differential harness
+// (scenario.ReplayDifferential in Pipelined mode) covers that scale,
+// with this package as the ground truth for why its oracle is the
+// sequential engine.
 package modelcheck
 
 import (
@@ -81,8 +105,8 @@ func (op Op) String() string {
 
 // Config is one model-checking run.
 type Config struct {
-	// Graph builds the (small!) starting topology. Called twice: once
-	// for the sequential oracle, once per simulated replay.
+	// Graph builds the (small!) starting topology. Called for the
+	// sequential oracles and once per simulated replay.
 	Graph func() *graph.Graph
 	// Seed feeds the initial-ID assignment (drawn exactly as
 	// core.NewState draws them, so the two engines agree on IDs).
@@ -95,73 +119,131 @@ type Config struct {
 	// DefaultBudget. Exceeding the budget is an error — a truncated
 	// search proves nothing and must not read as a pass.
 	Budget int
+
+	// Drops and Dups bound how many wire frames each schedule may
+	// drop / duplicate.
+	Drops int
+	Dups  int
+	// Crashes bounds fail-stops per schedule; CrashTargets lists the
+	// nodes a crash event may name (nil: no crash events).
+	Crashes      int
+	CrashTargets []int
 }
 
 // Result summarizes an exhaustive run.
 type Result struct {
 	States     int // distinct states visited
 	Terminals  int // distinct terminal states, all verified against core
-	Deliveries int // handler executions, including replay overhead
+	Deliveries int // events applied, including replay overhead
 	MaxDepth   int // longest schedule
+	// CrashedTerminals counts terminal states in which at least one
+	// crash actually fired. A leader-crash config must end with this
+	// non-zero, or the schedule space never exercised recovery.
+	CrashedTerminals int
+	// Oracles counts distinct effective-operation logs seen across
+	// terminals (1 when no crash ever fires; more when crashes rewrite
+	// history differently in different schedules).
+	Oracles int
 }
 
-// Run enumerates every delivery order of cfg and verifies each terminal
-// state against the sequential engine. A non-nil error either names the
+// Run enumerates every schedule of cfg — protocol deliveries, and
+// fault events when cfg has a fault budget — and verifies each terminal
+// state against its sequential oracle. A non-nil error either names the
 // first diverging schedule or reports a truncated (budget-exceeded)
 // search.
 func Run(cfg Config) (Result, error) {
-	c := &checker{cfg: cfg, budget: cfg.Budget}
+	if cfg.Drops == 0 && cfg.Dups == 0 && cfg.Crashes == 0 {
+		return search(cfg, cfg.Healer.Healer(), sim(cfg))
+	}
+	return search(cfg, cfg.Healer.Healer(), faultSim(cfg))
+}
+
+// sim builds cfg's fault-free simulators.
+func sim(cfg Config) func(*graph.Graph, []uint64) *dist.Sim {
+	return func(g *graph.Graph, ids []uint64) *dist.Sim {
+		return dist.NewSim(g, ids, cfg.Healer)
+	}
+}
+
+// faultSim builds cfg's simulators on the hostile wire.
+func faultSim(cfg Config) func(*graph.Graph, []uint64) *dist.FaultSim {
+	opts := dist.FaultOpts{
+		DropBudget:   cfg.Drops,
+		DupBudget:    cfg.Dups,
+		CrashBudget:  cfg.Crashes,
+		CrashTargets: cfg.CrashTargets,
+	}
+	return func(g *graph.Graph, ids []uint64) *dist.FaultSim {
+		return dist.NewFaultSim(g, ids, cfg.Healer, opts)
+	}
+}
+
+// simulator is the method set dist.Sim and dist.FaultSim share; E is
+// the simulator's event type.
+type simulator[E any] interface {
+	Network() *dist.Network
+	Enabled() []E
+	Apply(E)
+	Quiet() bool
+	Fingerprint() [16]byte
+}
+
+// search runs the one exhaustive search over simulators from newSim,
+// with healer, which should mirror cfg.Healer, on the sequential side.
+func search[S simulator[E], E any](cfg Config, healer core.Healer, newSim func(*graph.Graph, []uint64) S) (Result, error) {
+	c := &checker[S, E]{cfg: cfg, newSim: newSim, budget: cfg.Budget}
 	if c.budget == 0 {
 		c.budget = DefaultBudget
-	}
-	switch cfg.Healer {
-	case dist.HealDASH:
-		c.healer = core.DASH{}
-	case dist.HealSDASH:
-		c.healer = core.SDASH{}
 	}
 
 	// Sequential oracle: apply the ops in issue order, capturing the
 	// initial IDs (including each joiner's) the simulated runs must use.
+	// Joins never move in an effective log, so the join-ID draw order is
+	// the same in every effective replay too.
 	g := cfg.Graph()
-	c.seq = core.NewState(g.Clone(), rng.New(cfg.Seed))
+	c.healer = healer
+	c.issued = core.NewState(g.Clone(), rng.New(cfg.Seed))
 	c.ids = make([]uint64, g.N())
 	for v := range c.ids {
-		c.ids[v] = c.seq.InitID(v)
+		c.ids[v] = c.issued.InitID(v)
 	}
 	joinR := rng.New(cfg.Seed + 1)
 	for _, op := range cfg.Ops {
 		switch op.Kind {
 		case OpKill:
-			c.seq.DeleteAndHeal(op.Victim, c.healer)
+			c.issued.DeleteAndHeal(op.Victim, healer)
 		case OpJoin:
-			v := c.seq.Join(op.Attach, joinR)
-			c.joinIDs = append(c.joinIDs, c.seq.InitID(v))
+			v := c.issued.Join(op.Attach, joinR)
+			c.joinIDs = append(c.joinIDs, c.issued.InitID(v))
 		case OpBatch:
-			c.seq.DeleteBatchAndHeal(op.Batch)
+			c.issued.DeleteBatchAndHeal(op.Batch)
 		}
 	}
 
 	c.visited = make(map[[16]byte]struct{})
+	c.oracles = make(map[string]*core.State)
 	root, eps := c.build()
 	err := c.dfs(root, eps, nil)
+	c.res.Oracles = len(c.oracles)
 	return c.res, err
 }
 
-type checker struct {
+type checker[S simulator[E], E any] struct {
 	cfg     Config
+	newSim  func(*graph.Graph, []uint64) S
 	healer  core.Healer
-	seq     *core.State
+	issued  *core.State // cfg.Ops applied in issue order
 	ids     []uint64
 	joinIDs []uint64
 	visited map[[16]byte]struct{}
+	oracles map[string]*core.State // by effective-operation log
 	budget  int
 	res     Result
 }
 
 // build assembles a fresh simulated network with every op issued.
-func (c *checker) build() (*dist.Sim, []*dist.Epoch) {
-	s := dist.NewSim(c.cfg.Graph(), c.ids, c.cfg.Healer)
+func (c *checker[S, E]) build() (S, []*dist.Epoch) {
+	s := c.newSim(c.cfg.Graph(), c.ids)
 	nw := s.Network()
 	eps := make([]*dist.Epoch, 0, len(c.cfg.Ops))
 	ji := 0
@@ -180,19 +262,19 @@ func (c *checker) build() (*dist.Sim, []*dist.Epoch) {
 	return s, eps
 }
 
-// replay rebuilds the state a delivery prefix reaches. The search pays
+// replay rebuilds the state a schedule prefix reaches. The search pays
 // this rebuild when it branches; combined with fingerprint pruning it
 // is far cheaper than deep-copying the full actor state at every node.
-func (c *checker) replay(prefix []dist.SimEvent) (*dist.Sim, []*dist.Epoch) {
+func (c *checker[S, E]) replay(prefix []E) (S, []*dist.Epoch) {
 	s, eps := c.build()
 	for _, ev := range prefix {
-		s.Deliver(ev)
+		s.Apply(ev)
 		c.res.Deliveries++
 	}
 	return s, eps
 }
 
-func (c *checker) dfs(s *dist.Sim, eps []*dist.Epoch, prefix []dist.SimEvent) error {
+func (c *checker[S, E]) dfs(s S, eps []*dist.Epoch, prefix []E) error {
 	fp := s.Fingerprint()
 	if _, seen := c.visited[fp]; seen {
 		return nil
@@ -218,9 +300,9 @@ func (c *checker) dfs(s *dist.Sim, eps []*dist.Epoch, prefix []dist.SimEvent) er
 			// the live state, since nothing rereads it afterwards.
 			child, ceps = c.replay(prefix)
 		}
-		child.Deliver(ev)
+		child.Apply(ev)
 		c.res.Deliveries++
-		next := make([]dist.SimEvent, len(prefix)+1)
+		next := make([]E, len(prefix)+1)
 		copy(next, prefix)
 		next[len(prefix)] = ev
 		if err := c.dfs(child, ceps, next); err != nil {
@@ -230,43 +312,51 @@ func (c *checker) dfs(s *dist.Sim, eps []*dist.Epoch, prefix []dist.SimEvent) er
 	return nil
 }
 
-// verify checks a terminal state bit-for-bit against the sequential
-// oracle: topology, healing overlay, labels, δ, and flood accounting.
-func (c *checker) verify(s *dist.Sim, eps []*dist.Epoch, prefix []dist.SimEvent) error {
+// oracle returns the sequential state a terminal of nw must equal: the
+// issue-order replay when no crash fired, else the replay of nw's
+// effective-operation log, built once per distinct log.
+func (c *checker[S, E]) oracle(nw *dist.Network) (*core.State, error) {
+	ops := nw.EffectiveOps()
+	sig := fmt.Sprint(ops)
+	if st, ok := c.oracles[sig]; ok {
+		return st, nil
+	}
+	st := c.issued
+	if nw.CrashCount() > 0 {
+		st = core.NewState(c.cfg.Graph(), rng.New(c.cfg.Seed))
+		if err := dist.ReplayEffective(st, ops, c.healer, rng.New(c.cfg.Seed+1)); err != nil {
+			return nil, err
+		}
+	}
+	c.oracles[sig] = st
+	return st, nil
+}
+
+// verify checks a terminal state bit for bit against its oracle:
+// topology, healing overlay, labels, δ, and flood accounting.
+func (c *checker[S, E]) verify(s S, eps []*dist.Epoch, prefix []E) error {
 	fail := func(format string, args ...any) error {
 		return fmt.Errorf("modelcheck: schedule %v: %s", prefix, fmt.Sprintf(format, args...))
 	}
+	nw := s.Network()
 	if !s.Quiet() {
-		return fail("no deliverable message but traffic still tracked in flight:\n%s", s.Network().DumpState())
+		return fail("no schedulable event but traffic still in flight:\n%s", nw.DumpState())
 	}
 	for i, ep := range eps {
 		if !ep.Done() {
 			return fail("op %d (%v, epoch %d) never completed:\n%s",
-				i, c.cfg.Ops[i], ep.ID(), s.Network().DumpState())
+				i, c.cfg.Ops[i], ep.ID(), nw.DumpState())
 		}
 	}
-	snap := s.Network().Snapshot()
-	if !snap.G.Equal(c.seq.G) {
-		return fail("G diverged from sequential")
+	if nw.CrashCount() > 0 {
+		c.res.CrashedTerminals++
 	}
-	if !snap.Gp.Equal(c.seq.Gp) {
-		return fail("G′ diverged from sequential")
+	seq, err := c.oracle(nw)
+	if err == nil {
+		err = nw.Diverges(seq)
 	}
-	if !snap.Gp.IsSubgraphOf(snap.G) {
-		return fail("G′ ⊄ G")
-	}
-	for _, v := range c.seq.G.AliveNodes() {
-		if snap.CurID[v] != c.seq.CurID(v) {
-			return fail("node %d label %d, sequential %d", v, snap.CurID[v], c.seq.CurID(v))
-		}
-		if snap.Delta[v] != c.seq.Delta(v) {
-			return fail("node %d δ=%d, sequential %d", v, snap.Delta[v], c.seq.Delta(v))
-		}
-	}
-	sum, max, rounds := s.Network().FloodStats()
-	if sum != c.seq.FloodDepthSum() || max != c.seq.MaxFloodDepth() || rounds != c.seq.Rounds() {
-		return fail("flood stats (sum=%d max=%d rounds=%d), sequential (%d, %d, %d)",
-			sum, max, rounds, c.seq.FloodDepthSum(), c.seq.MaxFloodDepth(), c.seq.Rounds())
+	if err != nil {
+		return fail("%v", err)
 	}
 	return nil
 }

@@ -1,8 +1,10 @@
 package modelcheck
 
 import (
+	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/graph"
 )
@@ -33,8 +35,9 @@ func run(t *testing.T, cfg Config) Result {
 	if res.Terminals == 0 {
 		t.Fatal("enumeration reached no terminal state")
 	}
-	t.Logf("states=%d terminals=%d deliveries=%d maxDepth=%d",
-		res.States, res.Terminals, res.Deliveries, res.MaxDepth)
+	t.Logf("states=%d terminals=%d crashedTerminals=%d oracles=%d deliveries=%d maxDepth=%d",
+		res.States, res.Terminals, res.CrashedTerminals, res.Oracles,
+		res.Deliveries, res.MaxDepth)
 	return res
 }
 
@@ -117,6 +120,23 @@ func TestThreeOverlappingEpochs(t *testing.T) {
 		},
 	}
 	run(t, cfg)
+}
+
+// TestCheckerCatchesLabelDrift pins that terminal verification really
+// compares labels: OracleDASH heals exactly as DASH but floods no
+// labels, so checking the distributed DASH rule against it must fail
+// with an error naming a label, the first field that differs.
+func TestCheckerCatchesLabelDrift(t *testing.T) {
+	cfg := Config{
+		Graph:  bridgedTriangles,
+		Seed:   1,
+		Healer: dist.HealDASH,
+		Ops:    []Op{{Kind: OpKill, Victim: 0}},
+	}
+	_, err := search(cfg, core.OracleDASH{}, sim(cfg))
+	if err == nil || !strings.Contains(err.Error(), "label") {
+		t.Fatalf("search = %v, want a label divergence", err)
+	}
 }
 
 // TestBudgetExceededIsAnError pins that a truncated search reports an

@@ -737,15 +737,15 @@ func (pi *pipeline) advanceBatch(es *epochState) {
 	}
 }
 
-// prepareClusters derives the batch's dead clusters and their healing
+// deadClusters derives a batch's dead clusters and their healing
 // candidates from the pre-removal mirror — the supervisor-side analogue
-// of core.ClusterDeletions — and pairs each cluster with the surviving
-// leader the protocol elected during the commit stage.
-func (pi *pipeline) prepareClusters(es *epochState) {
-	// Union-find over victim-victim mirror edges.
+// of core.ClusterDeletions. A cluster is a component of the
+// victim–victim mirror edges, rooted at its smallest member; its
+// candidates are the surviving mirror neighbors of any member. roots
+// comes back ascending and cands[i], ascending, belongs to roots[i].
+func (pi *pipeline) deadClusters(es *epochState) (roots []int, cands [][]int) {
 	parent := make(map[int]int, len(es.batch))
-	var find func(int) int
-	find = func(v int) int {
+	find := func(v int) int {
 		for parent[v] != v {
 			parent[v] = parent[parent[v]]
 			v = parent[v]
@@ -770,14 +770,13 @@ func (pi *pipeline) prepareClusters(es *epochState) {
 			}
 		}
 	}
-	// Candidates per cluster: surviving mirror neighbors of any member.
-	cands := make(map[int]map[int]struct{})
+	sets := make(map[int]map[int]struct{})
 	for _, v := range es.batch {
 		r := find(v)
-		set := cands[r]
+		set := sets[r]
 		if set == nil {
 			set = make(map[int]struct{})
-			cands[r] = set
+			sets[r] = set
 		}
 		for _, u32 := range pi.mirG.Neighbors(v) {
 			u := int(u32)
@@ -786,6 +785,43 @@ func (pi *pipeline) prepareClusters(es *epochState) {
 			}
 		}
 	}
+	roots = make([]int, 0, len(sets))
+	for r := range sets {
+		roots = append(roots, r)
+	}
+	sort.Ints(roots)
+	cands = make([][]int, len(roots))
+	for i, r := range roots {
+		cs := make([]int, 0, len(sets[r]))
+		for u := range sets[r] {
+			cs = append(cs, u)
+		}
+		sort.Ints(cs) // deterministic across runs (map iteration order)
+		cands[i] = cs
+	}
+	return roots, cands
+}
+
+// addCluster appends a child epoch that heals one dead cluster of es.
+// Child IDs are drawn in call order, so callers add clusters in
+// ascending root order.
+func (pi *pipeline) addCluster(es *epochState, root, leader int, cands []int, candIDs map[int]uint64) {
+	es.clusters = append(es.clusters, &epochState{
+		id:         pi.nextEpoch,
+		kind:       epCluster,
+		parent:     es,
+		root:       root,
+		leader:     leader,
+		attach:     cands,   // candidate set doubles as the region seed
+		attachInfo: candIDs, // payload for a supervisor-sent msgBatchLead
+	})
+	pi.nextEpoch++
+}
+
+// prepareClusters pairs each of the batch's dead clusters with the
+// surviving leader the protocol elected during the commit stage.
+func (pi *pipeline) prepareClusters(es *epochState) {
+	roots, cands := pi.deadClusters(es)
 	// Leaders recorded by the dying roots during commit.
 	pi.nw.mu.Lock()
 	recorded := pi.nw.batchClusters[es.id]
@@ -796,32 +832,10 @@ func (pi *pipeline) prepareClusters(es *epochState) {
 	for _, c := range recorded {
 		leaders[c.root] = c.leader
 	}
-
-	roots := make([]int, 0, len(cands))
-	for r := range cands {
-		roots = append(roots, r)
-	}
-	sort.Ints(roots)
-	for _, r := range roots {
-		leader, ok := leaders[r]
-		if !ok {
-			continue // no surviving candidate: nothing to heal
+	for i, r := range roots {
+		if leader, ok := leaders[r]; ok { // none: no surviving candidate
+			pi.addCluster(es, r, leader, cands[i], nil)
 		}
-		cs := make([]int, 0, len(cands[r]))
-		for u := range cands[r] {
-			cs = append(cs, u)
-		}
-		sort.Ints(cs) // deterministic across runs (map iteration order)
-		child := &epochState{
-			id:     pi.nextEpoch,
-			kind:   epCluster,
-			parent: es,
-			root:   r,
-			leader: leader,
-			attach: cs, // candidate set doubles as the region seed
-		}
-		pi.nextEpoch++
-		es.clusters = append(es.clusters, child)
 	}
 	es.clustersLeft = len(es.clusters)
 }

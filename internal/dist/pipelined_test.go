@@ -3,6 +3,7 @@ package dist
 import (
 	"fmt"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -68,7 +69,7 @@ func TestDisjointEpochsLaunchConcurrently(t *testing.T) {
 		if len(evs) == 0 {
 			break
 		}
-		s.Deliver(evs[0])
+		s.Apply(evs[0])
 	}
 	for _, ep := range []*Epoch{ep0, ep5, ep1} {
 		if !ep.Done() {
@@ -165,7 +166,7 @@ func TestAsyncChurnConverges(t *testing.T) {
 		for v := range aliveMirror {
 			alive = append(alive, v)
 		}
-		sortInts(alive)
+		slices.Sort(alive)
 		return alive[opR.Intn(len(alive))]
 	}
 
@@ -193,14 +194,9 @@ func TestAsyncChurnConverges(t *testing.T) {
 		if err := nw.Drain(testTimeout); err != nil {
 			t.Fatalf("window %d: %v", window, err)
 		}
+		// Includes the Lemma 9 accounting, whose exactness survives
+		// pipelining: floods are confined to their epoch's conflict region.
 		assertStateEqual(t, window, nw, seq)
-	}
-	// Exactness of the Lemma 9 accounting survives pipelining: floods
-	// are confined to their epoch's conflict region.
-	sum, max, rounds := nw.FloodStats()
-	if sum != seq.FloodDepthSum() || max != seq.MaxFloodDepth() || rounds != seq.Rounds() {
-		t.Fatalf("flood stats (sum=%d max=%d rounds=%d) diverged from sequential (%d, %d, %d)",
-			sum, max, rounds, seq.FloodDepthSum(), seq.MaxFloodDepth(), seq.Rounds())
 	}
 }
 

@@ -477,85 +477,26 @@ func (pi *pipeline) advanceRecover(es *epochState) {
 	}
 }
 
-// prepareRecoveryClusters derives W's dead clusters, candidate sets,
-// and supervisor-appointed leaders (lowest candidate initial ID, the
-// batch protocol's own election rule) from the pre-removal mirror.
+// prepareRecoveryClusters derives W's dead clusters and appoints each
+// one's leader: the lowest candidate initial ID, the batch protocol's
+// own election rule.
 func (pi *pipeline) prepareRecoveryClusters(es *epochState) {
-	parent := make(map[int]int, len(es.batch))
-	var find func(int) int
-	find = func(v int) int {
-		for parent[v] != v {
-			parent[v] = parent[parent[v]]
-			v = parent[v]
-		}
-		return v
-	}
-	for _, v := range es.batch {
-		parent[v] = v
-	}
-	for _, v := range es.batch {
-		for _, u32 := range pi.mirG.Neighbors(v) {
-			u := int(u32)
-			if _, dead := es.batchSet[u]; !dead {
-				continue
-			}
-			a, b := find(v), find(u)
-			if a != b {
-				if a > b {
-					a, b = b, a
-				}
-				parent[b] = a
-			}
-		}
-	}
-	cands := make(map[int]map[int]struct{})
-	for _, v := range es.batch {
-		r := find(v)
-		set := cands[r]
-		if set == nil {
-			set = make(map[int]struct{})
-			cands[r] = set
-		}
-		for _, u32 := range pi.mirG.Neighbors(v) {
-			u := int(u32)
-			if _, dead := es.batchSet[u]; !dead {
-				set[u] = struct{}{}
-			}
-		}
-	}
-	roots := make([]int, 0, len(cands))
-	for r := range cands {
-		roots = append(roots, r)
-	}
-	sort.Ints(roots)
-	for _, r := range roots {
-		if len(cands[r]) == 0 {
+	roots, cands := pi.deadClusters(es)
+	for i, r := range roots {
+		if len(cands[i]) == 0 {
 			continue // no surviving candidate: nothing to heal
 		}
-		cs := make([]int, 0, len(cands[r]))
-		candIDs := make(map[int]uint64, len(cands[r]))
+		candIDs := make(map[int]uint64, len(cands[i]))
 		leader := -1
 		var best uint64
-		for u := range cands[r] {
-			cs = append(cs, u)
+		for _, u := range cands[i] {
 			id := pi.nw.initIDs[u]
 			candIDs[u] = id
 			if leader < 0 || id < best {
 				leader, best = u, id
 			}
 		}
-		sort.Ints(cs)
-		child := &epochState{
-			id:         pi.nextEpoch,
-			kind:       epCluster,
-			parent:     es,
-			root:       r,
-			leader:     leader,
-			attach:     cs,      // candidate set doubles as the region seed
-			attachInfo: candIDs, // payload for the supervisor's msgBatchLead
-		}
-		pi.nextEpoch++
-		es.clusters = append(es.clusters, child)
+		pi.addCluster(es, r, leader, cands[i], candIDs)
 	}
 	es.clustersLeft = len(es.clusters)
 }

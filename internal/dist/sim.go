@@ -9,7 +9,7 @@ package dist
 // The unit of scheduling is a channel (receiver, sender): the transport
 // guarantees per-sender FIFO into each mailbox, so the only freedom a
 // real execution has is how the channels interleave at each receiver.
-// Enabled() lists every non-empty channel; Deliver() hands the
+// Enabled() lists every non-empty channel; Apply() hands the
 // channel's oldest message to the receiver's handler on the calling
 // goroutine, then ticks the quiescence tracker — which pumps the epoch
 // pipeline inline, so supervisor stage transitions happen synchronously
@@ -95,11 +95,13 @@ func (s *Sim) Enabled() []SimEvent {
 	return evs
 }
 
-// Deliver handles the oldest queued message on ev's channel, then ticks
+// Apply handles the oldest queued message on ev's channel, then ticks
 // the tracker — running any resulting epoch-pipeline transitions (stage
 // advances, newly unblocked epoch launches) synchronously before
-// returning. It panics when the channel is empty.
-func (s *Sim) Deliver(ev SimEvent) {
+// returning. It panics when the channel is empty. The name matches
+// FaultSim.Apply, so the model checker drives both through one method
+// set.
+func (s *Sim) Apply(ev SimEvent) {
 	nd := s.nw.node(ev.To)
 	idx := -1
 	for i, m := range nd.inbox.peekAll() {

@@ -71,11 +71,6 @@ func TestChaosLossDifferential(t *testing.T) {
 		}
 		assertStateEqual(t, window, nw, seq)
 	}
-	sum, max, rounds := nw.FloodStats()
-	if sum != seq.FloodDepthSum() || max != seq.MaxFloodDepth() || rounds != seq.Rounds() {
-		t.Fatalf("flood stats (sum=%d max=%d rounds=%d), sequential (%d, %d, %d)",
-			sum, max, rounds, seq.FloodDepthSum(), seq.MaxFloodDepth(), seq.Rounds())
-	}
 
 	st, ok := nw.ChaosTransportStats()
 	if !ok {
@@ -223,16 +218,8 @@ func replayEffective(t *testing.T, n int, seed uint64, ops []EffectiveOp) *core.
 	master := rng.New(seed)
 	g := gen.BarabasiAlbert(n, 3, master.Split())
 	seq := core.NewState(g, master.Split())
-	joinR := rng.New(seed + 1)
-	for _, op := range ops {
-		switch op.Kind {
-		case EffKill:
-			seq.DeleteAndHeal(op.Victim, core.DASH{})
-		case EffJoin:
-			seq.Join(op.Attach, joinR)
-		case EffBatch:
-			seq.DeleteBatchAndHeal(op.Batch)
-		}
+	if err := ReplayEffective(seq, ops, core.DASH{}, rng.New(seed+1)); err != nil {
+		t.Fatal(err)
 	}
 	return seq
 }
@@ -281,11 +268,6 @@ func TestChaosLeaderCrashRecovery(t *testing.T) {
 	}
 	oracle := replayEffective(t, n, seed, ops)
 	assertStateEqual(t, 0, nw, oracle)
-	sum, max, rounds := nw.FloodStats()
-	if sum != oracle.FloodDepthSum() || max != oracle.MaxFloodDepth() || rounds != oracle.Rounds() {
-		t.Fatalf("flood stats (sum=%d max=%d rounds=%d), oracle (%d, %d, %d)",
-			sum, max, rounds, oracle.FloodDepthSum(), oracle.MaxFloodDepth(), oracle.Rounds())
-	}
 
 	// The network must still heal after recovery.
 	next := -1

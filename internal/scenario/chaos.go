@@ -126,28 +126,11 @@ func ReplayChaosDifferential(cfg ChaosConfig) (ChaosReport, error) {
 			return err
 		}
 		seq := build()
-		jr := rng.New(cfg.Seed + 1)
-		for i, op := range nw.EffectiveOps() {
-			switch op.Kind {
-			case dist.EffKill:
-				seq.DeleteAndHeal(op.Victim, core.DASH{})
-			case dist.EffJoin:
-				v := seq.Join(op.Attach, jr)
-				if v != op.NewID || seq.InitID(v) != op.InitID {
-					return fmt.Errorf("effective op %d: replay join (%d, id %d), network (%d, id %d)",
-						i, v, seq.InitID(v), op.NewID, op.InitID)
-				}
-			case dist.EffBatch:
-				seq.DeleteBatchAndHeal(op.Batch)
-			}
-		}
-		if err := diffCheck(rep.Kills+rep.Joins, nw, seq); err != nil {
+		if err := dist.ReplayEffective(seq, nw.EffectiveOps(), core.DASH{}, rng.New(cfg.Seed+1)); err != nil {
 			return err
 		}
-		sum, maxDepth, rounds := nw.FloodStats()
-		if sum != seq.FloodDepthSum() || maxDepth != seq.MaxFloodDepth() || rounds != seq.Rounds() {
-			return fmt.Errorf("flood stats (%d,%d,%d), effective replay (%d,%d,%d)",
-				sum, maxDepth, rounds, seq.FloodDepthSum(), seq.MaxFloodDepth(), seq.Rounds())
+		if err := nw.Diverges(seq); err != nil {
+			return fmt.Errorf("after %d issued ops, effective replay: %w", rep.Kills+rep.Joins, err)
 		}
 		rep.Checks++
 		return nil

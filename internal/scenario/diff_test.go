@@ -3,17 +3,19 @@ package scenario
 // Differential tests: randomized scenario schedules — now including
 // Disaster phases, the footnote-1 batch kills — replayed through the
 // sequential engine and the distributed engine in lockstep via
-// ReplayDifferential, which asserts exact G/G′/label/δ equality after
-// every mutating event and exact flood accounting at the end. This
+// ReplayDifferential, which asserts exact G/G′/label/δ equality and
+// exact flood accounting after every mutating event. This
 // extends internal/dist's equivalence tests (fixed attacks, delete-only)
 // to the full insert/delete/batch-kill interleavings the scenario engine
 // generates.
 
 import (
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/dist"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/rng"
@@ -124,6 +126,24 @@ func TestDifferentialRejectsForeignHealer(t *testing.T) {
 	}, diffTimeout)
 	if err == nil {
 		t.Fatal("SDASHFull has no distributed implementation and must be rejected")
+	}
+}
+
+// TestDifferentialCatchesLabelDrift pins that the per-event check
+// really compares labels: OracleDASH heals exactly as DASH but floods no
+// labels, so replaying it against the distributed DASH rule must stop
+// at the first kill with an error naming a label — the first field of
+// the oracle's order that differs.
+func TestDifferentialCatchesLabelDrift(t *testing.T) {
+	_, err := replayDifferential(Config{
+		NewGraph:     func(r *rng.RNG) *graph.Graph { return gen.BarabasiAlbert(32, 3, r) },
+		Schedule:     Schedule{Name: "x", Phases: []Phase{Attrition(3)}},
+		Healer:       core.OracleDASH{},
+		Seed:         1,
+		MeasureEvery: -1,
+	}, dist.HealDASH, Lockstep, diffTimeout)
+	if err == nil || !strings.Contains(err.Error(), "label") {
+		t.Fatalf("replay = %v, want a label divergence", err)
 	}
 }
 

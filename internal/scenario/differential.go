@@ -51,19 +51,6 @@ type seqOp struct {
 	initID uint64
 }
 
-// healerKind maps a sequential healer to the distributed rule that
-// mirrors it, or fails for healers with no distributed implementation.
-func healerKind(h core.Healer) (dist.HealerKind, error) {
-	switch h.(type) {
-	case core.DASH:
-		return dist.HealDASH, nil
-	case core.SDASH:
-		return dist.HealSDASH, nil
-	default:
-		return 0, fmt.Errorf("scenario: healer %q has no distributed counterpart (want DASH or SDASH)", h.Name())
-	}
-}
-
 // DiffMode selects how mutations reach the distributed engine.
 type DiffMode int
 
@@ -90,7 +77,7 @@ const DefaultDiffWindow = 8
 // sequential engine and replays every mutation — single kills, joins,
 // and batch-kill epochs — onto a distributed network of the matching
 // healer kind in lockstep, verifying exact G/G′/label/δ equality after
-// every mutating event and exact flood-depth accounting at the end.
+// every mutating event, flood-depth accounting included.
 // cfg.Observe is taken over by the harness (a caller-provided Observe is
 // still invoked first); Trials and Workers are ignored — a differential
 // replay is inherently one serial trial. The per-round timeout guards
@@ -106,10 +93,16 @@ func ReplayDifferential(cfg Config, timeout time.Duration) (DiffReport, error) {
 // randomized, large-n complement to the modelcheck package's exhaustive
 // small-config enumeration.
 func ReplayDifferentialMode(cfg Config, mode DiffMode, timeout time.Duration) (DiffReport, error) {
-	kind, err := healerKind(cfg.Healer)
+	kind, err := dist.KindOf(cfg.Healer)
 	if err != nil {
-		return DiffReport{}, err
+		return DiffReport{}, fmt.Errorf("scenario: %w", err)
 	}
+	return replayDifferential(cfg, kind, mode, timeout)
+}
+
+// replayDifferential replays cfg's mutations onto a network healing by
+// kind, which should mirror cfg.Healer.
+func replayDifferential(cfg Config, kind dist.HealerKind, mode DiffMode, timeout time.Duration) (DiffReport, error) {
 	events, err := cfg.Schedule.Compile()
 	if err != nil {
 		return DiffReport{}, err
@@ -175,6 +168,12 @@ func ReplayDifferentialMode(cfg Config, mode DiffMode, timeout time.Duration) (D
 	defer nw.Close()
 
 	var rep DiffReport
+	check := func() error {
+		if err := nw.Diverges(seqState); err != nil {
+			return fmt.Errorf("event %d: %w", run.res.Events, err)
+		}
+		return nil
+	}
 	inFlight := 0
 	flush := func() error {
 		if inFlight == 0 {
@@ -184,7 +183,7 @@ func ReplayDifferentialMode(cfg Config, mode DiffMode, timeout time.Duration) (D
 			return fmt.Errorf("event %d (flush of %d in-flight epochs): %w", run.res.Events, inFlight, err)
 		}
 		inFlight = 0
-		return diffCheck(run.res.Events, nw, seqState)
+		return check()
 	}
 	for {
 		more := run.step()
@@ -235,7 +234,7 @@ func ReplayDifferentialMode(cfg Config, mode DiffMode, timeout time.Duration) (D
 			}
 		default:
 			if mutated {
-				if err := diffCheck(run.res.Events, nw, seqState); err != nil {
+				if err := check(); err != nil {
 					return rep, err
 				}
 			}
@@ -248,39 +247,6 @@ func ReplayDifferentialMode(cfg Config, mode DiffMode, timeout time.Duration) (D
 		return rep, err
 	}
 	rep.Events = run.finish().Events
-
-	sum, maxDepth, rounds := nw.FloodStats()
-	rep.Rounds = rounds
-	if rounds != seqState.Rounds() {
-		return rep, fmt.Errorf("distributed saw %d healing rounds, sequential %d", rounds, seqState.Rounds())
-	}
-	if sum != seqState.FloodDepthSum() || maxDepth != seqState.MaxFloodDepth() {
-		return rep, fmt.Errorf("flood stats (%d,%d), sequential (%d,%d)",
-			sum, maxDepth, seqState.FloodDepthSum(), seqState.MaxFloodDepth())
-	}
+	_, _, rep.Rounds = nw.FloodStats()
 	return rep, nil
-}
-
-// diffCheck asserts exact equality of the distributed snapshot and the
-// sequential state.
-func diffCheck(event int, nw *dist.Network, seq *core.State) error {
-	snap := nw.Snapshot()
-	if !snap.G.Equal(seq.G) {
-		return fmt.Errorf("event %d: distributed G diverged", event)
-	}
-	if !snap.Gp.Equal(seq.Gp) {
-		return fmt.Errorf("event %d: distributed G′ diverged", event)
-	}
-	if !snap.Gp.IsSubgraphOf(snap.G) {
-		return fmt.Errorf("event %d: G′ ⊄ G", event)
-	}
-	for _, v := range seq.G.AliveNodes() {
-		if snap.CurID[v] != seq.CurID(v) {
-			return fmt.Errorf("event %d: node %d label %d, sequential %d", event, v, snap.CurID[v], seq.CurID(v))
-		}
-		if snap.Delta[v] != seq.Delta(v) {
-			return fmt.Errorf("event %d: node %d δ %d, sequential %d", event, v, snap.Delta[v], seq.Delta(v))
-		}
-	}
-	return nil
 }
