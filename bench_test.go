@@ -267,6 +267,7 @@ func BenchmarkSimTrial(b *testing.B) {
 			Healer:    DASH,
 			Trials:    1,
 			Seed:      uint64(i),
+			Rounds:    128,
 		})
 	}
 }

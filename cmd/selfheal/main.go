@@ -13,6 +13,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"repro"
@@ -64,9 +65,13 @@ func realMain() error {
 	if err != nil {
 		return cli.WrapUsage(err)
 	}
-	newGraph, err := graphGen(*family, *n, *m)
+	newGraph, nodes, err := graphGen(*family, *n, *m)
 	if err != nil {
 		return cli.WrapUsage(err)
+	}
+	rounds, err := deletionRounds(*fraction, nodes)
+	if err != nil {
+		return err
 	}
 
 	res := repro.Run(repro.Config{
@@ -75,7 +80,7 @@ func realMain() error {
 		Healer:            healer,
 		Trials:            *trials,
 		Seed:              *seed,
-		DeleteFraction:    *fraction,
+		Rounds:            rounds,
 		StretchEvery:      *stretchEvery,
 		TrackConnectivity: true,
 	})
@@ -120,27 +125,32 @@ func realMain() error {
 		fmt.Printf("wrote healed topology to %s\n", *dotFile)
 	}
 	if *showTrace {
-		fmt.Println("trace:", runTraced(newGraph, healer, newAttack, *seed, *fraction))
+		fmt.Println("trace:", runTraced(newGraph, healer, newAttack, *seed, rounds))
 	}
 	return nil
 }
 
-// runTraced runs one extra trial with the event recorder attached,
-// verifies the trace replays to the live topology, and returns the event
-// summary.
+// deletionRounds turns -fraction into the deletion count per trial:
+// ceil(fraction · nodes). A fraction outside (0, 1] is a usage error.
+func deletionRounds(fraction float64, nodes int) (int, error) {
+	if !(fraction > 0 && fraction <= 1) {
+		return 0, cli.Usagef("-fraction %v is outside (0, 1]", fraction)
+	}
+	return int(math.Ceil(fraction * float64(nodes))), nil
+}
+
+// runTraced runs one extra trial of the given deletion count with the
+// event recorder attached, verifies the trace replays to the live
+// topology, and returns the event summary.
 func runTraced(newGraph func(*rng.RNG) *graph.Graph, healer repro.Healer,
-	newAttack func() repro.Strategy, seed uint64, fraction float64) string {
+	newAttack func() repro.Strategy, seed uint64, rounds int) string {
 	master := rng.New(seed)
 	initial := newGraph(master.Split())
 	s := core.NewState(initial.Clone(), master.Split())
 	rec := trace.Attach(s)
 	att := newAttack()
 	attR := master.Split()
-	limit := s.G.NumAlive()
-	if fraction > 0 && fraction < 1 {
-		limit = int(fraction * float64(limit))
-	}
-	for i := 0; i < limit && s.G.NumAlive() > 0; i++ {
+	for i := 0; i < rounds && s.G.NumAlive() > 0; i++ {
 		v := att.Next(s, attR)
 		if v == repro.NoTarget {
 			break
@@ -183,32 +193,28 @@ func writeDOT(path string, newGraph func(*rng.RNG) *graph.Graph, healer repro.He
 	})
 }
 
-// graphGen maps a family name to a per-trial generator.
-func graphGen(family string, n, m int) (func(*rng.RNG) *graph.Graph, error) {
+// graphGen maps a family name to a per-trial generator and the node
+// count every generated graph has (grid rounds n up to a square).
+func graphGen(family string, n, m int) (func(*rng.RNG) *graph.Graph, int, error) {
 	switch family {
 	case "ba":
-		return func(r *rng.RNG) *graph.Graph { return gen.BarabasiAlbert(n, m, r) }, nil
+		return func(r *rng.RNG) *graph.Graph { return gen.BarabasiAlbert(n, m, r) }, n, nil
 	case "tree":
-		return func(r *rng.RNG) *graph.Graph { return gen.RandomRecursiveTree(n, r) }, nil
+		return func(r *rng.RNG) *graph.Graph { return gen.RandomRecursiveTree(n, r) }, n, nil
 	case "ring":
-		return func(*rng.RNG) *graph.Graph { return gen.Ring(n) }, nil
+		return func(*rng.RNG) *graph.Graph { return gen.Ring(n) }, n, nil
 	case "line":
-		return func(*rng.RNG) *graph.Graph { return gen.Line(n) }, nil
+		return func(*rng.RNG) *graph.Graph { return gen.Line(n) }, n, nil
 	case "grid":
 		side := 1
 		for side*side < n {
 			side++
 		}
-		return func(*rng.RNG) *graph.Graph { return gen.Grid(side, side) }, nil
+		return func(*rng.RNG) *graph.Graph { return gen.Grid(side, side) }, side * side, nil
 	case "er":
 		p := 4.0 / float64(n) // sparse but connected-ish; planted tree keeps it connected
-		return func(r *rng.RNG) *graph.Graph { return gen.ConnectedErdosRenyi(n, p, r) }, nil
+		return func(r *rng.RNG) *graph.Graph { return gen.ConnectedErdosRenyi(n, p, r) }, n, nil
 	default:
-		return nil, fmt.Errorf("unknown graph family %q", family)
+		return nil, 0, fmt.Errorf("unknown graph family %q", family)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "selfheal:", err)
-	os.Exit(2)
 }

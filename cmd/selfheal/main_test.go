@@ -1,48 +1,72 @@
 package main
 
 import (
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro"
+	"repro/internal/cli"
 	"repro/internal/rng"
 )
 
 func TestGraphGenFamilies(t *testing.T) {
 	r := rng.New(1)
 	for _, family := range []string{"ba", "tree", "ring", "line", "grid", "er"} {
-		mk, err := graphGen(family, 30, 3)
+		mk, nodes, err := graphGen(family, 30, 3)
 		if err != nil {
 			t.Fatalf("%s: %v", family, err)
 		}
 		g := mk(r)
-		if g.NumAlive() < 30 {
-			t.Errorf("%s: %d nodes, want >= 30", family, g.NumAlive())
+		if g.NumAlive() < 30 || g.NumAlive() != nodes {
+			t.Errorf("%s: %d nodes, want >= 30 and the reported %d", family, g.NumAlive(), nodes)
 		}
 		if !g.Connected() {
 			t.Errorf("%s: generated graph disconnected", family)
 		}
 	}
-	if _, err := graphGen("nope", 10, 2); err == nil {
+	if _, _, err := graphGen("nope", 10, 2); err == nil {
 		t.Error("unknown family should error")
 	}
 }
 
 func TestGridRoundsUp(t *testing.T) {
-	mk, err := graphGen("grid", 10, 0)
+	mk, nodes, err := graphGen("grid", 10, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g := mk(rng.New(2)); g.NumAlive() != 16 {
-		t.Errorf("grid for n=10 should be 4x4=16 nodes, got %d", g.NumAlive())
+	if g := mk(rng.New(2)); g.NumAlive() != 16 || nodes != 16 {
+		t.Errorf("grid for n=10 should be 4x4=16 nodes, got %d (reported %d)", g.NumAlive(), nodes)
+	}
+	// -fraction counts the real nodes: half the grid is 8, not 5.
+	if rounds, err := deletionRounds(0.5, nodes); err != nil || rounds != 8 {
+		t.Errorf("deletionRounds(0.5, 16) = %d, %v; want 8", rounds, err)
+	}
+}
+
+// TestFractionOutOfRange: -fraction outside (0, 1] used to delete every
+// node silently; it is a usage error (exit 2) before anything runs.
+func TestFractionOutOfRange(t *testing.T) {
+	defer func(args []string, fs *flag.FlagSet) { os.Args, flag.CommandLine = args, fs }(os.Args, flag.CommandLine)
+	for _, f := range []string{"0", "-0.5", "1.5", "NaN"} {
+		flag.CommandLine = flag.NewFlagSet("selfheal", flag.ContinueOnError)
+		os.Args = []string{"selfheal", "-n", "16", "-trials", "1", "-fraction", f}
+		if code := cli.Code(realMain()); code != cli.ExitUsage {
+			t.Errorf("-fraction %s: exit %d, want %d", f, code, cli.ExitUsage)
+		}
+	}
+	for _, f := range []float64{0.25, 1} {
+		if _, err := deletionRounds(f, 16); err != nil {
+			t.Errorf("-fraction %v rejected: %v", f, err)
+		}
 	}
 }
 
 func TestWriteDOT(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "out.dot")
-	mk, err := graphGen("tree", 20, 0)
+	mk, _, err := graphGen("tree", 20, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +88,7 @@ func TestWriteDOT(t *testing.T) {
 
 func TestWriteDOTFullFractionSnapshotsAtHalf(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "out.dot")
-	mk, _ := graphGen("ring", 16, 0)
+	mk, _, _ := graphGen("ring", 16, 0)
 	if err := writeDOT(path, mk, repro.DASH, repro.MaxNode, 4, 1.0); err != nil {
 		t.Fatal(err)
 	}

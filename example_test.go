@@ -35,6 +35,7 @@ func ExampleRun() {
 		Healer:            repro.SDASH,
 		Trials:            5,
 		Seed:              3,
+		Rounds:            64,
 		TrackConnectivity: true,
 	})
 	allConnected := true

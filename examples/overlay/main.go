@@ -34,7 +34,7 @@ func main() {
 			Healer:            h,
 			Trials:            trial,
 			Seed:              7,
-			DeleteFraction:    0.5, // half the overlay is shot down
+			Rounds:            n / 2, // half the overlay is shot down
 			StretchEvery:      n / 10,
 			TrackConnectivity: true,
 		})

@@ -63,7 +63,7 @@ func TestRegistryDeterminismAcrossWorkers(t *testing.T) {
 					Healer:            h,
 					Trials:            4,
 					Seed:              23,
-					DeleteFraction:    0.5,
+					Rounds:            32,
 					StretchEvery:      8,
 					TrackConnectivity: true,
 					Workers:           workers,

@@ -17,16 +17,19 @@ import (
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/par"
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
 // Workers is the per-cell trial parallelism every experiment in this
-// package hands to sim.Config.Workers: 0 fans out across every CPU, 1
-// forces the serial path. Tables are bit-identical at any value — trial
-// seeds are pre-split in order and results merged by trial index (see
-// sim.ForEachTrial) — so this is purely a wall-clock knob (cmd/figures
+// package hands to its trial loop (sim.Config.Workers,
+// scenario.Config.Workers, or par.ForEachTrial directly): 0 fans out
+// across every CPU, 1 forces the serial path. Tables are bit-identical
+// at any value — trial seeds are pre-split in order and results merged
+// by trial index (see par.ForEachTrial) — so this is purely a
+// wall-clock knob (cmd/figures
 // exposes it as -workers). Set it before generating tables; it must not
 // be written while experiments are running.
 var Workers = 0
@@ -79,6 +82,7 @@ func Comparison(healers []core.Healer, newAttack func() attack.Strategy,
 				NewAttack: newAttack,
 				Healer:    h,
 				Trials:    trials,
+				Rounds:    n,
 				// Distinct deterministic seed per cell.
 				Seed:         seed + uint64(hi)*1_000_003 + uint64(ni)*7919,
 				StretchEvery: stretchEvery,
@@ -213,6 +217,7 @@ func Thm2(m int, depths []int, seed uint64) *stats.Table {
 				Healer:    h,
 				Trials:    1, // the attack and tree are deterministic
 				Seed:      seed,
+				Rounds:    n,
 				Workers:   Workers,
 			}
 			return sim.Run(cfg).Trials[0].PeakMaxDelta
@@ -239,6 +244,7 @@ func Thm1(sizes []int, trials int, seed uint64) *stats.Table {
 			Healer:    core.DASH{},
 			Trials:    trials,
 			Seed:      seed + uint64(ni)*104729,
+			Rounds:    n,
 			Workers:   Workers,
 		}
 		res := sim.Run(cfg)
@@ -283,6 +289,7 @@ func Ablation(sizes []int, trials int, seed uint64) *stats.Table {
 				Healer:    h,
 				Trials:    trials,
 				Seed:      seed + uint64(ni)*31 + uint64(hi)*7,
+				Rounds:    n,
 				Workers:   Workers,
 			}
 			row = append(row, sim.Run(cfg).PeakMaxDelta.Mean)
@@ -309,6 +316,7 @@ func SDASHBehaviour(sizes []int, trials int, seed uint64) *stats.Table {
 				Healer:       h,
 				Trials:       trials,
 				Seed:         seed + uint64(ni)*613,
+				Rounds:       n,
 				Workers:      Workers,
 				StretchEvery: stretchCadence([]int{n}),
 			}
@@ -343,7 +351,7 @@ func Batch(n int, batchSizes []int, trials int, seed uint64) *stats.Table {
 		peaks := make([]float64, trials)
 		conns := make([]bool, trials)
 		master := rng.New(seed + uint64(k))
-		sim.ForEachTrial(trials, master, Workers, func(trial int, tr *rng.RNG) {
+		par.ForEachTrial(trials, master, Workers, func(trial int, tr *rng.RNG) {
 			s := core.NewState(gen.BarabasiAlbert(n, BAEdges, tr.Split()), tr.Split())
 			att := tr.Split()
 			peak := 0

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/par"
 	"repro/internal/rng"
 	"repro/internal/scenario"
 	"repro/internal/sim"
@@ -24,16 +25,18 @@ func Topologies(n, trials int, seed uint64) *stats.Table {
 	if n < 16 {
 		n = 16
 	}
+	cube := log2floor(n)
 	families := []struct {
 		name string
+		n    int // the family's real node count
 		mk   func(r *rng.RNG) *graph.Graph
 	}{
-		{"BA", func(r *rng.RNG) *graph.Graph { return gen.BarabasiAlbert(n, BAEdges, r) }},
-		{"tree", func(r *rng.RNG) *graph.Graph { return gen.RandomRecursiveTree(n, r) }},
-		{"ring", func(*rng.RNG) *graph.Graph { return gen.Ring(n) }},
-		{"small-world", func(r *rng.RNG) *graph.Graph { return gen.WattsStrogatz(n, 4, 0.2, r) }},
-		{"4-regular", func(r *rng.RNG) *graph.Graph { return gen.RandomRegular(evenize(n), 4, r) }},
-		{"hypercube", func(*rng.RNG) *graph.Graph { return gen.Hypercube(log2floor(n)) }},
+		{"BA", n, func(r *rng.RNG) *graph.Graph { return gen.BarabasiAlbert(n, BAEdges, r) }},
+		{"tree", n, func(r *rng.RNG) *graph.Graph { return gen.RandomRecursiveTree(n, r) }},
+		{"ring", n, func(*rng.RNG) *graph.Graph { return gen.Ring(n) }},
+		{"small-world", n, func(r *rng.RNG) *graph.Graph { return gen.WattsStrogatz(n, 4, 0.2, r) }},
+		{"4-regular", evenize(n), func(r *rng.RNG) *graph.Graph { return gen.RandomRegular(evenize(n), 4, r) }},
+		{"hypercube", 1 << cube, func(*rng.RNG) *graph.Graph { return gen.Hypercube(cube) }},
 	}
 	t := &stats.Table{
 		Title:  "Topology independence: DASH peak δ under NeighborOfMax, across initial topologies",
@@ -46,6 +49,7 @@ func Topologies(n, trials int, seed uint64) *stats.Table {
 			Healer:            core.DASH{},
 			Trials:            trials,
 			Seed:              seed + uint64(fi)*101,
+			Rounds:            f.n,
 			Workers:           Workers,
 			TrackConnectivity: true,
 		}
@@ -95,6 +99,7 @@ func OracleAblation(sizes []int, trials int, seed uint64) *stats.Table {
 				Healer:    h,
 				Trials:    trials,
 				Seed:      seed + uint64(ni)*17,
+				Rounds:    n,
 				Workers:   Workers,
 			})
 		}
@@ -119,7 +124,7 @@ func Churn(n, steps, trials int, seed uint64) *stats.Table {
 		finals := make([]float64, trials)
 		conns := make([]bool, trials)
 		master := rng.New(seed + uint64(je))
-		sim.ForEachTrial(trials, master, Workers, func(trial int, tr *rng.RNG) {
+		par.ForEachTrial(trials, master, Workers, func(trial int, tr *rng.RNG) {
 			s := core.NewState(gen.BarabasiAlbert(n, BAEdges, tr.Split()), tr.Split())
 			attackR := tr.Split()
 			joinR := tr.Split()
@@ -217,28 +222,30 @@ func Latency(sizes []int, trials int, seed uint64) *stats.Table {
 		Header: []string{"n", "amortized depth", "worst wave", "log2(n)"},
 	}
 	for ni, n := range sizes {
-		amortized := make([]float64, trials)
-		worsts := make([]float64, trials)
-		master := rng.New(seed + uint64(ni)*7)
-		sim.ForEachTrial(trials, master, Workers, func(trial int, tr *rng.RNG) {
-			s := core.NewState(gen.BarabasiAlbert(n, BAEdges, tr.Split()), tr.Split())
-			att := attack.NeighborOfMax{}
-			attR := tr.Split()
-			for s.G.NumAlive() > 0 {
-				v := att.Next(s, attR)
-				if v == attack.NoTarget {
-					break
-				}
-				s.DeleteAndHeal(v, core.DASH{})
-			}
-			amortized[trial] = s.AmortizedFloodDepth()
-			worsts[trial] = float64(s.MaxFloodDepth())
+		// Observe hands over each trial's state before its first
+		// round; the flood depths are read once every trial is done.
+		states := make([]*core.State, max(trials, 1))
+		_, err := scenario.Run(scenario.Config{
+			NewGraph: BAGraph(n),
+			Schedule: scenario.Schedule{Name: "attrition", Phases: []scenario.Phase{scenario.Attrition(n)}},
+			Healer:   core.DASH{},
+			NewVictim: func() scenario.VictimPolicy {
+				return scenario.FromAttack{S: attack.NeighborOfMax{}}
+			},
+			Trials:       trials,
+			Seed:         seed + uint64(ni)*7,
+			Workers:      Workers,
+			MeasureEvery: -1,
+			Observe:      func(i int, s *core.State) { states[i] = s },
 		})
+		if err != nil {
+			panic(err) // the schedule is one valid Attrition phase
+		}
+		amortized := make([]float64, len(states))
 		worst := 0.0
-		for _, w := range worsts {
-			if w > worst {
-				worst = w
-			}
+		for i, s := range states {
+			amortized[i] = s.AmortizedFloodDepth()
+			worst = max(worst, float64(s.MaxFloodDepth()))
 		}
 		t.AddRow(n, stats.Mean(amortized), worst, math.Log2(float64(n)))
 	}
@@ -268,6 +275,7 @@ func CutVertexStress(sizes []int, trials int, seed uint64) *stats.Table {
 				Healer:            h,
 				Trials:            trials,
 				Seed:              seed + uint64(ni)*13 + uint64(hi),
+				Rounds:            n,
 				Workers:           Workers,
 				TrackConnectivity: true,
 			})

@@ -74,7 +74,7 @@ func headToHeadCell(n, trials int, seed uint64, h core.Healer, mk func() attack.
 		Healer:            h,
 		Trials:            trials,
 		Seed:              seed,
-		DeleteFraction:    0.5,
+		Rounds:            (n + 1) / 2,
 		StretchEvery:      max(1, n/16),
 		TrackConnectivity: true,
 		Workers:           Workers,

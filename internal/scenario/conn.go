@@ -44,10 +44,10 @@ import "repro/internal/graph"
 // Insertions keep connectivity whenever the newcomer attaches to at
 // least one alive node; they are checked immediately (no search needed).
 //
-// Once a disconnection is observed the tracker latches: like
-// sim.Trial.AlwaysConnected, it reports whether the network has remained
-// connected at every (observed) step, so later re-merges do not reset
-// it, and no further search work is done.
+// Once a disconnection is observed the tracker latches: it reports
+// whether the network has remained connected at every (observed) step
+// (TrialResult.AlwaysConnected, and through it sim.Trial's), so later
+// re-merges do not reset it, and no further search work is done.
 type ConnTracker struct {
 	ok         bool
 	firstBreak int // event index of the first observed disconnection, -1

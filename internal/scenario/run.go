@@ -9,8 +9,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/metrics"
+	"repro/internal/par"
 	"repro/internal/rng"
-	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -146,9 +146,9 @@ type Config struct {
 	Healer core.Healer
 	// NewVictim builds the per-trial deletion policy; nil means Uniform.
 	NewVictim func() VictimPolicy
-	// Trials, Seed, Workers follow sim.Config: trial RNGs are pre-split
-	// from Seed in trial order, so results are bit-identical at any
-	// worker count.
+	// Trials, Seed, Workers: trial RNGs are pre-split from Seed in trial
+	// order (par.ForEachTrial), so results are bit-identical at any
+	// worker count; Workers <= 0 uses every CPU.
 	Trials  int
 	Seed    uint64
 	Workers int
@@ -224,11 +224,12 @@ type TrialResult struct {
 	N      int // initial alive nodes
 	Events int // events executed (including quiet ones)
 
-	Deletes    int // single deletions performed
-	Inserts    int // nodes joined
-	BatchKills int // batch-kill events performed
-	Killed     int // nodes removed by batch kills
-	EdgesAdded int // healing edges added to G
+	Deletes      int // single deletions performed
+	Surrogations int // single deletions SDASH healed with a star
+	Inserts      int // nodes joined
+	BatchKills   int // batch-kill events performed
+	Killed       int // nodes removed by batch kills
+	EdgesAdded   int // healing edges added to G
 
 	PeakDelta  int
 	FinalAlive int
@@ -299,7 +300,7 @@ func Run(cfg Config) (Result, error) {
 		Trials:     make([]TrialResult, trials),
 	}
 	master := rng.New(cfg.Seed)
-	sim.ForEachTrial(trials, master, cfg.Workers, func(i int, tr *rng.RNG) {
+	par.ForEachTrial(trials, master, cfg.Workers, func(i int, tr *rng.RNG) {
 		res.Trials[i] = trial(cfg, events, newVictim(), i, tr)
 	})
 	agg := func(f func(TrialResult) float64) stats.Summary {
@@ -337,9 +338,7 @@ type trialRun struct {
 
 	// scratch
 	nbrScratch []int
-	ballSeen   []int32
-	ballEpoch  int32
-	ballQueue  []int32
+	ball       graph.BallScratch
 }
 
 // newTrialRun builds one trial's state from its pre-split generator.
@@ -430,6 +429,9 @@ func (t *trialRun) doDelete(event int) {
 		t.cfg.ObserveLatency(time.Since(start))
 	}
 	t.res.Deletes++
+	if hr.Surrogated {
+		t.res.Surrogations++
+	}
 	t.res.EdgesAdded += len(hr.Added)
 	t.res.PeakDelta = t.s.PeakDeltaEdges(t.res.PeakDelta, hr.Added)
 	t.noteHeal(hr.Added)
@@ -489,49 +491,27 @@ func (t *trialRun) doBatchKill(event, size int) {
 // sampleBall collects up to size alive nodes forming a BFS ball around a
 // random epicenter — the correlated-failure shape of a rack or region
 // going down. If the epicenter's component is smaller than size, the
-// whole component dies. It is graph.BFSBall with epoch-stamped reusable
-// scratch (this runs once per disaster event on 10⁵–10⁶-node graphs);
-// any change to ball semantics must land in both.
+// whole component dies.
 func (t *trialRun) sampleBall(size int) []int {
-	if size > t.alive.Len() {
-		size = t.alive.Len()
-	}
-	center := t.alive.Random(t.opR)
-	for len(t.ballSeen) < t.s.G.N() {
-		t.ballSeen = append(t.ballSeen, 0)
-	}
-	t.ballEpoch++
-	t.ballSeen[center] = t.ballEpoch
-	t.ballQueue = append(t.ballQueue[:0], int32(center))
-	ball := make([]int, 0, size)
-	for head := 0; head < len(t.ballQueue) && len(ball) < size; head++ {
-		v := int(t.ballQueue[head])
-		ball = append(ball, v)
-		for _, u := range t.s.G.Neighbors(v) {
-			if t.ballSeen[u] != t.ballEpoch {
-				t.ballSeen[u] = t.ballEpoch
-				t.ballQueue = append(t.ballQueue, u)
-			}
-		}
-	}
-	return ball
+	return t.s.G.BFSBall(&t.ball, t.alive.Random(t.opR), size)
 }
 
 // batchBoundary returns the distinct alive G neighbors of the batch that
 // are outside it — the witnesses ConnTracker.AfterBatch checks. It must
-// use a fresh epoch: sampleBall's BFS stamped every *enqueued* neighbor
-// of the ball, not just its members, so reusing that epoch would make
-// every boundary node look like a batch member and return nothing.
+// start from fresh marks: sampleBall's BFS marked every *enqueued*
+// neighbor of the ball, not just its members, so reusing those marks
+// would make every boundary node look like a batch member and return
+// nothing.
 func (t *trialRun) batchBoundary(batch []int) []int {
-	t.ballEpoch++
+	m := &t.ball.Marks
+	m.Reset(t.s.G.N())
 	for _, v := range batch {
-		t.ballSeen[v] = t.ballEpoch
+		m.Mark(v)
 	}
 	var out []int
 	for _, v := range batch {
 		for _, u := range t.s.G.Neighbors(v) {
-			if t.ballSeen[u] != t.ballEpoch {
-				t.ballSeen[u] = t.ballEpoch
+			if m.Mark(int(u)) {
 				out = append(out, int(u))
 			}
 		}

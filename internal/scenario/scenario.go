@@ -6,11 +6,13 @@
 // experiment harness's deterministic worker pool.
 //
 // The paper's own workload is one deletion per round until the graph is
-// empty; the broader self-healing literature (Trehan, arXiv:1305.4675;
-// Hayashi et al., arXiv:2008.00651) treats interleaved arrivals,
-// departures, and disaster-style correlated failures as the real world.
-// This package opens those workloads at sizes (10⁵–10⁶ nodes) the exact
-// harness cannot reach, which forces three design rules:
+// empty: a one-phase Attrition schedule, which is how internal/sim runs
+// every §4.1 trial on this package's loop. The broader self-healing
+// literature (Trehan, arXiv:1305.4675; Hayashi et al., arXiv:2008.00651)
+// treats interleaved arrivals, departures, and disaster-style
+// correlated failures as the real world. This package opens those
+// workloads at sizes (10⁵–10⁶ nodes) that exact per-round metrics
+// cannot reach, which forces three design rules:
 //
 //   - per-event work must be output-sensitive: victims are drawn from an
 //     incrementally maintained alive-set (O(1) per uniform pick), peak δ
@@ -26,8 +28,8 @@
 //   - schedules compile to event streams with no randomness, so the
 //     stream is one fixed program; all randomness (victims, attach
 //     targets, disaster epicenters) comes from per-trial generators
-//     pre-split in trial order, making every Result bit-identical at any
-//     Config.Workers (same contract as sim.Run).
+//     pre-split in trial order (par.ForEachTrial), making every Result
+//     bit-identical at any Config.Workers.
 package scenario
 
 import "fmt"

@@ -3,7 +3,6 @@ package scenario
 import (
 	"math"
 	"reflect"
-	"slices"
 	"testing"
 
 	"repro/internal/attack"
@@ -478,40 +477,6 @@ func TestAliveSet(t *testing.T) {
 	}
 	if len(seen) != a.Len() {
 		t.Fatalf("uniform sampling over 200 draws hit %d of %d members", len(seen), a.Len())
-	}
-}
-
-// TestSampleBallMatchesBFSBall pins trialRun.sampleBall, the scratch-
-// reusing ball sampler of disaster events, to graph.BFSBall: for random
-// epicenters and sizes it must return the same nodes in the same order.
-// The graphs cover dead slots left by healed deletions, components
-// smaller than the requested size, and sizes past the alive count.
-func TestSampleBallMatchesBFSBall(t *testing.T) {
-	graphs := map[string]func(*rng.RNG) *graph.Graph{
-		"BA":         func(r *rng.RNG) *graph.Graph { return gen.BarabasiAlbert(300, 3, r) },
-		"sparse-ER":  func(r *rng.RNG) *graph.Graph { return gen.ErdosRenyi(300, 0.006, r) },
-		"small-ring": func(*rng.RNG) *graph.Graph { return gen.Ring(12) },
-	}
-	for name, newGraph := range graphs {
-		t.Run(name, func(t *testing.T) {
-			cfg := Config{NewGraph: newGraph, Healer: core.DASH{}, MeasureEvery: -1}
-			run := newTrialRun(cfg, nil, Uniform{}, 0, rng.New(5))
-			r := rng.New(9)
-			for i := 0; i < 300 && run.alive.Len() > 1; i++ {
-				if i%7 == 3 {
-					v := run.alive.Random(r)
-					run.alive.Remove(v)
-					run.s.DeleteAndHeal(v, run.healer)
-				}
-				size := r.Intn(run.alive.Len() + 8)
-				probe := *run.opR // sampleBall draws its epicenter from opR
-				center := run.alive.Random(&probe)
-				got := run.sampleBall(size)
-				if want := run.s.G.BFSBall(center, size); !slices.Equal(got, want) {
-					t.Fatalf("draw %d: sampleBall(%d) around %d = %v, BFSBall = %v", i, size, center, got, want)
-				}
-			}
-		})
 	}
 }
 

@@ -47,11 +47,14 @@ func runTrialSharded(cfg Config, events []Event, victim VictimPolicy, trial int,
 	ss := core.NewShardedState(t.s, cfg.Shards)
 	sched := core.NewShardScheduler(ss, cfg.Healer, cfg.CommitWorkers)
 
-	var edgesAdded atomic.Int64
+	var edgesAdded, surrogations atomic.Int64
 	observe := cfg.ObserveLatency
 	onDone := func(tk *core.ShardTicket) {
 		if tk.Kill {
 			edgesAdded.Add(int64(len(tk.HR.Added)))
+			if tk.HR.Surrogated {
+				surrogations.Add(1)
+			}
 		}
 		if observe != nil {
 			observe(time.Since(tk.Start))
@@ -108,5 +111,6 @@ func runTrialSharded(cfg Config, events []Event, victim VictimPolicy, trial int,
 	sched.Close()
 	foldPeak()
 	t.res.EdgesAdded += int(edgesAdded.Load())
+	t.res.Surrogations += int(surrogations.Load())
 	return t.finish()
 }

@@ -1,44 +1,23 @@
-// Package sim is the sequential experiment engine: it drives the paper's
-// methodology (§4.1) — repeat over random graph instances: delete one
-// node per round according to an attack strategy, heal, measure — and
-// aggregates per-trial statistics.
+// Package sim is the paper's experiment methodology (§4.1) as a
+// facade: repeat over random graph instances — delete one node per round
+// according to an attack strategy, heal, measure — and aggregate the
+// per-trial statistics. The rounds run on internal/scenario's trial
+// loop as a one-phase Attrition schedule; sim only translates its
+// Config into a scenario.Config and folds each trial's result and final
+// state into a Trial.
 package sim
 
 import (
 	"fmt"
 	"math"
-	"runtime"
 
 	"repro/internal/attack"
 	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/metrics"
-	"repro/internal/par"
 	"repro/internal/rng"
+	"repro/internal/scenario"
 	"repro/internal/stats"
 )
-
-// ForEachTrial runs body(i, tr) for trials 0..trials-1, fanning out
-// across a worker pool. Determinism is preserved at any parallelism: the
-// per-trial generators are split from master serially, in trial order,
-// before any worker starts, and each body invocation owns trial i alone —
-// callers store outputs by index, so merged results match the serial run
-// bit for bit. workers <= 0 uses every CPU; 1 runs inline.
-func ForEachTrial(trials int, master *rng.RNG, workers int, body func(i int, tr *rng.RNG)) {
-	rngs := make([]*rng.RNG, trials)
-	for i := range rngs {
-		rngs[i] = master.Split()
-	}
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers > trials {
-		workers = trials
-	}
-	par.Do(trials, workers, func(_, i int) {
-		body(i, rngs[i])
-	})
-}
 
 // Config describes one experiment cell: a graph family, an adversary, a
 // healer, and the measurement plan.
@@ -57,21 +36,17 @@ type Config struct {
 	Trials int
 	// Seed makes the whole experiment reproducible.
 	Seed uint64
-	// DeleteFraction stops a trial after this fraction of the initial
-	// nodes has been deleted; values outside (0,1] mean "delete all".
-	DeleteFraction float64
+	// Rounds is the number of deletions per trial (>= 1); the graph's
+	// node count deletes everything. A trial ends early when the
+	// adversary returns attack.NoTarget, as every adversary in
+	// internal/attack does on an empty graph.
+	Rounds int
 	// StretchEvery measures stretch every k rounds (plus once at the
 	// end); 0 disables stretch measurement entirely.
 	StretchEvery int
 	// TrackConnectivity verifies the surviving graph stays connected
-	// after every round (cheap enough for experiment sizes).
+	// after every round (incrementally, through scenario.ConnTracker).
 	TrackConnectivity bool
-	// VerifyInvariants runs core.State.Verify after every round and
-	// records the first violation in the trial. GpCyclesOK exempts the
-	// forest check for strategies (GraphHeal) that break it by design.
-	VerifyInvariants bool
-	// GpCyclesOK allows G' cycles during invariant verification.
-	GpCyclesOK bool
 	// Workers is the number of concurrent trial workers: 0 uses every
 	// CPU, 1 forces the serial path. Results are bit-identical at any
 	// worker count: each trial's RNG is pre-split from the master seed in
@@ -92,7 +67,6 @@ type Trial struct {
 	Surrogations    int     // SDASH star reconnections
 	EdgesAdded      int     // total healing edges added to G
 	AlwaysConnected bool    // whether the surviving graph stayed connected
-	InvariantError  string  // first core invariant violation ("" when clean)
 }
 
 // Result aggregates a full experiment cell.
@@ -113,17 +87,52 @@ func Run(cfg Config) Result {
 	if cfg.NewGraph == nil || cfg.NewAttack == nil || cfg.Healer == nil {
 		panic("sim: Config needs NewGraph, NewAttack and Healer")
 	}
-	trials := cfg.Trials
-	if trials <= 0 {
-		trials = 1
+	if cfg.Rounds < 1 {
+		panic(fmt.Sprintf("sim: Config.Rounds = %d, need at least one deletion", cfg.Rounds))
 	}
-	res := Result{HealerName: cfg.Healer.Name()}
-	master := rng.New(cfg.Seed)
-	res.Trials = make([]Trial, trials)
-	ForEachTrial(trials, master, cfg.Workers, func(i int, tr *rng.RNG) {
-		res.Trials[i] = runTrial(cfg, tr)
+	measureEvery := cfg.StretchEvery
+	if measureEvery == 0 {
+		measureEvery = -1
+	}
+	// Observe runs once per trial, before its first round; the states
+	// are read once every trial has finished.
+	states := make([]*core.State, max(cfg.Trials, 1))
+	sr, err := scenario.Run(scenario.Config{
+		NewGraph: cfg.NewGraph,
+		Schedule: scenario.Schedule{Name: "attrition", Phases: []scenario.Phase{scenario.Attrition(cfg.Rounds)}},
+		Healer:   cfg.Healer,
+		NewVictim: func() scenario.VictimPolicy {
+			return scenario.FromAttack{S: cfg.NewAttack()}
+		},
+		Trials:       cfg.Trials,
+		Seed:         cfg.Seed,
+		Workers:      cfg.Workers,
+		MeasureEvery: measureEvery,
+		// Exact stretch at every size: the figures' cells are small.
+		SampleThreshold:   math.MaxInt,
+		TrackConnectivity: cfg.TrackConnectivity,
+		Observe:           func(i int, s *core.State) { states[i] = s },
 	})
-	res.AttackName = cfg.NewAttack().Name()
+	if err != nil {
+		panic("sim: " + err.Error())
+	}
+	res := Result{HealerName: sr.HealerName, AttackName: sr.VictimName, Trials: make([]Trial, len(sr.Trials))}
+	for i, t := range sr.Trials {
+		s := states[i]
+		res.Trials[i] = Trial{
+			N:               t.N,
+			Rounds:          t.Deletes,
+			PeakMaxDelta:    t.PeakDelta,
+			FinalMaxDelta:   s.MaxDelta(),
+			MaxIDChanges:    s.MaxIDChanges(),
+			MaxMessages:     s.MaxMessages(),
+			MaxStretch:      t.MaxStretch,
+			MeanStretch:     t.MeanStretch,
+			Surrogations:    t.Surrogations,
+			EdgesAdded:      t.EdgesAdded,
+			AlwaysConnected: t.AlwaysConnected,
+		}
+	}
 	agg := func(f func(Trial) float64) stats.Summary {
 		xs := make([]float64, len(res.Trials))
 		for i, t := range res.Trials {
@@ -137,69 +146,6 @@ func Run(cfg Config) Result {
 	res.MaxStretch = agg(func(t Trial) float64 { return t.MaxStretch })
 	res.EdgesAdded = agg(func(t Trial) float64 { return float64(t.EdgesAdded) })
 	return res
-}
-
-func runTrial(cfg Config, tr *rng.RNG) Trial {
-	graphR := tr.Split()
-	stateR := tr.Split()
-	attackR := tr.Split()
-
-	g := cfg.NewGraph(graphR)
-	n := g.NumAlive()
-	s := core.NewState(g, stateR)
-	att := cfg.NewAttack()
-	healer := core.InstanceFor(cfg.Healer)
-
-	var stretch *metrics.Stretch
-	if cfg.StretchEvery > 0 {
-		stretch = metrics.NewStretch(s.G)
-	}
-
-	limit := n
-	if cfg.DeleteFraction > 0 && cfg.DeleteFraction < 1 {
-		limit = int(math.Ceil(cfg.DeleteFraction * float64(n)))
-	}
-
-	trial := Trial{N: n, AlwaysConnected: true, MaxStretch: 1, MeanStretch: 1}
-	measure := func() {
-		if stretch == nil || s.G.NumAlive() < 2 {
-			return
-		}
-		r := stretch.Measure(s.G)
-		if r.Max > trial.MaxStretch {
-			trial.MaxStretch = r.Max
-			trial.MeanStretch = r.Mean
-		}
-	}
-	for trial.Rounds < limit && s.G.NumAlive() > 0 {
-		v := att.Next(s, attackR)
-		if v == attack.NoTarget {
-			break
-		}
-		hr := s.DeleteAndHeal(v, healer)
-		trial.Rounds++
-		trial.EdgesAdded += len(hr.Added)
-		if hr.Surrogated {
-			trial.Surrogations++
-		}
-		trial.PeakMaxDelta = s.PeakDeltaEdges(trial.PeakMaxDelta, hr.Added)
-		if cfg.TrackConnectivity && !s.G.Connected() {
-			trial.AlwaysConnected = false
-		}
-		if cfg.VerifyInvariants && trial.InvariantError == "" {
-			if err := s.Verify(cfg.GpCyclesOK); err != nil {
-				trial.InvariantError = err.Error()
-			}
-		}
-		if cfg.StretchEvery > 0 && trial.Rounds%cfg.StretchEvery == 0 {
-			measure()
-		}
-	}
-	measure()
-	trial.FinalMaxDelta = s.MaxDelta()
-	trial.MaxIDChanges = s.MaxIDChanges()
-	trial.MaxMessages = s.MaxMessages()
-	return trial
 }
 
 // String renders a one-line summary of the aggregate, for quick logging.

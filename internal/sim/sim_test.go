@@ -19,6 +19,7 @@ func baseConfig() Config {
 		Healer:            core.DASH{},
 		Trials:            3,
 		Seed:              1,
+		Rounds:            50,
 		TrackConnectivity: true,
 	}
 }
@@ -82,13 +83,14 @@ func TestRunSeedsDiffer(t *testing.T) {
 	}
 }
 
+// TestDeleteFraction deletes half the nodes: Rounds caps the trial.
 func TestDeleteFraction(t *testing.T) {
 	cfg := baseConfig()
-	cfg.DeleteFraction = 0.5
+	cfg.Rounds = 25
 	res := Run(cfg)
 	for _, tr := range res.Trials {
 		if tr.Rounds != 25 {
-			t.Errorf("rounds = %d, want 25 with fraction 0.5", tr.Rounds)
+			t.Errorf("rounds = %d, want 25 of 50", tr.Rounds)
 		}
 	}
 }
@@ -140,6 +142,7 @@ func TestLevelAttackThroughSim(t *testing.T) {
 		Healer:    baseline.LineHeal{},
 		Trials:    2,
 		Seed:      9,
+		Rounds:    tr.G.N(),
 	}
 	res := Run(cfg)
 	for _, trial := range res.Trials {
@@ -149,32 +152,72 @@ func TestLevelAttackThroughSim(t *testing.T) {
 	}
 }
 
-func TestVerifyInvariantsFlag(t *testing.T) {
+// verifyingAttack wraps an adversary and runs core.State.Verify before
+// every pick, so each round's heal is checked before the next deletion;
+// the test verifies the final state itself.
+type verifyingAttack struct {
+	attack.Strategy
+	gpCyclesOK bool
+	s          *core.State
+	err        error
+}
+
+func (a *verifyingAttack) Next(s *core.State, r *rng.RNG) int {
+	a.s = s
+	if a.err == nil {
+		a.err = s.Verify(a.gpCyclesOK)
+	}
+	return a.Strategy.Next(s, r)
+}
+
+// invariantErrors runs cfg with every adversary wrapped in a
+// verifyingAttack and returns the first violation of each trial.
+func invariantErrors(cfg Config, gpCyclesOK bool) []error {
+	var atts []*verifyingAttack
+	newAttack := cfg.NewAttack
+	cfg.NewAttack = func() attack.Strategy {
+		a := &verifyingAttack{Strategy: newAttack(), gpCyclesOK: gpCyclesOK}
+		atts = append(atts, a)
+		return a
+	}
+	cfg.Workers = 1 // NewAttack appends to atts
+	Run(cfg)
+	var errs []error
+	for _, a := range atts {
+		if a.s == nil {
+			continue // the instance Run builds only to read the name
+		}
+		if a.err == nil {
+			a.err = a.s.Verify(gpCyclesOK)
+		}
+		errs = append(errs, a.err)
+	}
+	return errs
+}
+
+// TestInvariantsHoldEveryRound checks core's invariants after every
+// round: DASH keeps them all, GraphHeal keeps them once G' cycles are
+// exempt, and without the exemption GraphHeal is caught.
+func TestInvariantsHoldEveryRound(t *testing.T) {
 	cfg := baseConfig()
-	cfg.VerifyInvariants = true
-	res := Run(cfg)
-	for i, tr := range res.Trials {
-		if tr.InvariantError != "" {
-			t.Errorf("trial %d: %s", i, tr.InvariantError)
+	errs := invariantErrors(cfg, false)
+	if len(errs) != cfg.Trials {
+		t.Fatalf("checked %d trials, want %d", len(errs), cfg.Trials)
+	}
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("trial %d: %v", i, err)
 		}
 	}
-	// GraphHeal needs the cycle exemption and then also passes.
 	cfg.Healer = baseline.GraphHeal{}
-	cfg.GpCyclesOK = true
-	res = Run(cfg)
-	for i, tr := range res.Trials {
-		if tr.InvariantError != "" {
-			t.Errorf("GraphHeal trial %d: %s", i, tr.InvariantError)
+	for i, err := range invariantErrors(cfg, true) {
+		if err != nil {
+			t.Errorf("GraphHeal trial %d: %v", i, err)
 		}
 	}
-	// Without the exemption GraphHeal is caught.
-	cfg.GpCyclesOK = false
-	res = Run(cfg)
 	caught := false
-	for _, tr := range res.Trials {
-		if tr.InvariantError != "" {
-			caught = true
-		}
+	for _, err := range invariantErrors(cfg, false) {
+		caught = caught || err != nil
 	}
 	if !caught {
 		t.Error("GraphHeal should trip the forest invariant")
@@ -182,12 +225,21 @@ func TestVerifyInvariantsFlag(t *testing.T) {
 }
 
 func TestRunPanicsOnBadConfig(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("missing healer should panic")
-		}
-	}()
-	Run(Config{NewGraph: func(*rng.RNG) *graph.Graph { return graph.New(1) }})
+	noRounds := baseConfig()
+	noRounds.Rounds = 0
+	for name, cfg := range map[string]Config{
+		"missing healer": {NewGraph: func(*rng.RNG) *graph.Graph { return graph.New(1) }},
+		"zero rounds":    noRounds,
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s should panic", name)
+				}
+			}()
+			Run(cfg)
+		}()
+	}
 }
 
 // TestAttackExhaustsEarly is the NoTarget regression test: an adversary
@@ -201,8 +253,8 @@ func TestAttackExhaustsEarly(t *testing.T) {
 		Healer:    core.DASH{},
 		Trials:    3,
 		Seed:      99,
-		// DeleteFraction outside (0,1]: delete everything — except the
-		// attack gives up first.
+		// Delete everything — except the attack gives up first.
+		Rounds:            40,
 		TrackConnectivity: true,
 	}
 	res := Run(cfg)

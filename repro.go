@@ -29,11 +29,17 @@
 //	                     edges, bounding degree increase AND stretch
 //	internal/attack      MaxNode, NeighborOfMax, Random, MinNode, LEVELATTACK
 //	internal/gen         Barabási–Albert, k-ary trees, and other topologies
-//	internal/sim         the delete→heal→measure experiment loop; trials
-//	                     fan out across Config.Workers goroutines with
-//	                     per-trial seeds pre-split in trial order, so
-//	                     aggregate tables are bit-identical to a serial
-//	                     run at any worker count
+//	internal/scenario    the one trial loop: compiled event schedules
+//	                     (deletions, joins, batch kills) driven through
+//	                     any healer, with incremental connectivity and
+//	                     peak-δ accounting; trials fan out across
+//	                     Config.Workers goroutines (par.ForEachTrial)
+//	                     with per-trial seeds pre-split in trial order,
+//	                     so results are bit-identical to a serial run
+//	                     at any worker count
+//	internal/sim         the paper's delete→heal→measure method (§4.1)
+//	                     as a one-phase Attrition schedule on scenario's
+//	                     loop, folded into per-trial Trial records
 //	internal/metrics     stretch and degree statistics; one stretch read
 //	                     (AutoStretch.Checkpoint) measures stretch and
 //	                     estimates the diameter in a single traversal
@@ -202,7 +208,7 @@ func Run(cfg Config) Result { return sim.Run(cfg) }
 // BAGen returns a Config-compatible per-trial generator for
 // Barabási–Albert graphs, so facade users never touch the internal RNG:
 //
-//	repro.Run(repro.Config{NewGraph: repro.BAGen(256, 3), ...})
+//	repro.Run(repro.Config{NewGraph: repro.BAGen(256, 3), Rounds: 256, ...})
 func BAGen(n, m int) func(*rng.RNG) *Graph {
 	return func(r *rng.RNG) *Graph { return gen.BarabasiAlbert(n, m, r) }
 }

@@ -86,6 +86,7 @@ func TestRunFacade(t *testing.T) {
 		Healer:            DASH,
 		Trials:            3,
 		Seed:              5,
+		Rounds:            64,
 		TrackConnectivity: true,
 	})
 	if len(res.Trials) != 3 {
