@@ -213,13 +213,13 @@ func runChaosMode(n int, seed uint64, healName string,
 func runBatchMode(w io.Writer, seq *core.State, nw *dist.Network, att attack.Strategy,
 	attR *rng.RNG, batchSize, every int, verify bool) bool {
 	diverged := false
-	var sc graph.BallScratch
+	var marks graph.Marks
 	for round := 1; seq.G.NumAlive() > 0; round++ {
 		center := att.Next(seq, attR)
 		if center == attack.NoTarget {
 			break
 		}
-		ball := seq.G.BFSBall(&sc, center, batchSize)
+		ball := seq.G.BFSBall(&marks, center, batchSize)
 		seq.DeleteBatchAndHeal(ball)
 		nw.KillBatch(ball)
 

@@ -24,7 +24,7 @@ func TestRestoreResumesDecisionIdentically(t *testing.T) {
 				alive := st.G.AliveNodes()
 				st.Join([]int{alive[r.Intn(len(alive))]}, r)
 			case 1:
-				ball := st.G.BFSBall(new(graph.BallScratch), st.G.AliveNodes()[r.Intn(st.G.NumAlive())], 4)
+				ball := st.G.BFSBall(new(graph.Marks), st.G.AliveNodes()[r.Intn(st.G.NumAlive())], 4)
 				st.DeleteBatchAndHeal(ball)
 			default:
 				st.DeleteAndHeal(st.G.AliveNodes()[r.Intn(st.G.NumAlive())], DASH{})

@@ -346,35 +346,27 @@ func (m *Marks) Mark(v int) bool {
 	return true
 }
 
-// BallScratch is the caller-owned scratch of BFSBall.
-type BallScratch struct {
-	Marks
-	queue []int32
-}
-
 // BFSBall returns up to size alive nodes forming a breadth-first ball
 // around center, center first — the correlated-failure shape of a rack
 // or region going down. If center's component is smaller than size the
 // whole component is returned; a dead or out-of-range center gives nil.
-// sc holds the visit marks and queue between calls; every ball in the
-// repository comes from this walk, so the ball semantics cannot drift
-// apart. The walk leaves sc's marks set on
-// every node it enqueued — the ball and its frontier — so a caller that
-// reuses sc.Marks afterwards must Reset it first.
-func (g *Graph) BFSBall(sc *BallScratch, center, size int) []int {
+// m is the caller's reusable visited set; every ball in the repository
+// comes from this walk, so the ball semantics cannot drift apart.
+func (g *Graph) BFSBall(m *Marks, center, size int) []int {
 	if size <= 0 || !g.Alive(center) {
 		return nil
 	}
-	sc.Reset(g.N())
-	sc.Mark(center)
-	sc.queue = append(sc.queue[:0], int32(center))
-	ball := make([]int, 0, min(size, g.NumAlive()))
-	for head := 0; head < len(sc.queue) && len(ball) < size; head++ {
-		v := sc.queue[head]
-		ball = append(ball, int(v))
-		for _, u := range g.adj[v] {
-			if sc.Mark(int(u)) {
-				sc.queue = append(sc.queue, u)
+	m.Reset(g.N())
+	m.Mark(center)
+	ball := make([]int, 1, min(size, g.NumAlive()))
+	ball[0] = center
+	for head := 0; head < len(ball) && len(ball) < size; head++ {
+		for _, u := range g.adj[ball[head]] {
+			if m.Mark(int(u)) {
+				ball = append(ball, int(u))
+				if len(ball) == size {
+					break
+				}
 			}
 		}
 	}

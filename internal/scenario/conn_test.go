@@ -183,7 +183,7 @@ func BenchmarkConnTracker(b *testing.B) {
 	})
 	b.Run("ball", func(b *testing.B) {
 		s := fresh()
-		ball := s.G.BFSBall(new(graph.BallScratch), 0, 128)
+		ball := s.G.BFSBall(new(graph.Marks), 0, 128)
 		// The ball's neighbor lists, members and repeats included:
 		// the tracker skips dead and duplicate witnesses itself.
 		var witnesses []int

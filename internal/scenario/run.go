@@ -338,7 +338,7 @@ type trialRun struct {
 
 	// scratch
 	nbrScratch []int
-	ball       graph.BallScratch
+	marks      graph.Marks // ball walks and batch boundaries
 }
 
 // newTrialRun builds one trial's state from its pre-split generator.
@@ -493,17 +493,17 @@ func (t *trialRun) doBatchKill(event, size int) {
 // going down. If the epicenter's component is smaller than size, the
 // whole component dies.
 func (t *trialRun) sampleBall(size int) []int {
-	return t.s.G.BFSBall(&t.ball, t.alive.Random(t.opR), size)
+	return t.s.G.BFSBall(&t.marks, t.alive.Random(t.opR), size)
 }
 
 // batchBoundary returns the distinct alive G neighbors of the batch that
-// are outside it — the witnesses ConnTracker.AfterBatch checks. It must
-// start from fresh marks: sampleBall's BFS marked every *enqueued*
-// neighbor of the ball, not just its members, so reusing those marks
+// are outside it — the witnesses ConnTracker.AfterBatch checks. It
+// starts from fresh marks rather than trusting what the ball walk left
+// behind: a walk that marked its frontier too (as an earlier one did)
 // would make every boundary node look like a batch member and return
 // nothing.
 func (t *trialRun) batchBoundary(batch []int) []int {
-	m := &t.ball.Marks
+	m := &t.marks
 	m.Reset(t.s.G.N())
 	for _, v := range batch {
 		m.Mark(v)

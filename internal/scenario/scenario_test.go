@@ -346,7 +346,7 @@ func TestConnTrackerSeesDisconnect(t *testing.T) {
 }
 
 // TestBatchBoundaryNonEmpty is the regression test for a bug where
-// batchBoundary reused sampleBall's epoch: the ball BFS stamps every
+// batchBoundary reused sampleBall's epoch: that ball BFS stamped every
 // enqueued neighbor, so every boundary node looked like a batch member
 // and AfterBatch received zero witnesses — disaster waves were never
 // connectivity-checked at all.

@@ -93,12 +93,12 @@ type Server struct {
 	draining bool
 
 	// Apply-loop-owned state: only the apply goroutine touches these.
-	st      *core.State
-	alive   *scenario.AliveSet
-	rng     *rng.RNG
-	auto    *metrics.AutoStretch
-	ball    graph.BallScratch
-	pending []trace.Event // hook buffer for the op in flight
+	st        *core.State
+	alive     *scenario.AliveSet
+	rng       *rng.RNG
+	auto      *metrics.AutoStretch
+	ballMarks graph.Marks
+	pending   []trace.Event // hook buffer for the op in flight
 
 	// Event log, guarded by mu; cond signals appends, closure, and
 	// generation changes.
@@ -425,7 +425,7 @@ func (s *Server) BatchKill(ctx context.Context, nodes []int, size, center int) (
 			} else if !s.st.G.Alive(c) {
 				return failf(409, "epicenter %d is not alive", c)
 			}
-			batch = s.st.G.BFSBall(&s.ball, c, size)
+			batch = s.st.G.BFSBall(&s.ballMarks, c, size)
 		} else {
 			seen := make(map[int]bool, len(batch))
 			for _, v := range batch {
