@@ -49,8 +49,8 @@ type batchCluster struct {
 
 // recordBatchCluster notes a cluster's elected leader under its batch
 // epoch; called by dying roots during the commit stage (like
-// recordFloodDepth, supervisor-side bookkeeping written by node
-// goroutines under the network mutex).
+// recordFloodDepth, supervisor-side bookkeeping written from node
+// handlers under the network mutex).
 func (nw *Network) recordBatchCluster(epoch uint64, root, leader int) {
 	nw.mu.Lock()
 	nw.batchClusters[epoch] = append(nw.batchClusters[epoch], batchCluster{root, leader})

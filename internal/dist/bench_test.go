@@ -58,11 +58,12 @@ func measureProtocolRounds(serial bool, n, kills int) int {
 //
 // Two readings per (mode, workers) cell:
 //
-//   - ns/op: wall clock on the live goroutine network. Read this with
-//     care — per-message channel handoff latency (~2µs) dwarfs the
-//     ~100ns handlers, and the Go scheduler runs wake-up chains on the
-//     waking P, so concurrent heal chains largely time-share one core
-//     whichever mode is on. Wall clock therefore under-reports the
+//   - ns/op: wall clock on the live network, whose worker pool has
+//     GOMAXPROCS = workers goroutines. Read this with care: every
+//     handler of every heal chain runs on those few workers, so
+//     concurrent chains time-share them whichever mode is on, and a
+//     message's cost is mostly the mailbox push and run-queue hop
+//     around a short handler. Wall clock therefore under-reports the
 //     overlap; it is kept here to pin that the pipelined scheduler, at
 //     worst, costs nothing at several worker counts.
 //

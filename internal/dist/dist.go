@@ -1,11 +1,12 @@
 // Package dist is the distributed implementation of DASH and SDASH
 // (Saia & Trehan, "Picking up the Pieces", IPPS 2008): every live
-// network node is a goroutine owning its local state, and all
+// network node is an actor owning its local state, and all
 // coordination happens through typed messages in per-node unbounded
-// mailboxes. It computes bit-for-bit the same healed topology as the
-// sequential reference in internal/core — cmd/dashdist cross-checks the
-// two round by round — while actually paying the message costs the
-// paper's lemmas account for.
+// mailboxes. A fixed pool of GOMAXPROCS workers runs the actors, one
+// message at a time per node (pool.go). It computes bit-for-bit the
+// same healed topology as the sequential reference in internal/core —
+// cmd/dashdist cross-checks the two round by round — while actually
+// paying the message costs the paper's lemmas account for.
 //
 // One healing round, triggered by Network.Kill(x):
 //
@@ -64,8 +65,8 @@
 // concurrently under their own child epochs. See batch.go and README.md.
 //
 // Churn: Network.Join is the arrival-side operation (the distributed
-// counterpart of core.State.Join). The supervisor spawns the newcomer's
-// goroutine and sends each attach target a join hello carrying the
+// counterpart of core.State.Join). The supervisor creates the newcomer's
+// actor and sends each attach target a join hello carrying the
 // newcomer's initial ID and attach set; targets wire the edge, gossip
 // the gain into the NoN tables, and ack back their own label and
 // neighborhood.
@@ -114,7 +115,7 @@ type finalStats struct {
 	nonMsgs   int64
 }
 
-// Network is the supervisor for a set of node goroutines: it injects
+// Network is the supervisor for a set of node actors: it injects
 // failures, schedules epochs, and assembles snapshots. All protocol
 // state lives inside the nodes; all scheduling state lives in the
 // epoch pipeline.
@@ -122,18 +123,20 @@ type Network struct {
 	kind  HealerKind
 	track *tracker
 	pipe  *pipeline
-	wg    sync.WaitGroup
 
-	// nodes holds the current node slice behind an atomic pointer:
-	// pipelined joins append to it while other epochs' goroutines are
-	// sending, so readers take a consistent snapshot instead of racing
-	// a slice append.
-	nodes atomic.Pointer[[]*node]
+	// pool runs the node actors; nil for a manual network, whose
+	// handlers the ordering tests and the deterministic Sim call
+	// directly (assemble without start).
+	pool *pool
 
-	// manual marks a network whose node goroutines were never started
-	// (assemble-only: ordering tests and the deterministic Sim drive
-	// handlers directly). Joins then skip spawning the newcomer.
-	manual bool
+	// nodes publishes the node slice behind an atomic pointer: pipelined
+	// joins append to it while workers are sending, so readers take a
+	// consistent snapshot instead of racing a slice append. appendNode
+	// appends into nodeBuf's spare capacity (under mu) and publishes the
+	// longer header; a reader never indexes past its own snapshot's
+	// length, so the slots it can see are never written again.
+	nodes   atomic.Pointer[[]*node]
+	nodeBuf []*node
 
 	// testDrop, when non-nil, simulates lossy transport: a message it
 	// returns true for is counted in flight but never delivered, so the
@@ -154,7 +157,7 @@ type Network struct {
 	n         int
 	initIDs   []uint64 // immutable per slot; the supervisor's ID ledger
 	dead      []bool   // epoch completed: the kill of this node succeeded
-	exited    []bool   // the node goroutine has stopped (set by the node itself)
+	exited    []bool   // the node actor has retired (set by the node itself)
 	deadStats []finalStats
 	epochHops map[uint64]map[int]int // per-epoch adopters -> min hop distance
 	floodSum  int64
@@ -215,7 +218,7 @@ func (nw *Network) ChaosTransportStats() (ChaosStats, bool) {
 	return st, true
 }
 
-// assemble builds the network without starting any node goroutine. Tests
+// assemble builds the network without starting the worker pool. Tests
 // and the deterministic Sim use the unstarted form to deliver messages
 // one at a time in a chosen order; production callers go through
 // NewKind.
@@ -229,7 +232,6 @@ func assemble(g *graph.Graph, ids []uint64, kind HealerKind) *Network {
 		n:             n,
 		initIDs:       append([]uint64(nil), ids...),
 		track:         &tracker{},
-		manual:        true,
 		dead:          make([]bool, n),
 		exited:        make([]bool, n),
 		deadStats:     make([]finalStats, n),
@@ -246,20 +248,7 @@ func assemble(g *graph.Graph, ids []uint64, kind HealerKind) *Network {
 			nw.dead[v] = true
 			continue
 		}
-		nd := &node{
-			nw:           nw,
-			id:           v,
-			initID:       ids[v],
-			curID:        ids[v],
-			initDeg:      g.Degree(v),
-			inbox:        newMailbox(),
-			gNbrs:        make(map[int]*nbrInfo),
-			gpNbrs:       make(map[int]struct{}),
-			pendingHello: make(map[int]map[int]uint64),
-			heals:        make(map[int]*healState),
-			floodRound:   -1,
-			probeRoot:    -1,
-		}
+		nd := newNode(nw, v, ids[v], g.Degree(v))
 		for _, u32 := range g.Neighbors(v) {
 			u := int(u32)
 			uNbrs := g.Neighbors(u)
@@ -271,6 +260,7 @@ func assemble(g *graph.Graph, ids []uint64, kind HealerKind) *Network {
 		}
 		nodes[v] = nd
 	}
+	nw.nodeBuf = nodes
 	nw.nodes.Store(&nodes)
 	nw.transport = directTransport{nw: nw}
 	nw.pipe = newPipeline(nw, g)
@@ -284,24 +274,18 @@ func (nw *Network) node(v int) *node { return (*nw.nodes.Load())[v] }
 // nodeSlice returns the current node-slice snapshot.
 func (nw *Network) nodeSlice() []*node { return *nw.nodes.Load() }
 
-// appendNode publishes a new node slot (copy-on-write, under nw.mu).
+// appendNode publishes a new node slot (under nw.mu). The append is
+// amortized O(1): it writes only the slot past every published length.
 func (nw *Network) appendNode(nd *node) {
-	old := *nw.nodes.Load()
-	fresh := make([]*node, len(old)+1)
-	copy(fresh, old)
-	fresh[len(old)] = nd
+	nw.nodeBuf = append(nw.nodeBuf, nd)
+	fresh := nw.nodeBuf
 	nw.nodes.Store(&fresh)
 }
 
-// start spawns one goroutine per live node.
+// start launches the worker pool. No message is queued yet, so no node
+// is on the run queue; each is queued by the first push it receives.
 func (nw *Network) start() {
-	nw.manual = false
-	for _, nd := range nw.nodeSlice() {
-		if nd != nil {
-			nw.wg.Add(1)
-			go nd.run()
-		}
-	}
+	nw.pool = startPool()
 }
 
 // send is the single transport primitive: count the message in flight
@@ -472,7 +456,7 @@ func (nw *Network) foldFloodDepth(epoch uint64) {
 }
 
 // storeFinal archives a dying node's counters and records that its
-// goroutine is gone, so Snapshot and Close never wait on it — even when
+// actor has retired, so Snapshot never waits on it — even when
 // the epoch that killed it subsequently failed its watchdog.
 func (nw *Network) storeFinal(v int, fs finalStats) {
 	nw.mu.Lock()
@@ -510,8 +494,8 @@ type Snap struct {
 
 // Snapshot collects the global state. Call it only when no epoch is in
 // flight (after Drain, or between blocking calls); it is not itself
-// part of the protocol and sends no countable traffic. Nodes whose
-// goroutines have exited — including the victim of an epoch that failed
+// part of the protocol and sends no countable traffic. Nodes that have
+// retired — including the victim of an epoch that failed
 // its watchdog — are reported from their archived final state rather
 // than queried, so Snapshot never blocks on a dead actor.
 func (nw *Network) Snapshot() *Snap {
@@ -546,8 +530,8 @@ func (nw *Network) Snapshot() *Snap {
 			continue
 		}
 		live++
-		if nw.manual {
-			// No goroutines to query: read the actor state directly
+		if nw.pool == nil {
+			// No workers to query through: read the actor state directly
 			// (single-threaded harness, nothing else is running).
 			replies <- nodes[v].snapshot()
 			continue
@@ -575,8 +559,9 @@ func (nw *Network) Snapshot() *Snap {
 	return snap
 }
 
-// Close stops every node goroutine and waits for them to exit. Safe to
-// call more than once; the network is unusable afterwards.
+// Close stops the worker pool and waits for every worker to exit; mail
+// still queued is abandoned. Safe to call more than once; the network
+// is unusable afterwards.
 func (nw *Network) Close() {
 	nw.mu.Lock()
 	if nw.closed {
@@ -584,17 +569,10 @@ func (nw *Network) Close() {
 		return
 	}
 	nw.closed = true
-	gone := make([]bool, nw.n)
-	for v := range gone {
-		gone[v] = nw.dead[v] || nw.exited[v]
-	}
 	nw.mu.Unlock()
-	for v, nd := range nw.nodeSlice() {
-		if nd != nil && !gone[v] {
-			nw.send(v, message{kind: msgStop, from: srcSupervisor})
-		}
+	if nw.pool != nil {
+		nw.pool.stop()
 	}
-	nw.wg.Wait()
 	if tc, ok := nw.transport.(transportCloser); ok {
 		tc.closeTransport()
 	}

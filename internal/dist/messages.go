@@ -2,7 +2,7 @@ package dist
 
 // The protocol's message vocabulary. Every inter-node interaction in the
 // distributed implementation is one of these typed messages delivered to
-// a node's mailbox; nothing else is shared between node goroutines.
+// a node's mailbox; nothing else is shared between node actors.
 type msgKind uint8
 
 const (
@@ -70,7 +70,8 @@ const (
 	// channel. Instrumentation only; not counted as protocol traffic.
 	msgSnapshot
 
-	// msgStop terminates a node goroutine (network shutdown).
+	// msgStop retires a node actor for good (the recovery epoch stops
+	// crashed black holes and batch zombies with it).
 	msgStop
 
 	// Batch-kill epoch vocabulary (Network.KillBatch): the footnote-1

@@ -37,8 +37,9 @@ type healState struct {
 	compMin map[int]uint64 // batch: candidate -> its component's min candidate initID
 }
 
-// node is one network participant: a goroutine owning all of its state,
-// reachable only through its mailbox.
+// node is one network participant: an actor owning all of its state,
+// reachable only through its mailbox and run by the worker pool
+// (pool.go) one message at a time.
 type node struct {
 	nw *Network
 	id int
@@ -52,7 +53,7 @@ type node struct {
 	// epoch's causal cone stays inside its own quiescence counter.
 	curEpoch uint64
 
-	inbox *mailbox
+	inbox mailbox
 
 	gNbrs  map[int]*nbrInfo
 	gpNbrs map[int]struct{} // subset of gNbrs: edges also in G′
@@ -120,6 +121,24 @@ type wireRec struct {
 	addedGp bool
 }
 
+// newNode builds slot v's actor with initial ID id (also its current
+// label) and initial degree deg, and no neighbors yet.
+func newNode(nw *Network, v int, id uint64, deg int) *node {
+	return &node{
+		nw:           nw,
+		id:           v,
+		initID:       id,
+		curID:        id,
+		initDeg:      deg,
+		gNbrs:        make(map[int]*nbrInfo, deg),
+		gpNbrs:       make(map[int]struct{}),
+		pendingHello: make(map[int]map[int]uint64),
+		heals:        make(map[int]*healState),
+		floodRound:   -1,
+		probeRoot:    -1,
+	}
+}
+
 func (nd *node) delta() int { return len(nd.gNbrs) - nd.initDeg }
 
 // send stamps msg with the epoch of the message this node is currently
@@ -131,27 +150,8 @@ func (nd *node) send(to int, msg message) {
 	nd.nw.send(to, msg)
 }
 
-// run is the actor loop: drain the mailbox, park on the signal channel
-// when empty. Each handled message is acknowledged to the quiescence
-// tracker only after its handler returned (and therefore after all of
-// its consequences were themselves counted).
-func (nd *node) run() {
-	defer nd.nw.wg.Done()
-	for {
-		msg, ok := nd.inbox.pop()
-		if !ok {
-			<-nd.inbox.signal
-			continue
-		}
-		stop := nd.handle(msg)
-		nd.nw.track.done(msg.epoch)
-		if stop {
-			return
-		}
-	}
-}
-
-// handle dispatches one message; it reports true when the node must stop.
+// handle dispatches one message; it reports true when the node retires
+// (msgDie, msgStop): it never runs again.
 func (nd *node) handle(msg message) bool {
 	nd.curEpoch = msg.epoch
 	if nd.crashed.Load() {

@@ -7,7 +7,7 @@ import (
 )
 
 // The tests in this file drive the protocol single-threaded: assemble()
-// builds the network without starting any node goroutine, and the test
+// builds the network without starting the worker pool, and the test
 // delivers mailbox messages one at a time in a chosen — deliberately
 // adversarial — order. Every interleaving exercised here is one the
 // concurrent scheduler could legally produce (per-sender FIFO is
@@ -18,21 +18,17 @@ import (
 func deliverKind(t *testing.T, nw *Network, v int, kind msgKind) {
 	t.Helper()
 	nd := nw.node(v)
-	nd.inbox.mu.Lock()
 	idx := -1
-	for i, m := range nd.inbox.queue {
+	for i, m := range nd.inbox.peekAll() {
 		if m.kind == kind {
 			idx = i
 			break
 		}
 	}
 	if idx < 0 {
-		nd.inbox.mu.Unlock()
 		t.Fatalf("node %d has no queued %v message", v, kind)
 	}
-	msg := nd.inbox.queue[idx]
-	nd.inbox.queue = append(nd.inbox.queue[:idx], nd.inbox.queue[idx+1:]...)
-	nd.inbox.mu.Unlock()
+	msg := nd.inbox.takeAt(idx)
 	nd.handle(msg)
 	nw.track.done(msg.epoch)
 }

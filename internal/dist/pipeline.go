@@ -184,7 +184,6 @@ type epochState struct {
 	joinInitID uint64
 	attach     []int
 	attachInfo map[int]uint64
-	joinNode   *node
 
 	// Batch payload.
 	batch        []int
@@ -262,8 +261,8 @@ func newPipeline(nw *Network, g *graph.Graph) *pipeline {
 }
 
 // recordAttach notes a healing edge ordered under an epoch; replayed
-// into the mirror when the epoch completes. Called from node goroutines
-// via the transport, so it uses its own small lock.
+// into the mirror when the epoch completes. Called from node handlers on
+// any worker via the transport, so it uses its own small lock.
 func (pi *pipeline) recordAttach(epoch uint64, a, b int) {
 	if epoch == 0 {
 		return // raw test traffic; nothing schedules against it
@@ -468,20 +467,7 @@ func (pi *pipeline) tryIssueJoin(attachTo []int, id uint64) (int, *Epoch) {
 	nw.deadStats = append(nw.deadStats, finalStats{})
 	nw.initIDs = append(nw.initIDs, id)
 	attachInfo := make(map[int]uint64, len(attach))
-	nd := &node{
-		nw:           nw,
-		id:           v,
-		initID:       id,
-		curID:        id,
-		initDeg:      len(attach),
-		inbox:        newMailbox(),
-		gNbrs:        make(map[int]*nbrInfo, len(attach)),
-		gpNbrs:       make(map[int]struct{}),
-		pendingHello: make(map[int]map[int]uint64),
-		heals:        make(map[int]*healState),
-		floodRound:   -1,
-		probeRoot:    -1,
-	}
+	nd := newNode(nw, v, id, len(attach))
 	for _, u := range attach {
 		attachInfo[u] = nw.initIDs[u]
 		// The target's current label and neighborhood arrive with its
@@ -505,7 +491,6 @@ func (pi *pipeline) tryIssueJoin(attachTo []int, id uint64) (int, *Epoch) {
 		joinInitID: id,
 		attach:     attach,
 		attachInfo: attachInfo,
-		joinNode:   nd,
 	}
 	pi.nextEpoch++
 	es.handle = &Epoch{id: es.id, desc: fmt.Sprintf("join %d", v), nw: nw, done: make(chan struct{})}
@@ -596,10 +581,6 @@ func (pi *pipeline) launch(es *epochState) {
 		})
 	case epJoin:
 		es.stage = "join"
-		if !pi.nw.manual {
-			pi.nw.wg.Add(1)
-			go es.joinNode.run()
-		}
 		pi.stageSend(es, func() {
 			for _, u := range es.attach {
 				pi.nw.send(u, message{

@@ -11,8 +11,8 @@ import (
 
 // tracker is the network's quiescence detector: conservation counters
 // over in-flight messages, one per epoch. send() increments the sending
-// epoch's counter before a message is enqueued; a node's run loop
-// decrements only after the handler has returned, i.e. after every
+// epoch's counter before a message is enqueued; the worker running a
+// node decrements only after the handler has returned, i.e. after every
 // message the handler itself sent has already been counted (handlers
 // stamp their sends with the epoch of the message they are processing,
 // so causality never crosses epoch counters). Under that ordering an
@@ -24,7 +24,7 @@ import (
 // The global sum of all counters is kept too: Drain and the watchdog
 // diagnostics still want "is anything at all in flight".
 //
-// The add/done pair runs twice per message on every node goroutine, so
+// The add/done pair runs twice per message on every worker, so
 // the hot path is lock-free: per-epoch counters live in their own
 // cache-padded allocations behind a sync.Map (read-mostly: one insert
 // per epoch, lock-free loads after that) and the global total is a
@@ -178,75 +178,4 @@ func (t *tracker) wait(timeout time.Duration) bool {
 	case <-timer.C:
 		return false
 	}
-}
-
-// mailbox is an unbounded FIFO inbox. Unboundedness is load-bearing:
-// node A healing while node B floods can produce cyclic send patterns,
-// and with bounded channels two full inboxes sending to each other would
-// deadlock. Pushes never block; same-sender ordering is preserved
-// because each sender pushes sequentially from its own handler.
-type mailbox struct {
-	mu     sync.Mutex
-	queue  []message
-	signal chan struct{} // capacity 1: "the queue may be non-empty"
-}
-
-func newMailbox() *mailbox {
-	return &mailbox{signal: make(chan struct{}, 1)}
-}
-
-// push enqueues msg and wakes the owner if it is parked.
-func (m *mailbox) push(msg message) {
-	m.mu.Lock()
-	m.queue = append(m.queue, msg)
-	m.mu.Unlock()
-	select {
-	case m.signal <- struct{}{}:
-	default:
-	}
-}
-
-// pop dequeues the oldest message, reporting false when empty.
-func (m *mailbox) pop() (message, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if len(m.queue) == 0 {
-		return message{}, false
-	}
-	msg := m.queue[0]
-	m.queue[0] = message{} // drop payload references held by the backing array
-	m.queue = m.queue[1:]
-	if len(m.queue) == 0 {
-		m.queue = nil // release the consumed backing array
-	}
-	return msg, true
-}
-
-// size returns the queue length (diagnostics).
-func (m *mailbox) size() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.queue)
-}
-
-// takeAt removes and returns the i-th queued message. The deterministic
-// Sim scheduler uses it to deliver messages in a chosen cross-sender
-// order (per-sender FIFO is the caller's responsibility to respect).
-func (m *mailbox) takeAt(i int) message {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	msg := m.queue[i]
-	m.queue = append(m.queue[:i], m.queue[i+1:]...)
-	if len(m.queue) == 0 {
-		m.queue = nil
-	}
-	return msg
-}
-
-// peekAll returns a copy of the queued messages in FIFO order
-// (diagnostics and the Sim scheduler's enabled-set computation).
-func (m *mailbox) peekAll() []message {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]message(nil), m.queue...)
 }

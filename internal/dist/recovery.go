@@ -156,7 +156,7 @@ func (nw *Network) noteFloodStarted(epoch uint64) bool {
 }
 
 // storeCrashStats archives a crashed node's counters without marking
-// its goroutine exited — the black-holed actor keeps draining its
+// it retired — the black-holed actor keeps draining its
 // mailbox until the recovery epoch's msgStop.
 func (nw *Network) storeCrashStats(v int, fs finalStats) {
 	nw.mu.Lock()
@@ -329,7 +329,7 @@ func (pi *pipeline) performCrash(v int, es *epochState) {
 		es.aborted = true
 		r.adopts = append(r.adopts, es.handle)
 		// Tear the epoch down at every region member except the kill
-		// victim (its goroutine exited in die) and the crashed node
+		// victim (it retired in die) and the crashed node
 		// (black-holed; its state is discarded anyway). Region members
 		// killed by epochs that completed after es was issued are
 		// skipped too — nobody is listening there.
@@ -412,7 +412,7 @@ func (pi *pipeline) launchRecover(es *epochState) {
 	// aborted epoch's death notice was discarded by the abort guard, so
 	// the edge to the kill victim can outlive it. Gossip to a crashed
 	// member lands in its black hole and drains; gossip to the exited
-	// victim would queue forever (its goroutine is gone, with no black
+	// victim would queue forever (it has retired, with no black
 	// hole). Removing the exited members' edges first makes them
 	// unreachable before any gossip fires. Supervisor sends are
 	// per-recipient FIFO, so this order is the processing order.
@@ -463,7 +463,7 @@ func (pi *pipeline) advanceRecover(es *epochState) {
 			}
 			// Stop the crashed black holes: every frame they will ever
 			// have to consume has drained. (An aborted kill's victim is
-			// not sent a stop — its goroutine already exited in die.)
+			// not sent a stop — it already retired in die.)
 			for _, w := range es.batch {
 				if pi.crashed[w] {
 					pi.nw.send(w, message{kind: msgStop, from: srcSupervisor, epoch: es.id})

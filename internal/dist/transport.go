@@ -57,7 +57,7 @@ type Transport interface {
 }
 
 // transportCloser is implemented by transports with background work to
-// stop; Network.Close invokes it after the node goroutines exit.
+// stop; Network.Close invokes it after the worker pool has stopped.
 type transportCloser interface {
 	closeTransport()
 }
@@ -68,13 +68,13 @@ type directTransport struct {
 }
 
 func (d directTransport) deliver(to int, msg message) {
-	d.nw.node(to).inbox.push(msg)
+	d.nw.node(to).post(msg)
 }
 
 // outOfBand reports whether a message bypasses the fault machinery:
 // supervisor-originated traffic, plus the join hello the supervisor
 // sends on a newcomer's behalf (its from field is the newcomer's index,
-// but no node goroutine ever sends it).
+// but no node handler ever sends it).
 func outOfBand(msg message) bool {
 	return msg.from == srcSupervisor || msg.kind == msgJoinReq
 }
@@ -228,7 +228,7 @@ func (ct *chaosTransport) channel(from, to int) *relChan {
 
 func (ct *chaosTransport) deliver(to int, msg message) {
 	if outOfBand(msg) {
-		ct.nw.node(to).inbox.push(msg)
+		ct.nw.node(to).post(msg)
 		return
 	}
 	ch := ct.channel(msg.from, to)
@@ -291,8 +291,8 @@ func (ct *chaosTransport) transmit(ch *relChan, from, to int, seq uint64, msg me
 
 // after schedules fn on a tracked timer. closeTransport stops timers
 // that have not fired and waits (via wg) for callbacks already running,
-// so no delayed or duplicated frame can arrive after the network's node
-// goroutines have exited.
+// so no delayed or duplicated frame can arrive after the network has
+// closed.
 func (ct *chaosTransport) after(d time.Duration, fn func()) {
 	ct.timerMu.Lock()
 	defer ct.timerMu.Unlock()
@@ -358,7 +358,7 @@ func (ct *chaosTransport) arrive(ch *relChan, from, to int, seq uint64, msg mess
 
 	for _, m := range out {
 		ct.maybeCrash(to, m.kind)
-		ct.nw.node(to).inbox.push(m)
+		ct.nw.node(to).post(m)
 	}
 }
 
