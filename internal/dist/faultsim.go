@@ -32,8 +32,6 @@ package dist
 
 import (
 	"fmt"
-	"hash/fnv"
-	"io"
 	"sort"
 
 	"repro/internal/graph"
@@ -147,7 +145,7 @@ type faultWire struct {
 
 func (fw faultWire) deliver(to int, msg message) {
 	if outOfBand(msg) {
-		fw.nw.node(to).inbox.push(msg)
+		fw.nw.node(to).post(msg)
 		return
 	}
 	ch := fw.fs.channel(msg.from, to)
@@ -158,7 +156,7 @@ func (fw faultWire) deliver(to int, msg message) {
 }
 
 // NewFaultSim builds a simulated network over g with the hostile wire
-// interposed (no goroutines are started).
+// interposed (the worker pool is not started).
 func NewFaultSim(g *graph.Graph, ids []uint64, kind HealerKind, opts FaultOpts) *FaultSim {
 	fs := &FaultSim{
 		sim:       NewSim(g, ids, kind),
@@ -370,7 +368,7 @@ func (fs *FaultSim) wireDeliver(to, from int) {
 	}
 	nd := fs.sim.nw.node(to)
 	for _, m := range out {
-		nd.inbox.push(m)
+		nd.post(m)
 	}
 }
 
@@ -411,43 +409,47 @@ func (fs *FaultSim) Quiet() bool {
 // Fingerprint hashes the network state plus the wire state and
 // remaining fault budgets.
 func (fs *FaultSim) Fingerprint() [16]byte {
-	h := fnv.New128a()
-	fs.sim.writeState(h)
-	fs.writeWireState(h)
-	var fp [16]byte
-	copy(fp[:], h.Sum(nil))
-	return fp
+	e := &fs.sim.enc
+	e.reset()
+	fs.sim.encodeState(e)
+	fs.encodeWireState(e)
+	return e.sum()
 }
 
-// writeWireState serializes the wire relative to each channel's
+// encodeWireState serializes the wire relative to each channel's
 // delivery cursor: sequence numbers enter the hash as offsets from
 // expect, and fully drained channels are skipped entirely. Absolute
 // sequence values are per-channel send counts — pure accounting, like
 // the traffic counters Sim's fingerprint deliberately excludes — and
 // hashing them would keep behaviorally identical states apart.
-func (fs *FaultSim) writeWireState(w io.Writer) {
-	fmt.Fprintf(w, "fw(drop%d dup%d crash%d ", fs.dropLeft, fs.dupLeft, fs.crashLeft)
+func (fs *FaultSim) encodeWireState(e *stateEnc) {
+	e.int(fs.dropLeft)
+	e.int(fs.dupLeft)
+	e.int(fs.crashLeft)
 	for _, k := range fs.sortedChanKeys() {
 		ch := fs.chans[k]
 		if len(ch.frames) == 0 && len(ch.unacked) == 0 && len(ch.held) == 0 {
 			continue
 		}
-		fmt.Fprintf(w, "c%d<-%d(w[", k.to, k.from)
+		e.bool(true) // one more channel
+		e.int(k.to)
+		e.int(k.from)
+		e.int(len(ch.frames))
 		for _, fr := range ch.frames {
-			fmt.Fprintf(w, "%d:", int64(fr.seq)-int64(ch.expect))
-			writeMessage(w, fr.msg)
+			e.u64(fr.seq - ch.expect)
+			e.message(fr.msg)
 		}
-		fmt.Fprint(w, "]u[")
+		e.int(len(ch.unacked))
 		for _, seq := range sortedKeysU64(ch.unacked) {
-			fmt.Fprintf(w, "%d*%d:", seq-ch.expect, ch.copies[seq])
-			writeMessage(w, ch.unacked[seq])
+			e.u64(seq - ch.expect)
+			e.int(ch.copies[seq])
+			e.message(ch.unacked[seq])
 		}
-		fmt.Fprint(w, "]h[")
+		e.int(len(ch.held))
 		for _, seq := range sortedKeysU64(ch.held) {
-			fmt.Fprintf(w, "%d:", seq-ch.expect)
-			writeMessage(w, ch.held[seq])
+			e.u64(seq - ch.expect)
+			e.message(ch.held[seq])
 		}
-		fmt.Fprint(w, "])")
 	}
-	fmt.Fprint(w, ")")
+	e.bool(false) // no more channels
 }

@@ -3,8 +3,8 @@ package dist
 // Sim is the deterministic single-threaded harness behind the model
 // checker (internal/dist/modelcheck): the same Network, nodes, message
 // handlers, and epoch pipeline as the concurrent runtime — assemble()d
-// without goroutines — with the test in control of which queued message
-// is delivered next.
+// without the worker pool — with the test in control of which queued
+// message is delivered next.
 //
 // The unit of scheduling is a channel (receiver, sender): the transport
 // guarantees per-sender FIFO into each mailbox, so the only freedom a
@@ -30,9 +30,11 @@ package dist
 // merges schedules that differ only in accounting.
 
 import (
+	"cmp"
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
-	"io"
+	"slices"
 	"sort"
 
 	"repro/internal/graph"
@@ -41,12 +43,14 @@ import (
 // Sim drives an unstarted network deterministically.
 type Sim struct {
 	nw *Network
-	// gone marks nodes whose handler returned true — in the goroutine
-	// runtime their loop has returned, so messages queued at them can
+	// gone marks nodes whose handler returned true — in the concurrent
+	// runtime the actor has retired, so messages queued at them can
 	// never be consumed. Enabled stops scheduling their mailboxes;
 	// anything still queued there is a wedge the terminal check reports,
 	// exactly as a Drain timeout would in the concurrent runtime.
 	gone map[int]bool
+
+	enc stateEnc // Fingerprint's reused serialization buffer
 }
 
 // SimEvent names one deliverable event: the oldest undelivered message
@@ -60,7 +64,8 @@ func (ev SimEvent) String() string {
 	return fmt.Sprintf("%d<-%d", ev.To, ev.From)
 }
 
-// NewSim builds a simulated network over g (no goroutines are started).
+// NewSim builds a simulated network over g (the worker pool is not
+// started).
 func NewSim(g *graph.Graph, ids []uint64, kind HealerKind) *Sim {
 	return &Sim{nw: assemble(g, ids, kind), gone: make(map[int]bool)}
 }
@@ -124,130 +129,216 @@ func (s *Sim) Apply(ev SimEvent) {
 func (s *Sim) Quiet() bool { return s.nw.track.pending() == 0 }
 
 // Fingerprint hashes the complete behavior-relevant state into 16
-// bytes (FNV-128a over a canonical serialization).
+// bytes (FNV-128a over a canonical binary serialization).
 func (s *Sim) Fingerprint() [16]byte {
-	h := fnv.New128a()
-	s.writeState(h)
-	var fp [16]byte
-	copy(fp[:], h.Sum(nil))
-	return fp
+	s.enc.reset()
+	s.encodeState(&s.enc)
+	return s.enc.sum()
 }
 
 // ---- canonical serialization ----
+
+// stateEnc accumulates a canonical binary serialization of simulator
+// state for Fingerprint: every integer as 8 little-endian bytes, every
+// map in sorted key order, and every variable-length part (list, map,
+// string) preceded by its length, with a presence byte wherever nil
+// and empty differ to the protocol. Two different states therefore
+// never serialize to the same bytes. The buffer is reused across calls.
+type stateEnc struct {
+	b []byte
+}
+
+func (e *stateEnc) reset() { e.b = e.b[:0] }
+
+// sum hashes the accumulated bytes with FNV-128a.
+func (e *stateEnc) sum() [16]byte {
+	h := fnv.New128a()
+	h.Write(e.b)
+	var fp [16]byte
+	h.Sum(fp[:0])
+	return fp
+}
+
+func (e *stateEnc) u64(x uint64) { e.b = binary.LittleEndian.AppendUint64(e.b, x) }
+func (e *stateEnc) int(x int)    { e.u64(uint64(x)) }
+
+func (e *stateEnc) bool(x bool) {
+	if x {
+		e.b = append(e.b, 1)
+	} else {
+		e.b = append(e.b, 0)
+	}
+}
+
+func (e *stateEnc) str(x string) {
+	e.int(len(x))
+	e.b = append(e.b, x...)
+}
+
+func (e *stateEnc) ints(xs []int) {
+	e.int(len(xs))
+	for _, x := range xs {
+		e.int(x)
+	}
+}
+
+func (e *stateEnc) u64s(xs []uint64) {
+	e.int(len(xs))
+	for _, x := range xs {
+		e.u64(x)
+	}
+}
+
+// keys writes m's keys in ascending order (a set).
+func keys[V any](e *stateEnc, m map[int]V) { e.ints(sortedKeys(m)) }
+
+// idMap writes m's (key, initial ID) pairs in ascending key order.
+func (e *stateEnc) idMap(m map[int]uint64) {
+	e.int(len(m))
+	for _, k := range sortedKeys(m) {
+		e.int(k)
+		e.u64(m[k])
+	}
+}
+
+// optIDMap writes a presence byte, then m when it is non-nil.
+func (e *stateEnc) optIDMap(m map[int]uint64) {
+	e.bool(m != nil)
+	if m != nil {
+		e.idMap(m)
+	}
+}
+
+func (e *stateEnc) report(r healReport) {
+	e.int(r.from)
+	e.u64(r.initID)
+	e.u64(r.curID)
+	e.int(r.delta)
+	e.bool(r.wasGpNbr)
+}
+
+func (e *stateEnc) message(m message) {
+	e.b = append(e.b, byte(m.kind))
+	e.int(m.from)
+	e.u64(m.epoch)
+	e.int(m.victim)
+	e.int(m.peer)
+	e.u64(m.peerInitID)
+	e.u64(m.peerCurID)
+	e.int(m.leader)
+	e.u64(m.label)
+	e.int(m.hops)
+	e.int(m.nonPeer)
+	e.u64(m.nonPeerInitID)
+	e.int(m.root)
+	e.report(m.report)
+	e.optIDMap(m.nonNbrs)
+	e.bool(m.batch != nil)
+	if m.batch != nil {
+		keys(e, m.batch)
+	}
+}
+
+// graph writes g's slot count, then per slot whether it is alive and,
+// if so, its neighbors above it (each edge once).
+func (e *stateEnc) graph(g *graph.Graph) {
+	e.int(g.N())
+	var nbrs []int
+	for v := 0; v < g.N(); v++ {
+		e.bool(g.Alive(v))
+		if !g.Alive(v) {
+			continue
+		}
+		nbrs = g.AppendNeighbors(nbrs[:0], v)
+		slices.Sort(nbrs)
+		i, _ := slices.BinarySearch(nbrs, v+1)
+		e.ints(nbrs[i:])
+	}
+}
 
 func sortedKeys[V any](m map[int]V) []int {
 	ks := make([]int, 0, len(m))
 	for k := range m {
 		ks = append(ks, k)
 	}
-	sort.Ints(ks)
+	slices.Sort(ks)
 	return ks
 }
 
-func writeIDMap(w io.Writer, tag string, m map[int]uint64) {
-	fmt.Fprintf(w, "%s{", tag)
-	for _, k := range sortedKeys(m) {
-		fmt.Fprintf(w, "%d:%d,", k, m[k])
+func sortedKeysU64[V any](m map[uint64]V) []uint64 {
+	ks := make([]uint64, 0, len(m))
+	for k := range m {
+		ks = append(ks, k)
 	}
-	fmt.Fprint(w, "}")
+	slices.Sort(ks)
+	return ks
 }
 
-func writeMessage(w io.Writer, m message) {
-	fmt.Fprintf(w, "m(%d f%d e%d v%d p%d/%d/%d l%d lb%d h%d np%d/%d r%d rep(%d,%d,%d,%d,%t)",
-		m.kind, m.from, m.epoch, m.victim, m.peer, m.peerInitID, m.peerCurID,
-		m.leader, m.label, m.hops, m.nonPeer, m.nonPeerInitID, m.root,
-		m.report.from, m.report.initID, m.report.curID, m.report.delta, m.report.wasGpNbr)
-	if m.nonNbrs != nil {
-		writeIDMap(w, "nn", m.nonNbrs)
-	}
-	if m.batch != nil {
-		fmt.Fprint(w, "b{")
-		bs := make([]int, 0, len(m.batch))
-		for v := range m.batch {
-			bs = append(bs, v)
-		}
-		sort.Ints(bs)
-		for _, v := range bs {
-			fmt.Fprintf(w, "%d,", v)
-		}
-		fmt.Fprint(w, "}")
-	}
-	fmt.Fprint(w, ")")
-}
-
-func writeGraph(w io.Writer, tag string, g *graph.Graph) {
-	fmt.Fprintf(w, "%s[", tag)
-	for v := 0; v < g.N(); v++ {
-		if !g.Alive(v) {
-			fmt.Fprintf(w, "!%d,", v)
-			continue
-		}
-		nbrs := g.AppendNeighbors(nil, v)
-		sort.Ints(nbrs)
-		for _, u := range nbrs {
-			if u > v {
-				fmt.Fprintf(w, "%d-%d,", v, u)
-			}
-		}
-	}
-	fmt.Fprint(w, "]")
-}
-
-func (nd *node) writeState(w io.Writer) {
-	fmt.Fprintf(w, "n%d(id%d cur%d deg%d fr%d fh%d dy%t z%t cr%t br%d pr%d pb%d ",
-		nd.id, nd.initID, nd.curID, nd.initDeg, nd.floodRound, nd.floodHops,
-		nd.dying, nd.zombie, nd.crashed.Load(), nd.batchRoot, nd.probeRoot, nd.probeBest)
-	if len(nd.abortedEpochs) > 0 {
-		fmt.Fprintf(w, "ab%v ", sortedKeysU64(nd.abortedEpochs))
-	}
+func (nd *node) encodeState(e *stateEnc) {
+	e.int(nd.id)
+	e.u64(nd.initID)
+	e.u64(nd.curID)
+	e.int(nd.initDeg)
+	e.int(nd.floodRound)
+	e.int(nd.floodHops)
+	e.bool(nd.dying)
+	e.bool(nd.zombie)
+	e.bool(nd.crashed.Load())
+	e.int(nd.batchRoot)
+	e.int(nd.probeRoot)
+	e.u64(nd.probeBest)
+	e.u64s(sortedKeysU64(nd.abortedEpochs))
+	e.int(len(nd.roundWires))
 	for _, victim := range sortedKeys(nd.roundWires) {
-		fmt.Fprintf(w, "rw%d[", victim)
+		e.int(victim)
+		e.int(len(nd.roundWires[victim]))
 		for _, rec := range nd.roundWires[victim] {
-			fmt.Fprintf(w, "(%d,%t,%t)", rec.peer, rec.addedG, rec.addedGp)
+			e.int(rec.peer)
+			e.bool(rec.addedG)
+			e.bool(rec.addedGp)
 		}
-		fmt.Fprint(w, "]")
 	}
+	e.int(len(nd.gNbrs))
 	for _, u := range sortedKeys(nd.gNbrs) {
 		info := nd.gNbrs[u]
-		fmt.Fprintf(w, "g%d(%d,%d", u, info.initID, info.curID)
-		if info.nbrs != nil {
-			writeIDMap(w, "v", info.nbrs)
-		}
-		fmt.Fprint(w, ")")
+		e.int(u)
+		e.u64(info.initID)
+		e.u64(info.curID)
+		e.optIDMap(info.nbrs)
 	}
-	for _, u := range sortedKeys(nd.gpNbrs) {
-		fmt.Fprintf(w, "p%d,", u)
-	}
+	keys(e, nd.gpNbrs)
+	e.int(len(nd.pendingHello))
 	for _, u := range sortedKeys(nd.pendingHello) {
-		writeIDMap(w, fmt.Sprintf("ph%d", u), nd.pendingHello[u])
+		e.int(u)
+		e.idMap(nd.pendingHello[u])
 	}
+	e.bool(nd.batchSet != nil)
 	if nd.batchSet != nil {
-		bs := sortedKeys(nd.batchSet)
-		fmt.Fprintf(w, "bs%v", bs)
+		keys(e, nd.batchSet)
 	}
-	if nd.batchCand != nil {
-		writeIDMap(w, "bc", nd.batchCand)
-	}
+	e.optIDMap(nd.batchCand)
+	e.int(len(nd.heals))
 	for _, victim := range sortedKeys(nd.heals) {
 		hs := nd.heals[victim]
-		fmt.Fprintf(w, "heal%d(vc%d ack%d w%t b%t ", victim, hs.victimCurID, hs.acksLeft, hs.wired, hs.batch)
+		e.int(victim)
+		e.u64(hs.victimCurID)
+		e.int(hs.acksLeft)
+		e.bool(hs.wired)
+		e.bool(hs.batch)
+		e.bool(hs.expect != nil)
 		if hs.expect != nil {
-			fmt.Fprintf(w, "ex%v", sortedKeys(hs.expect))
+			keys(e, hs.expect)
 		}
+		e.int(len(hs.reports))
 		for _, from := range sortedKeys(hs.reports) {
-			r := hs.reports[from]
-			fmt.Fprintf(w, "r(%d,%d,%d,%d,%t)", r.from, r.initID, r.curID, r.delta, r.wasGpNbr)
+			e.report(hs.reports[from])
 		}
+		e.int(len(hs.rt))
 		for _, r := range hs.rt {
-			fmt.Fprintf(w, "rt(%d,%d,%d,%d,%t)", r.from, r.initID, r.curID, r.delta, r.wasGpNbr)
+			e.report(r)
 		}
-		if hs.cands != nil {
-			writeIDMap(w, "c", hs.cands)
-		}
-		if hs.compMin != nil {
-			writeIDMap(w, "cm", hs.compMin)
-		}
-		fmt.Fprint(w, ")")
+		e.optIDMap(hs.cands)
+		e.optIDMap(hs.compMin)
 	}
 	// Mailbox as channels: per sender in FIFO order. The cross-sender
 	// arrival order in the backing queue is scheduling noise (handlers
@@ -256,108 +347,123 @@ func (nd *node) writeState(w io.Writer) {
 	for _, m := range nd.inbox.peekAll() {
 		bySender[m.from] = append(bySender[m.from], m)
 	}
+	e.int(len(bySender))
 	for _, from := range sortedKeys(bySender) {
-		fmt.Fprintf(w, "ch%d[", from)
+		e.int(from)
+		e.int(len(bySender[from]))
 		for _, m := range bySender[from] {
-			writeMessage(w, m)
+			e.message(m)
 		}
-		fmt.Fprint(w, "]")
 	}
-	fmt.Fprint(w, ")")
 }
 
-func (pi *pipeline) writeState(w io.Writer) {
+func (pi *pipeline) encodeState(e *stateEnc) {
 	pi.mu.Lock()
 	defer pi.mu.Unlock()
-	fmt.Fprintf(w, "pi(next%d serial%t rec%t order%v ", pi.nextEpoch, pi.serial, pi.recovering, pi.order)
+	e.u64(pi.nextEpoch)
+	e.bool(pi.serial)
+	e.bool(pi.recovering)
+	e.u64s(pi.order)
+	e.int(len(pi.pendingVictim))
 	for _, v := range sortedKeys(pi.pendingVictim) {
-		fmt.Fprintf(w, "pv%d:%d,", v, pi.pendingVictim[v])
+		e.int(v)
+		e.u64(pi.pendingVictim[v])
 	}
-	if len(pi.crashed) > 0 {
-		fmt.Fprintf(w, "cr%v ", sortedKeys(pi.crashed))
-	}
+	keys(e, pi.crashed)
+	e.int(len(pi.effLog))
 	for _, ent := range pi.effLog {
 		op := ent.op
-		fmt.Fprintf(w, "ef(%d k%d v%d b%v id%d at%v in%d)",
-			ent.epoch, op.Kind, op.Victim, op.Batch, op.NewID, op.Attach, op.InitID)
+		e.u64(ent.epoch)
+		e.b = append(e.b, byte(op.Kind))
+		e.int(op.Victim)
+		e.ints(op.Batch)
+		e.int(op.NewID)
+		e.ints(op.Attach)
+		e.u64(op.InitID)
 	}
-	ids := make([]uint64, 0, len(pi.epochs))
-	for id := range pi.epochs {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
+	e.int(len(pi.epochs))
+	for _, id := range sortedKeysU64(pi.epochs) {
 		es := pi.epochs[id]
-		fmt.Fprintf(w, "e%d(%d %q l%t c%t ab%t ff%t v%d new%d at%v b%v root%d ld%d u%t ",
-			id, es.kind, es.stage, es.launched, es.completed, es.aborted,
-			es.floodStarted, es.victim, es.newID, es.attach, es.batch,
-			es.root, es.leader, es.universal)
-		fmt.Fprintf(w, "rg%v ", sortedKeys(es.region))
-		deps := make([]uint64, 0, len(es.deps))
-		for d := range es.deps {
-			deps = append(deps, d)
-		}
-		sort.Slice(deps, func(i, j int) bool { return deps[i] < deps[j] })
-		fmt.Fprintf(w, "dep%v cl%d)", deps, es.clustersLeft)
+		e.u64(id)
+		e.b = append(e.b, byte(es.kind))
+		e.str(es.stage)
+		e.bool(es.launched)
+		e.bool(es.completed)
+		e.bool(es.aborted)
+		e.bool(es.floodStarted)
+		e.int(es.victim)
+		e.int(es.newID)
+		e.ints(es.attach)
+		e.ints(es.batch)
+		e.int(es.root)
+		e.int(es.leader)
+		e.bool(es.universal)
+		keys(e, es.region)
+		e.u64s(sortedKeysU64(es.deps))
+		e.int(es.clustersLeft)
 	}
-	writeGraph(w, "mg", pi.mirG)
-	writeGraph(w, "mp", pi.mirGp)
+	e.graph(pi.mirG)
+	e.graph(pi.mirGp)
 	pi.attachMu.Lock()
-	recEpochs := make([]uint64, 0, len(pi.attachRec))
-	for e := range pi.attachRec {
-		recEpochs = append(recEpochs, e)
-	}
-	sort.Slice(recEpochs, func(i, j int) bool { return recEpochs[i] < recEpochs[j] })
-	for _, e := range recEpochs {
-		fmt.Fprintf(w, "ar%d%v", e, pi.attachRec[e])
+	e.int(len(pi.attachRec))
+	for _, ep := range sortedKeysU64(pi.attachRec) {
+		e.u64(ep)
+		e.int(len(pi.attachRec[ep]))
+		for _, edge := range pi.attachRec[ep] {
+			e.int(edge[0])
+			e.int(edge[1])
+		}
 	}
 	pi.attachMu.Unlock()
-	fmt.Fprint(w, ")")
 }
 
-func (s *Sim) writeState(w io.Writer) {
+func (s *Sim) encodeState(e *stateEnc) {
 	nw := s.nw
 	nw.mu.Lock()
-	fmt.Fprintf(w, "nw(n%d rounds%d fs%d fm%d dead%v ", nw.n, nw.rounds, nw.floodSum, nw.floodMax, nw.dead)
-	if len(s.gone) > 0 {
-		fmt.Fprintf(w, "gone%v ", sortedKeys(s.gone))
+	e.int(nw.n)
+	e.int(nw.rounds)
+	e.u64(uint64(nw.floodSum))
+	e.int(nw.floodMax)
+	e.int(len(nw.dead))
+	for _, d := range nw.dead {
+		e.bool(d)
 	}
-	for _, e := range sortedKeysU64(nw.epochHops) {
-		writeHopMap(w, e, nw.epochHops[e])
+	keys(e, s.gone)
+	e.int(len(nw.epochHops))
+	for _, ep := range sortedKeysU64(nw.epochHops) {
+		hops := nw.epochHops[ep]
+		e.u64(ep)
+		e.int(len(hops))
+		for _, v := range sortedKeys(hops) {
+			e.int(v)
+			e.int(hops[v])
+		}
 	}
-	for _, e := range sortedKeysU64(nw.batchClusters) {
-		cs := append([]batchCluster(nil), nw.batchClusters[e]...)
-		sort.Slice(cs, func(i, j int) bool { return cs[i].root < cs[j].root })
-		fmt.Fprintf(w, "bc%d%v", e, cs)
+	e.int(len(nw.batchClusters))
+	for _, ep := range sortedKeysU64(nw.batchClusters) {
+		cs := slices.Clone(nw.batchClusters[ep])
+		slices.SortFunc(cs, func(a, b batchCluster) int { return cmp.Compare(a.root, b.root) })
+		e.u64(ep)
+		e.int(len(cs))
+		for _, c := range cs {
+			e.int(c.root)
+			e.int(c.leader)
+		}
 	}
 	nw.mu.Unlock()
 
-	for _, l := range nw.track.epochLoads() {
-		fmt.Fprintf(w, "if%d:%d,", l.epoch, l.count)
+	loads := nw.track.epochLoads()
+	e.int(len(loads))
+	for _, l := range loads {
+		e.u64(l.epoch)
+		e.u64(uint64(l.count))
 	}
 
-	nw.pipe.writeState(w)
+	nw.pipe.encodeState(e)
 	for _, nd := range nw.nodeSlice() {
+		e.bool(nd != nil)
 		if nd != nil {
-			nd.writeState(w)
+			nd.encodeState(e)
 		}
 	}
-	fmt.Fprint(w, ")")
-}
-
-func sortedKeysU64[V any](m map[uint64]V) []uint64 {
-	ks := make([]uint64, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
-	return ks
-}
-
-func writeHopMap(w io.Writer, epoch uint64, m map[int]int) {
-	fmt.Fprintf(w, "hops%d{", epoch)
-	for _, v := range sortedKeys(m) {
-		fmt.Fprintf(w, "%d:%d,", v, m[v])
-	}
-	fmt.Fprint(w, "}")
 }
