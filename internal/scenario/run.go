@@ -336,6 +336,11 @@ type trialRun struct {
 
 	res TrialResult
 
+	// measuredAt is the graphVersion of the last exact stretch sweep
+	// (-1 before the first): a checkpoint at the same version reuses
+	// that sweep's result.
+	measuredAt int
+
 	// scratch
 	nbrScratch []int
 	marks      graph.Marks // ball walks and batch boundaries
@@ -359,6 +364,7 @@ func newTrialRun(cfg Config, events []Event, victim VictimPolicy, trial int, tr 
 		healer: core.InstanceFor(cfg.Healer),
 		s:      s, alive: NewAliveSet(s.G),
 		victimR: victimR, opR: opR, measureR: measureR,
+		measuredAt: -1,
 		res: TrialResult{
 			N: s.G.NumAlive(), AlwaysConnected: true, FirstBreak: -1,
 			MaxStretch: 1, MeanStretch: 1,
@@ -546,7 +552,7 @@ func (t *trialRun) checkpoint(phase int) {
 		cp.Connected = t.conn.StillConnected()
 	}
 	if t.auto != nil && t.s.G.NumAlive() >= 2 {
-		cp.Stretch, cp.Diameter = t.auto.Checkpoint(t.s.G, t.measureR)
+		t.measure(&cp)
 		cp.MaxStretch = cp.Stretch.Max
 		cp.MeanStretch = cp.Stretch.Mean
 		cp.StretchLo = cp.Stretch.MeanLo
@@ -560,6 +566,27 @@ func (t *trialRun) checkpoint(phase int) {
 	}
 	t.res.Checkpoints = append(t.res.Checkpoints, cp)
 }
+
+// measure fills cp's stretch and diameter. An exact sweep draws no
+// randomness, so when the graph has not changed since the last one (a
+// victim policy that ran out leaves the rest of the trial's cadence
+// checkpoints on one graph) its result is reused instead of re-swept.
+// Sampled checkpoints always measure, keeping their RNG draws.
+func (t *trialRun) measure(cp *Checkpoint) {
+	v := graphVersion(t.s.G)
+	if last := len(t.res.Checkpoints) - 1; !t.auto.Sampled() && v == t.measuredAt {
+		cp.Stretch, cp.Diameter = t.res.Checkpoints[last].Stretch, t.res.Checkpoints[last].Diameter
+		return
+	}
+	cp.Stretch, cp.Diameter = t.auto.Checkpoint(t.s.G, t.measureR)
+	t.measuredAt = v
+}
+
+// graphVersion changes with every mutation a trial makes: slots are
+// never reused and the dead never return, so the slot count and the
+// dead count only grow, and every delete, batch kill or join grows one
+// of them.
+func graphVersion(g *graph.Graph) int { return 2*g.N() - g.NumAlive() }
 
 // finish completes the trial's bookkeeping and returns the result.
 func (t *trialRun) finish() TrialResult {

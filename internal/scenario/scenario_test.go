@@ -267,6 +267,48 @@ func TestRunLiveness(t *testing.T) {
 	})
 }
 
+// TestExactCheckpointReuse pins the reuse of an unchanged exact
+// checkpoint: once the victim budget runs out, deletions stop mutating
+// the graph, and the cadence checkpoints that follow reuse the last
+// sweep instead of re-measuring. Every checkpoint must equal a fresh
+// sweep of the graph it was taken on, before and after the joins in the
+// middle phase change it again.
+func TestExactCheckpointReuse(t *testing.T) {
+	sc := Schedule{Name: "reuse", Phases: []Phase{Attrition(24), Growth(6, 2), Attrition(20)}}
+	cfg := baseConfig(256, sc)
+	cfg.MeasureEvery = 4
+	cfg.SampleThreshold = math.MaxInt
+	events, err := sc.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := newTrialRun(cfg, events, FromAttack{&attack.Limited{Inner: attack.Random{}, Budget: 7}}, 0, rng.New(5).Split())
+	if run.auto.Sampled() {
+		t.Fatal("threshold above n must measure exactly")
+	}
+	versions := make(map[int]bool)
+	for more := true; more; {
+		before := len(run.res.Checkpoints)
+		more = run.step()
+		if len(run.res.Checkpoints) == before {
+			continue
+		}
+		versions[graphVersion(run.s.G)] = true
+		cp := run.res.Checkpoints[before]
+		st, d := run.auto.Checkpoint(run.s.G, run.measureR)
+		if cp.Stretch != st || cp.Diameter != d {
+			t.Fatalf("checkpoint at event %d: got %+v %+v, a fresh sweep gives %+v %+v",
+				cp.Event, cp.Stretch, cp.Diameter, st, d)
+		}
+	}
+	if !run.res.Exhausted || run.res.Deletes != 7 {
+		t.Fatalf("the budget should run out after 7 deletes: %+v", run.res)
+	}
+	if len(versions) >= len(run.res.Checkpoints) {
+		t.Fatalf("%d checkpoints on %d graphs: no checkpoint could be reused", len(run.res.Checkpoints), len(versions))
+	}
+}
+
 // twiceVictim returns the same node forever: the second pick is dead.
 type twiceVictim struct{ v int }
 
