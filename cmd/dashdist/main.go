@@ -1,5 +1,6 @@
 // Command dashdist runs the *distributed* DASH implementation: one
-// goroutine per network node, all coordination via messages (death
+// actor per network node, run on a GOMAXPROCS worker pool, all
+// coordination via messages (death
 // notices, leader-collected heal reports, attach orders, hop-tagged
 // label floods, NoN gossip). It optionally cross-checks every round
 // against the sequential reference implementation: topology, healing
@@ -103,7 +104,7 @@ func realMain() error {
 	nw := dist.NewKind(g.Clone(), ids, kind)
 	defer nw.Close()
 
-	fmt.Printf("distributed %s: %d node goroutines, %d edges, attack=%s, verify=%v\n\n",
+	fmt.Printf("distributed %s: %d node actors, %d edges, attack=%s, verify=%v\n\n",
 		*healName, *n, g.NumEdges(), *attackName, *verify)
 
 	att := newAttack()

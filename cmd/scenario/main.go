@@ -13,10 +13,11 @@
 // runs scale to the same sizes as Uniform ones.
 //
 // With -differential the preset is not swept but replayed: trial 0 runs
-// through the sequential engine AND the distributed goroutine-per-node
+// through the sequential engine AND the distributed actor-per-node
 // engine in lockstep — batch kills included, via the staged batch-kill
 // epoch — with exact G/G′/label/δ equality checked after every mutating
-// event (keep n moderate; every node is a goroutine). Adding -pipelined
+// event (keep n moderate; every event is checked against a full
+// snapshot of the network). Adding -pipelined
 // issues the mutations asynchronously in windows instead, so disjoint
 // heal epochs overlap on the wire, and checks the same exact
 // equivalence at every window flush.

@@ -1,5 +1,6 @@
 // Distributed: DASH as an actual message-passing protocol. Every node of
-// the network is a goroutine with a mailbox; the only coordination is
+// the network is an actor with a mailbox, run by a small pool of worker
+// goroutines; the only coordination is
 // typed messages (death notices, heal-info reports to a per-round leader,
 // attach orders, ID-update floods, NoN gossip). A supervisor plays the
 // failure detector and waits for quiescence between attacks.
@@ -26,7 +27,7 @@ import (
 func main() {
 	const n = 200
 	g := gen.BarabasiAlbert(n, 3, rng.New(1))
-	fmt.Printf("spawning %d node goroutines over a %d-edge overlay...\n", n, g.NumEdges())
+	fmt.Printf("starting %d node actors over a %d-edge overlay...\n", n, g.NumEdges())
 
 	// Shared identities: the sequential reference assigns the random
 	// initial IDs; the distributed network receives the same ones.

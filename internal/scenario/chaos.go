@@ -15,7 +15,7 @@ package scenario
 // This is the scenario-scale complement to internal/dist's fixed-attack
 // chaos tests and the modelcheck package's exhaustive small-config
 // fault enumeration: randomized schedules, thousands of nodes, the real
-// goroutine runtime.
+// concurrent runtime.
 
 import (
 	"fmt"

@@ -2,7 +2,7 @@
 // Pieces: Self-Healing in Reconfigurable Networks" (IPPS 2008): the DASH
 // and SDASH self-healing algorithms, the naive baselines and adversaries
 // of the paper's evaluation, a sequential experiment engine, and a fully
-// distributed goroutine-per-node implementation.
+// distributed actor-per-node implementation.
 //
 // This root package is a thin facade over the implementation packages:
 //
@@ -43,7 +43,8 @@
 //	internal/metrics     stretch and degree statistics; one stretch read
 //	                     (AutoStretch.Checkpoint) measures stretch and
 //	                     estimates the diameter in a single traversal
-//	internal/dist        goroutine-per-node distributed DASH/SDASH: death
+//	internal/dist        actor-per-node distributed DASH/SDASH, run on a
+//	                     GOMAXPROCS worker pool: death
 //	                     notices, locally elected leaders collecting heal
 //	                     reports, attach orders with acks, hop-tagged MINID
 //	                     label floods, and NoN gossip, with quiescence
