@@ -157,7 +157,7 @@ type Network struct {
 	n         int
 	initIDs   []uint64 // immutable per slot; the supervisor's ID ledger
 	dead      []bool   // epoch completed: the kill of this node succeeded
-	exited    []bool   // the node actor has retired (set by the node itself)
+	exited    []bool   // the node has died (set by the node itself; a batch zombie drains on until msgStop)
 	deadStats []finalStats
 	epochHops map[uint64]map[int]int // per-epoch adopters -> min hop distance
 	floodSum  int64
@@ -455,8 +455,8 @@ func (nw *Network) foldFloodDepth(epoch uint64) {
 	nw.mu.Unlock()
 }
 
-// storeFinal archives a dying node's counters and records that its
-// actor has retired, so Snapshot never waits on it — even when
+// storeFinal archives a dying node's counters and records that it has
+// died, so Snapshot never waits on it — even when
 // the epoch that killed it subsequently failed its watchdog.
 func (nw *Network) storeFinal(v int, fs finalStats) {
 	nw.mu.Lock()
