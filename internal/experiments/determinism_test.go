@@ -13,33 +13,25 @@ func TestParallelSweepDeterminism(t *testing.T) {
 	const trials, seed = 4, 11
 	defer func(old int) { Workers = old }(Workers)
 
-	type tables struct{ fig8, fig9a, fig9b, batch string }
-	generate := func(workers int) tables {
+	names := []string{"Fig8", "Fig9(a)", "Fig9(b)", "Batch", "Churn"}
+	generate := func(workers int) []string {
 		Workers = workers
-		f8 := Fig8(sizes, trials, seed)
 		a, b := Fig9(sizes, trials, seed)
-		bt := Batch(24, []int{1, 3}, trials, seed)
-		return tables{f8.String(), a.String(), b.String(), bt.String()}
+		return []string{
+			Fig8(sizes, trials, seed).String(),
+			a.String(), b.String(),
+			Batch(24, []int{1, 3}, trials, seed).String(),
+			Churn(24, 48, trials, seed).String(),
+		}
 	}
 
 	serial := generate(1)
 	for _, workers := range []int{2, 8} {
-		parallel := generate(workers)
-		if parallel.fig8 != serial.fig8 {
-			t.Errorf("Fig8 differs at %d workers:\nserial:\n%s\nparallel:\n%s",
-				workers, serial.fig8, parallel.fig8)
-		}
-		if parallel.fig9a != serial.fig9a {
-			t.Errorf("Fig9(a) differs at %d workers:\nserial:\n%s\nparallel:\n%s",
-				workers, serial.fig9a, parallel.fig9a)
-		}
-		if parallel.fig9b != serial.fig9b {
-			t.Errorf("Fig9(b) differs at %d workers:\nserial:\n%s\nparallel:\n%s",
-				workers, serial.fig9b, parallel.fig9b)
-		}
-		if parallel.batch != serial.batch {
-			t.Errorf("Batch differs at %d workers:\nserial:\n%s\nparallel:\n%s",
-				workers, serial.batch, parallel.batch)
+		for i, parallel := range generate(workers) {
+			if parallel != serial[i] {
+				t.Errorf("%s differs at %d workers:\nserial:\n%s\nparallel:\n%s",
+					names[i], workers, serial[i], parallel)
+			}
 		}
 	}
 }

@@ -1,12 +1,17 @@
 // Package experiments defines the paper's evaluation artifacts as
 // reproducible table generators. Each function regenerates the series of
-// one figure or analytic claim (see DESIGN.md's experiment index E1-E9);
-// cmd/figures prints them and the root benchmarks exercise them.
+// one figure or analytic claim; cmd/figures prints them (its doc comment
+// is the index) and the root benchmarks exercise them.
 //
 // Methodology (§4.1 of the paper): for each graph size and strategy pair,
 // run over independent random Barabási–Albert instances, delete one node
 // per round until the graph is empty (healing after every deletion), and
 // average the per-run statistics.
+//
+// Every table runs its trials on scenario's one trial loop, directly
+// (scenario.Run) or through sim.Run's one-phase Attrition schedule. No
+// table mutates a core.State itself; TestNoHandWrittenTrialLoop keeps it
+// that way.
 package experiments
 
 import (
@@ -17,21 +22,20 @@ import (
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/par"
 	"repro/internal/rng"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
 // Workers is the per-cell trial parallelism every experiment in this
-// package hands to its trial loop (sim.Config.Workers,
-// scenario.Config.Workers, or par.ForEachTrial directly): 0 fans out
-// across every CPU, 1 forces the serial path. Tables are bit-identical
-// at any value — trial seeds are pre-split in order and results merged
-// by trial index (see par.ForEachTrial) — so this is purely a
-// wall-clock knob (cmd/figures
-// exposes it as -workers). Set it before generating tables; it must not
-// be written while experiments are running.
+// package hands to its trial loop (sim.Config.Workers or
+// scenario.Config.Workers): 0 fans out across every CPU, 1 forces the
+// serial path. Tables are bit-identical at any value — trial seeds are
+// pre-split in order and results merged by trial index — so this is
+// purely a wall-clock knob (cmd/figures exposes it as -workers). Set it
+// before generating tables; it must not be written while experiments
+// are running.
 var Workers = 0
 
 // BAEdges is the Barabási–Albert attachment parameter used by all
@@ -341,43 +345,21 @@ func SDASHBehaviour(sizes []int, trials int, seed uint64) *stats.Table {
 
 // Batch exercises the footnote-1 extension: simultaneous deletions of
 // growing batch sizes, healed by batch DASH, verifying connectivity and
-// reporting degree growth.
+// reporting degree growth. Each batch is a BFS ball of k alive nodes
+// around a random epicenter: scenario's Disaster phase, the correlated
+// failure model of Hayashi et al. (arXiv:2008.00651). Footnote 1 does
+// not fix the batch shape, and a ball is the harder case, since it
+// kills whole neighbourhoods at once. A wave kills at least one node
+// while any is alive, so n waves empty the network; the waves after
+// that find it empty and do nothing.
 func Batch(n int, batchSizes []int, trials int, seed uint64) *stats.Table {
 	t := &stats.Table{
-		Title:  "Batch deletions (footnote 1): batch DASH on BA graphs, random victims",
+		Title:  "Batch deletions (footnote 1): batch DASH on BA graphs, BFS-ball victims",
 		Header: []string{"batch", "peak δ", "always connected", "2*log2(n)"},
 	}
 	for _, k := range batchSizes {
-		peaks := make([]float64, trials)
-		conns := make([]bool, trials)
-		master := rng.New(seed + uint64(k))
-		par.ForEachTrial(trials, master, Workers, func(trial int, tr *rng.RNG) {
-			s := core.NewState(gen.BarabasiAlbert(n, BAEdges, tr.Split()), tr.Split())
-			att := tr.Split()
-			peak := 0
-			connected := true
-			for s.G.NumAlive() > 0 {
-				alive := s.G.AliveNodes()
-				size := k
-				if size > len(alive) {
-					size = len(alive)
-				}
-				batch := make([]int, 0, size)
-				for _, i := range att.Perm(len(alive))[:size] {
-					batch = append(batch, alive[i])
-				}
-				peak = s.PeakDeltaEdges(peak, s.DeleteBatchAndHeal(batch).Added)
-				if !s.G.Connected() {
-					connected = false
-				}
-			}
-			peaks[trial], conns[trial] = float64(peak), connected
-		})
-		connected := true
-		for _, c := range conns {
-			connected = connected && c
-		}
-		t.AddRow(k, stats.Mean(peaks), connected, 2*math.Log2(float64(n)))
+		res := dashCell(n, scenario.Disaster(n, k), nil, trials, seed+uint64(k))
+		t.AddRow(k, res.PeakDelta.Mean, alwaysConnected(res), 2*math.Log2(float64(n)))
 	}
 	return t
 }

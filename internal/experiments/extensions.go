@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/par"
 	"repro/internal/rng"
 	"repro/internal/scenario"
 	"repro/internal/sim"
@@ -113,59 +112,57 @@ func OracleAblation(sizes []int, trials int, seed uint64) *stats.Table {
 
 // Churn interleaves joins with adversarial deletions (one join every
 // 0, 4, or 2 steps) and verifies DASH's guarantees hold on a network
-// that never stops changing.
+// that never stops changing. Every event of the schedule runs, so a join
+// that finds the network empty starts a one-node network: final alive
+// can read 1 where the deletions emptied it.
 func Churn(n, steps, trials int, seed uint64) *stats.Table {
 	t := &stats.Table{
 		Title:  "Churn: joins interleaved with NeighborOfMax deletions, DASH healing",
 		Header: []string{"join every", "steps", "peak δ", "always connected", "final alive"},
 	}
+	victim := func() scenario.VictimPolicy { return scenario.FromAttack{S: attack.NeighborOfMax{}} }
 	for _, je := range []int{0, 4, 2} {
-		peaks := make([]float64, trials)
-		finals := make([]float64, trials)
-		conns := make([]bool, trials)
-		master := rng.New(seed + uint64(je))
-		par.ForEachTrial(trials, master, Workers, func(trial int, tr *rng.RNG) {
-			s := core.NewState(gen.BarabasiAlbert(n, BAEdges, tr.Split()), tr.Split())
-			attackR := tr.Split()
-			joinR := tr.Split()
-			att := attack.NeighborOfMax{}
-			peak := 0
-			connected := true
-			for step := 1; step <= steps; step++ {
-				alive := s.G.AliveNodes()
-				if len(alive) == 0 {
-					break
-				}
-				if je > 0 && step%je == 0 {
-					k := min(3, len(alive))
-					attach := make([]int, 0, k)
-					for _, i := range joinR.Perm(len(alive))[:k] {
-						attach = append(attach, alive[i])
-					}
-					s.Join(attach, joinR)
-					peak = s.PeakDelta(peak, attach...)
-				} else {
-					v := att.Next(s, attackR)
-					if v == attack.NoTarget {
-						break
-					}
-					peak = s.PeakDeltaEdges(peak, s.DeleteAndHeal(v, core.DASH{}).Added)
-				}
-				if !s.G.Connected() {
-					connected = false
-				}
-			}
-			peaks[trial] = float64(peak)
-			finals[trial] = float64(s.G.NumAlive())
-			conns[trial] = connected
-		})
-		connected := true
-		for _, c := range conns {
-			connected = connected && c
+		phase := scenario.Attrition(steps)
+		if je > 0 {
+			phase = scenario.Churn(steps, je, BAEdges)
 		}
-		t.AddRow(je, steps, stats.Mean(peaks), connected, stats.Mean(finals))
+		res := dashCell(n, phase, victim, trials, seed+uint64(je))
+		t.AddRow(je, steps, res.PeakDelta.Mean, alwaysConnected(res), res.FinalAlive.Mean)
 	}
 	return t
+}
+
+// dashCell runs one DASH schedule of a single phase on BA graphs of size
+// n, tracking connectivity after every event and taking no metrics
+// checkpoints. A nil victim deletes uniformly.
+func dashCell(n int, phase scenario.Phase, victim func() scenario.VictimPolicy,
+	trials int, seed uint64) scenario.Result {
+	res, err := scenario.Run(scenario.Config{
+		NewGraph:          BAGraph(n),
+		Schedule:          scenario.Schedule{Name: phase.Kind.String(), Phases: []scenario.Phase{phase}},
+		Healer:            core.DASH{},
+		NewVictim:         victim,
+		Trials:            trials,
+		Seed:              seed,
+		Workers:           Workers,
+		MeasureEvery:      -1,
+		TrackConnectivity: true,
+	})
+	if err != nil {
+		panic(err) // the callers build valid one-phase schedules
+	}
+	return res
+}
+
+// alwaysConnected reports whether every trial of res stayed connected
+// after every event.
+func alwaysConnected(res scenario.Result) bool {
+	for _, tr := range res.Trials {
+		if !tr.AlwaysConnected {
+			return false
+		}
+	}
+	return true
 }
 
 // Scenarios runs every preset workload of internal/scenario (disaster,
@@ -200,14 +197,12 @@ func Scenarios(n, trials int, seed uint64) *stats.Table {
 			if err != nil {
 				panic(err)
 			}
-			connected := true
 			sampled := false
 			for _, tr := range res.Trials {
-				connected = connected && tr.AlwaysConnected
 				sampled = sampled || tr.SampledMetrics
 			}
 			t.AddRow(name, h.Name(), res.Events, res.FinalAlive.Mean,
-				res.PeakDelta.Mean, res.MaxStretch.Mean, connected, sampled)
+				res.PeakDelta.Mean, res.MaxStretch.Mean, alwaysConnected(res), sampled)
 		}
 	}
 	return t
