@@ -7,6 +7,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/rng"
+	"repro/internal/stats"
 )
 
 // damage deletes a few nodes and patches the survivors with an arbitrary
@@ -201,5 +202,37 @@ func TestSampledBFSScratchPooled(t *testing.T) {
 	})
 	if perOp := bench.AllocedBytesPerOp(); perOp > int64(n) {
 		t.Fatalf("SampledStretch.Measure allocates %d B/op on a %d-node graph; the BFS scratch is not being pooled", perOp, n)
+	}
+}
+
+// TestEstimateMatchesSummarize pins estimate's in-place fold to
+// stats.Summarize plus CI95 over a float64 copy, bit for bit, on empty,
+// one-, two- and many-source samples.
+func TestEstimateMatchesSummarize(t *testing.T) {
+	r := rng.New(5)
+	many := make([]int32, 1000)
+	for i := range many {
+		many[i] = int32(r.Intn(40))
+	}
+	for _, ecc := range [][]int32{nil, {7}, {3, 8}, {4, 4}, many} {
+		xs := make([]float64, len(ecc))
+		want := DiameterEstimate{Exact: true, Sources: len(ecc)}
+		for i, e := range ecc {
+			xs[i] = float64(e)
+			want.Diameter = max(want.Diameter, int(e))
+		}
+		if len(ecc) > 0 {
+			s := stats.Summarize(xs)
+			want.MeanEcc = s.Mean
+			want.EccLo, want.EccHi = s.CI95()
+		}
+		got := estimate(ecc, true)
+		same := got.Diameter == want.Diameter && got.Sources == want.Sources && got.Exact &&
+			math.Float64bits(got.MeanEcc) == math.Float64bits(want.MeanEcc) &&
+			math.Float64bits(got.EccLo) == math.Float64bits(want.EccLo) &&
+			math.Float64bits(got.EccHi) == math.Float64bits(want.EccHi)
+		if !same {
+			t.Errorf("%d sources: estimate = %+v, Summarize gives %+v", len(ecc), got, want)
+		}
 	}
 }
