@@ -1,5 +1,5 @@
 // Benchmarks regenerating every artifact of the paper's evaluation (one
-// benchmark per figure/table; see DESIGN.md's experiment index). Each
+// benchmark per figure/table; cmd/figures/main.go lists them). Each
 // reports the figure's headline numbers as custom metrics so `go test
 // -bench=.` output records the reproduced values next to the timings.
 //
@@ -37,7 +37,7 @@ func cellF(b *testing.B, t *stats.Table, row, col int) float64 {
 	return v
 }
 
-// BenchmarkFig8MaxDegreeIncrease regenerates Figure 8 (E1): maximum
+// BenchmarkFig8MaxDegreeIncrease regenerates Figure 8: maximum
 // degree increase per healer under the NeighborOfMax attack.
 func BenchmarkFig8MaxDegreeIncrease(b *testing.B) {
 	var tab *stats.Table
@@ -63,7 +63,7 @@ func BenchmarkFig8SweepN512(b *testing.B) {
 	b.ReportMetric(cellF(b, tab, 0, 3), "DASH_δ")
 }
 
-// BenchmarkFig9aIDChanges regenerates Figure 9(a) (E2): worst per-node
+// BenchmarkFig9aIDChanges regenerates Figure 9(a): worst per-node
 // ID-change counts (all strategies stay below log₂ n).
 func BenchmarkFig9aIDChanges(b *testing.B) {
 	var tabA *stats.Table
@@ -75,7 +75,7 @@ func BenchmarkFig9aIDChanges(b *testing.B) {
 	b.ReportMetric(math.Log2(float64(benchSizes[last])), "log2n")
 }
 
-// BenchmarkFig9bMessages regenerates Figure 9(b) (E3): worst per-node
+// BenchmarkFig9bMessages regenerates Figure 9(b): worst per-node
 // component-maintenance traffic.
 func BenchmarkFig9bMessages(b *testing.B) {
 	var tabB *stats.Table
@@ -87,7 +87,7 @@ func BenchmarkFig9bMessages(b *testing.B) {
 	b.ReportMetric(cellF(b, tabB, last, 3), "DASH_msgs")
 }
 
-// BenchmarkFig10Stretch regenerates Figure 10 (E4): stretch under the
+// BenchmarkFig10Stretch regenerates Figure 10: stretch under the
 // MaxNode attack.
 func BenchmarkFig10Stretch(b *testing.B) {
 	var tab *stats.Table
@@ -99,7 +99,7 @@ func BenchmarkFig10Stretch(b *testing.B) {
 	b.ReportMetric(cellF(b, tab, last, 4), "SDASH_stretch")
 }
 
-// BenchmarkThm1Bounds regenerates the Theorem 1 check (E6): DASH measured
+// BenchmarkThm1Bounds regenerates the Theorem 1 check: DASH measured
 // against its three proved bounds.
 func BenchmarkThm1Bounds(b *testing.B) {
 	var tab *stats.Table
@@ -111,7 +111,7 @@ func BenchmarkThm1Bounds(b *testing.B) {
 	b.ReportMetric(cellF(b, tab, last, 2), "bound_δ")
 }
 
-// BenchmarkThm2LowerBound regenerates the Theorem 2 demonstration (E5):
+// BenchmarkThm2LowerBound regenerates the Theorem 2 demonstration:
 // LEVELATTACK forcing the 2-degree-bounded LineHeal to δ ≥ depth.
 func BenchmarkThm2LowerBound(b *testing.B) {
 	var tab *stats.Table
@@ -122,7 +122,7 @@ func BenchmarkThm2LowerBound(b *testing.B) {
 	b.ReportMetric(cellF(b, tab, 2, 3), "DASH_δ_depth4")
 }
 
-// BenchmarkAblationComponentTracking regenerates the §3.1 ablation (E7):
+// BenchmarkAblationComponentTracking regenerates the §3.1 ablation:
 // component-blind healing leaks degree on trees.
 func BenchmarkAblationComponentTracking(b *testing.B) {
 	var tab *stats.Table
@@ -134,7 +134,7 @@ func BenchmarkAblationComponentTracking(b *testing.B) {
 	b.ReportMetric(cellF(b, tab, last, 4), "DASH_δ")
 }
 
-// BenchmarkSDASHSurrogation regenerates the §4.6.2 study (E8).
+// BenchmarkSDASHSurrogation regenerates the §4.6.2 study.
 func BenchmarkSDASHSurrogation(b *testing.B) {
 	var tab *stats.Table
 	for i := 0; i < b.N; i++ {
@@ -242,7 +242,7 @@ func BenchmarkStretchSnapshot(b *testing.B) {
 }
 
 // BenchmarkDistributedRound measures one full distributed healing round
-// (death notices through quiescence) on a live goroutine network (E9).
+// (death notices through quiescence) on a live actor network.
 func BenchmarkDistributedRound(b *testing.B) {
 	g := gen.BarabasiAlbert(b.N+8, 3, rng.New(1))
 	s := core.NewState(g.Clone(), rng.New(2))

@@ -1,5 +1,5 @@
 // Command figures regenerates every figure and analytic table of the
-// paper's evaluation (see DESIGN.md's experiment index):
+// paper's evaluation. This list is the index of them:
 //
 //	fig8      max degree increase vs n, per healer (NeighborOfMax attack)
 //	fig9a     max ID changes per node vs n

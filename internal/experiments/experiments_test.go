@@ -88,8 +88,8 @@ func TestFig10Shape(t *testing.T) {
 	}
 	// The naive GraphHeal (col 1) must beat plain DASH (col 3) on
 	// stretch — the paper's headline Figure 10 ordering. (The SDASH
-	// variants are compared at paper scale in EXPERIMENTS.md; at these
-	// tiny sizes the difference is noise.)
+	// variants are compared at 30 trials in README's "Reproducing the
+	// paper"; at these tiny sizes the difference is noise.)
 	last := len(sizes) - 1
 	if gh, dash := cell(t, tab.Rows, last, 1), cell(t, tab.Rows, last, 3); gh > dash {
 		t.Errorf("GraphHeal stretch %.2f above DASH %.2f, Figure 10 shape broken", gh, dash)

@@ -49,7 +49,8 @@
 //	                     reports, attach orders with acks, hop-tagged MINID
 //	                     label floods, and NoN gossip, with quiescence
 //	                     detected by an in-flight message counter
-//	internal/experiments the paper's figures/tables as table generators
+//	internal/experiments the paper's figures/tables as table generators,
+//	                     every one on scenario's trial loop
 //	                     (experiments.Workers / figures -workers selects
 //	                     the per-cell trial parallelism)
 //
@@ -107,8 +108,9 @@ var (
 	// over the reconnection set.
 	SDASH Healer = core.SDASH{}
 	// SDASHFull is §4.6.2's prose semantics of surrogation: the
-	// surrogate takes all of the deleted node's connections, which is
-	// what actually keeps stretch low (see EXPERIMENTS.md).
+	// surrogate takes all of the deleted node's connections. Its
+	// Figure 10 stretch stays within 7% of SDASH's (README's
+	// "Reproducing the paper").
 	SDASHFull Healer = core.SDASHFull{}
 	// GraphHeal reconnects all neighbors, ignoring cycles (naive).
 	GraphHeal Healer = baseline.GraphHeal{}
