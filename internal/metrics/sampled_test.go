@@ -226,12 +226,7 @@ func TestEstimateMatchesSummarize(t *testing.T) {
 			want.MeanEcc = s.Mean
 			want.EccLo, want.EccHi = s.CI95()
 		}
-		got := estimate(ecc, true)
-		same := got.Diameter == want.Diameter && got.Sources == want.Sources && got.Exact &&
-			math.Float64bits(got.MeanEcc) == math.Float64bits(want.MeanEcc) &&
-			math.Float64bits(got.EccLo) == math.Float64bits(want.EccLo) &&
-			math.Float64bits(got.EccHi) == math.Float64bits(want.EccHi)
-		if !same {
+		if got := estimate(ecc, true); !sameDiameter(got, want) {
 			t.Errorf("%d sources: estimate = %+v, Summarize gives %+v", len(ecc), got, want)
 		}
 	}
