@@ -9,7 +9,7 @@
 //	thm2      LEVELATTACK lower bound on degree-bounded healing
 //	ablation  component tracking ablation (§3.1)
 //	sdash     SDASH surrogation behaviour (§4.6.2)
-//	batch     simultaneous-deletion extension (footnote 1)
+//	batch     simultaneous-deletion extension (footnote 1): BFS-ball batches
 //	topo      topology independence of DASH (§1 claim)
 //	oracle    open problem: ID propagation vs component oracle
 //	churn     joins interleaved with attacks
