@@ -161,6 +161,21 @@ func BenchmarkGraphOpsDiameter(b *testing.B) {
 	}
 }
 
+// BenchmarkGraphOpsClone copies a fresh BA graph, as the dist
+// pipeline's mirror, the scenario differentials and core restore do.
+func BenchmarkGraphOpsClone(b *testing.B) {
+	for _, n := range []int{4096, 100_000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			g := ba(n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sinkGraph = g.Clone()
+			}
+		})
+	}
+}
+
 // BenchmarkGraphOpsMaxDegreeNode is one NeighborOfMax-style round per op
 // on BA n=4096: pick the max-degree node, remove a random neighbour of
 // it, and re-wire that neighbour's former neighbours in a line, as a
@@ -192,4 +207,7 @@ func BenchmarkGraphOpsMaxDegreeNode(b *testing.B) {
 	}
 }
 
-var sink int
+var (
+	sink      int
+	sinkGraph *graph.Graph
+)

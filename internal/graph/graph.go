@@ -14,11 +14,18 @@
 // cheap at the degree bounds the paper's healers guarantee. All accessors
 // that return node collections return them in sorted order so that no
 // nondeterminism ever leaks into simulation behavior.
+//
+// FromEdges and Clone start the rows packed: every row is a cap-limited
+// window of one shared backing array, with room to grow to the next
+// power of two. A row leaves the array, by append's usual reallocation,
+// on its first insert past that room, so it never writes into its
+// neighbour's window.
 package graph
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 	"slices"
 
@@ -48,6 +55,81 @@ func New(n int) *Graph {
 		g.alive[i] = true
 	}
 	return g
+}
+
+// FromEdges returns a graph with n alive nodes and the edges of a flat
+// endpoint list, edges[2i]–edges[2i+1] being the i-th edge. It builds
+// the graph New plus one AddEdge per edge would, but in bulk: it counts
+// the degrees, carves every row from one packed backing array, fills
+// the rows in edge order and sorts only the rows that arrived unsorted,
+// so a list whose rows arrive ascending (as a grown graph's do) costs
+// no sort. It panics, as AddEdge does, on a self-loop, and also on an
+// out-of-range endpoint, an odd-length list or a duplicate edge.
+func FromEdges(n int, edges []int32) *Graph {
+	if len(edges)%2 != 0 {
+		panic(fmt.Sprintf("graph: FromEdges with %d endpoints, want pairs", len(edges)))
+	}
+	g := New(n)
+	fill := make([]int32, n) // first the degrees, then the arcs written so far
+	for _, x := range edges {
+		if x < 0 || int(x) >= n {
+			panic(fmt.Sprintf("graph: node %d is not alive", x))
+		}
+		fill[x]++
+	}
+	// v's window is back[off[v]:off[v+1]].
+	off := make([]int, n+1)
+	for v, d := range fill {
+		off[v+1] = off[v] + rowCap(int(d))
+	}
+	back := make([]int32, off[n])
+	clear(fill)
+	for i := 0; i < len(edges); i += 2 {
+		u, v := edges[i], edges[i+1]
+		if u == v {
+			panic(fmt.Sprintf("graph: self-loop at %d", u))
+		}
+		back[off[u]+int(fill[u])] = v
+		fill[u]++
+		back[off[v]+int(fill[v])] = u
+		fill[v]++
+	}
+	for v, d := range fill {
+		if d == 0 {
+			continue
+		}
+		// Capped at the window (a 3-index slice), so an insert past
+		// the room reallocates instead of overwriting the next row.
+		row := back[off[v] : off[v]+int(d) : off[v+1]]
+		if !ascending(row) {
+			slices.Sort(row)
+			if !ascending(row) {
+				panic(fmt.Sprintf("graph: duplicate edge at node %d", v))
+			}
+		}
+		g.adj[v] = row
+	}
+	g.nEdge = len(edges) / 2
+	return g
+}
+
+// ascending reports whether s is strictly increasing.
+func ascending(s []int32) bool {
+	for i := 1; i < len(s); i++ {
+		if s[i] <= s[i-1] {
+			return false
+		}
+	}
+	return true
+}
+
+// rowCap is the room a packed row of degree d gets: the next power of
+// two at or above d, the slack append's doubling would have left.
+func rowCap(d int) int {
+	if d == 0 {
+		return 0
+	}
+	return 1 << bits.Len(uint(d-1))
 }
 
 // N returns the total number of node slots ever allocated (alive or dead).
@@ -242,8 +324,9 @@ func (g *Graph) Edges() [][2]int {
 	return out
 }
 
-// Clone returns a deep copy of g's nodes and edges. The copy starts
-// without a max-degree index; its first MaxDegreeNode builds its own.
+// Clone returns a deep copy of g's nodes and edges, its rows packed into
+// one backing array as FromEdges packs them. The copy starts without a
+// max-degree index; its first MaxDegreeNode builds its own.
 func (g *Graph) Clone() *Graph {
 	c := &Graph{
 		adj:   make([][]int32, len(g.adj)),
@@ -251,10 +334,18 @@ func (g *Graph) Clone() *Graph {
 		nAliv: g.nAliv,
 		nEdge: g.nEdge,
 	}
+	total := 0
+	for _, nbrs := range g.adj {
+		total += rowCap(len(nbrs))
+	}
+	back := make([]int32, total)
 	for v, nbrs := range g.adj {
-		if len(nbrs) > 0 {
-			c.adj[v] = append([]int32(nil), nbrs...)
+		if len(nbrs) == 0 {
+			continue
 		}
+		k := rowCap(len(nbrs))
+		c.adj[v] = append(back[:0:k], nbrs...) // capped, as in FromEdges
+		back = back[k:]
 	}
 	return c
 }
