@@ -11,6 +11,7 @@ package gen
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/rng"
@@ -28,48 +29,36 @@ func BarabasiAlbert(n, m int, r *rng.RNG) *graph.Graph {
 	if n < 2 || m < 1 || m >= n {
 		panic(fmt.Sprintf("gen: invalid BarabasiAlbert(n=%d, m=%d)", n, m))
 	}
-	g := graph.New(n)
-	// repeated holds each edge endpoint once per incidence, so a uniform
-	// draw from it is a degree-proportional draw over nodes.
-	repeated := make([]int, 0, 2*m*n)
 	seed := m + 1
+	// edges lists every edge as two endpoints, so it holds each node once
+	// per incidence and a uniform draw from it is a degree-proportional
+	// draw over nodes. graph.FromEdges then builds the graph from it.
+	edges := make([]int32, 0, seed*(seed-1)+2*(n-seed)*m)
 	for u := 0; u < seed; u++ {
 		for v := u + 1; v < seed; v++ {
-			g.AddEdge(u, v)
-			repeated = append(repeated, u, v)
+			edges = append(edges, int32(u), int32(v))
 		}
 	}
-	targets := make(map[int]struct{}, m)
+	targets := make([]int32, 0, m)
 	for v := seed; v < n; v++ {
-		clear(targets)
+		targets = targets[:0]
 		// Sample m distinct existing nodes preferentially. Rejection is
 		// cheap: each retry hits an already-picked node with probability
 		// at most (m-1)/m of the mass only in degenerate graphs.
 		for len(targets) < m {
-			t := repeated[r.Intn(len(repeated))]
-			targets[t] = struct{}{}
+			t := edges[r.Intn(len(edges))]
+			if !slices.Contains(targets, t) {
+				targets = append(targets, t)
+			}
 		}
-		// Deterministic edge insertion order (sorted targets).
-		for _, t := range sortedKeys(targets) {
-			g.AddEdge(v, t)
-			repeated = append(repeated, v, t)
-		}
-	}
-	return g
-}
-
-func sortedKeys(m map[int]struct{}) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	// Insertion sort: m is tiny (the attachment parameter).
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
+		// Deterministic edge order (sorted targets). Every row then
+		// arrives ascending: v's targets first, later nodes after.
+		slices.Sort(targets)
+		for _, t := range targets {
+			edges = append(edges, int32(v), t)
 		}
 	}
-	return out
+	return graph.FromEdges(n, edges)
 }
 
 // KaryTree is a complete k-ary tree together with its shape metadata,

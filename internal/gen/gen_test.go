@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -178,8 +179,15 @@ func TestTopologies(t *testing.T) {
 	}
 }
 
+// BenchmarkBarabasiAlbert times one graph per iteration at m=3; n=10⁵
+// is the graph every churn workload generates per round.
 func BenchmarkBarabasiAlbert(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		BarabasiAlbert(1000, 3, rng.New(uint64(i)))
+	for _, n := range []int{1000, 100_000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				BarabasiAlbert(n, 3, rng.New(uint64(i)))
+			}
+		})
 	}
 }
