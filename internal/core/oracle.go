@@ -1,5 +1,7 @@
 package core
 
+import "slices"
+
 // OracleDASH answers the paper's second open problem ("can we remove the
 // need for propagating IDs in order to maintain connected component
 // information?") empirically: it is DASH with a component oracle.
@@ -66,6 +68,6 @@ func (s *State) OracleReconnectSet(d Deletion) []int {
 	for _, v := range rep {
 		rt = append(rt, v)
 	}
-	sortInts(rt)
+	slices.Sort(rt)
 	return rt
 }

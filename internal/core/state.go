@@ -20,7 +20,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/rng"
@@ -305,7 +307,7 @@ func (s *State) UniqueNeighbors(d Deletion) []int {
 	for _, v := range rep {
 		out = append(out, v)
 	}
-	sortInts(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -317,35 +319,24 @@ func (s *State) ReconnectSet(d Deletion) []int {
 	out := make([]int, 0, len(un)+len(d.GpNbrs))
 	out = append(out, un...)
 	out = append(out, d.GpNbrs...)
-	sortInts(out)
+	slices.Sort(out)
 	return out
-}
-
-func sortInts(xs []int) {
-	// Insertion sort: RT sets are tiny (bounded by the deleted node's
-	// degree) and this avoids pulling package sort into the hot path.
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }
 
 // SortByDelta orders members ascending by (δ, initial ID): the complete-
 // binary-tree mapping order of Algorithm 1 (low δ becomes the root and
 // internal nodes; high δ becomes leaves). The initial-ID tie break makes
-// the algorithm fully deterministic.
+// the algorithm fully deterministic, and since initial IDs are unique
+// the order is total, so an unstable sort gives the same result. Hub
+// deletions and disaster-ball boundaries reach hundreds of members, so
+// this is an O(k log k) sort, not an insertion sort.
 func (s *State) SortByDelta(members []int) {
-	d := func(v int) int { return s.Delta(v) }
-	for i := 1; i < len(members); i++ {
-		for j := i; j > 0; j-- {
-			a, b := members[j-1], members[j]
-			if d(a) < d(b) || (d(a) == d(b) && s.initID[a] <= s.initID[b]) {
-				break
-			}
-			members[j-1], members[j] = b, a
+	slices.SortFunc(members, func(a, b int) int {
+		if c := cmp.Compare(s.Delta(a), s.Delta(b)); c != 0 {
+			return c
 		}
-	}
+		return cmp.Compare(s.initID[a], s.initID[b])
+	})
 }
 
 // AddHealingEdge inserts (u,v) into G and G′ (idempotently in G; the edge

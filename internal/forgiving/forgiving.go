@@ -24,7 +24,11 @@
 // construction and the degree/stretch argument.
 package forgiving
 
-import "repro/internal/core"
+import (
+	"slices"
+
+	"repro/internal/core"
+)
 
 // wireHAFT projects the HAFT over members (already in ascending
 // (δ, initID) order) to real edges. The members are the leaves of a
@@ -75,21 +79,6 @@ func boundary(s *core.State, cluster []core.Deletion) []int {
 	if len(out) == 0 {
 		return nil
 	}
-	sortInts(out)
-	w := 1
-	for i := 1; i < len(out); i++ {
-		if out[i] != out[i-1] {
-			out[w] = out[i]
-			w++
-		}
-	}
-	return out[:w]
-}
-
-func sortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
+	slices.Sort(out)
+	return slices.Compact(out)
 }

@@ -1,6 +1,10 @@
 package forgiving
 
-import "repro/internal/core"
+import (
+	"slices"
+
+	"repro/internal/core"
+)
 
 // vnode is one virtual node: who simulates it and its place in the
 // virtual forest (arena indices; -1 = none). A vnode is created when a
@@ -96,7 +100,7 @@ func (f *Graph) healCluster(s *core.State, cluster []core.Deletion) core.HealRes
 	// cluster — re-parenting them here is what merges the old repair
 	// trees into the new one.
 	mm := append(append([]int(nil), members...), parentSims...)
-	sortInts(mm)
+	slices.Sort(mm)
 	mm = dedupeSorted(mm)
 	if len(mm) > 1 {
 		s.SortByDelta(mm)
