@@ -43,6 +43,28 @@ func (s *State) DeleteBatchAndHeal(xs []int) HealResult {
 		s.hooks.OnBatchKill(xs)
 	}
 	dels := s.RemoveBatch(xs)
+	// One representative per current (post-deletion) G′ component,
+	// lowest initial ID first. Component identity must be computed
+	// structurally: the stale labels cannot distinguish the fragments a
+	// multi-node deletion splits a tree into. Between clusters G′ changes
+	// only by the wiring, which merges the wired members' components, so
+	// the structural labels are computed once per batch and a union-find
+	// over them (merged maps a label to one it was merged into) tracks
+	// the merges.
+	labels := s.Gp.ComponentLabels()
+	merged := make(map[int]int)
+	find := func(l int) int {
+		for {
+			p, ok := merged[l]
+			if !ok {
+				return l
+			}
+			if pp, ok := merged[p]; ok {
+				merged[l] = pp // path halving
+			}
+			l = p
+		}
+	}
 	var res HealResult
 	for _, cluster := range ClusterDeletions(dels) {
 		// Candidates: all surviving G neighbors of the cluster.
@@ -61,17 +83,10 @@ func (s *State) DeleteBatchAndHeal(xs []int) HealResult {
 		for v := range candSet {
 			cands = append(cands, v)
 		}
-		// A disaster ball's boundary runs to hundreds of nodes, past
-		// where sortInts' insertion sort is cheap.
 		slices.Sort(cands)
-		// One representative per current (post-deletion) G′ component,
-		// lowest initial ID first. Component identity must be computed
-		// structurally here: the stale labels cannot distinguish the
-		// fragments a multi-node deletion splits a tree into.
-		labels := s.Gp.ComponentLabels()
 		rep := make(map[int]int)
 		for _, v := range cands {
-			l := labels[v]
+			l := find(labels[v])
 			if cur, ok := rep[l]; !ok || s.initID[v] < s.initID[cur] {
 				rep[l] = v
 			}
@@ -84,6 +99,12 @@ func (s *State) DeleteBatchAndHeal(xs []int) HealResult {
 		s.SortByDelta(rt)
 		added := s.WireBinaryTree(rt)
 		s.PropagateMinID(rt)
+		root := find(labels[rt[0]])
+		for _, v := range rt[1:] {
+			if l := find(labels[v]); l != root {
+				merged[l] = root
+			}
+		}
 		res.RTSize += len(rt)
 		res.Added = append(res.Added, added...)
 	}
@@ -151,7 +172,7 @@ func ClusterDeletions(dels []Deletion) [][]Deletion {
 		keys = append(keys, minNode)
 		byKey[minNode] = g
 	}
-	sortInts(keys)
+	slices.Sort(keys)
 	out := make([][]Deletion, 0, len(groups))
 	for _, k := range keys {
 		out = append(out, byKey[k])
