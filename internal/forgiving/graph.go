@@ -101,7 +101,7 @@ func (f *Graph) healCluster(s *core.State, cluster []core.Deletion) core.HealRes
 	// trees into the new one.
 	mm := append(append([]int(nil), members...), parentSims...)
 	slices.Sort(mm)
-	mm = dedupeSorted(mm)
+	mm = slices.Compact(mm)
 	if len(mm) > 1 {
 		s.SortByDelta(mm)
 		added = append(added, f.memorial(s, mm)...)
@@ -248,15 +248,4 @@ func sortInt32Desc(xs []int32) {
 			xs[j], xs[j-1] = xs[j-1], xs[j]
 		}
 	}
-}
-
-func dedupeSorted(xs []int) []int {
-	w := 1
-	for i := 1; i < len(xs); i++ {
-		if xs[i] != xs[i-1] {
-			xs[w] = xs[i]
-			w++
-		}
-	}
-	return xs[:w]
 }
