@@ -62,7 +62,7 @@ func New(n int) *Graph {
 // the graph New plus one AddEdge per edge would, but in bulk: it counts
 // the degrees, carves every row from one packed backing array, fills
 // the rows in edge order and sorts only the rows that arrived unsorted,
-// so a list whose rows arrive ascending (as a grown graph's do) costs
+// so a list whose rows arrive ascending (as a BA graph's do) costs
 // no sort. It panics, as AddEdge does, on a self-loop, and also on an
 // out-of-range endpoint, an odd-length list or a duplicate edge.
 func FromEdges(n int, edges []int32) *Graph {
