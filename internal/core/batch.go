@@ -43,28 +43,6 @@ func (s *State) DeleteBatchAndHeal(xs []int) HealResult {
 		s.hooks.OnBatchKill(xs)
 	}
 	dels := s.RemoveBatch(xs)
-	// One representative per current (post-deletion) G′ component,
-	// lowest initial ID first. Component identity must be computed
-	// structurally: the stale labels cannot distinguish the fragments a
-	// multi-node deletion splits a tree into. Between clusters G′ changes
-	// only by the wiring, which merges the wired members' components, so
-	// the structural labels are computed once per batch and a union-find
-	// over them (merged maps a label to one it was merged into) tracks
-	// the merges.
-	labels := s.Gp.ComponentLabels()
-	merged := make(map[int]int)
-	find := func(l int) int {
-		for {
-			p, ok := merged[l]
-			if !ok {
-				return l
-			}
-			if pp, ok := merged[p]; ok {
-				merged[l] = pp // path halving
-			}
-			l = p
-		}
-	}
 	var res HealResult
 	for _, cluster := range ClusterDeletions(dels) {
 		// Candidates: all surviving G neighbors of the cluster.
@@ -84,9 +62,14 @@ func (s *State) DeleteBatchAndHeal(xs []int) HealResult {
 			cands = append(cands, v)
 		}
 		slices.Sort(cands)
+		// One representative per current (post-deletion) G′ component,
+		// lowest initial ID first. Component identity must be computed
+		// structurally here: the stale labels cannot distinguish the
+		// fragments a multi-node deletion splits a tree into.
+		labels := s.Gp.ComponentLabels()
 		rep := make(map[int]int)
 		for _, v := range cands {
-			l := find(labels[v])
+			l := labels[v]
 			if cur, ok := rep[l]; !ok || s.initID[v] < s.initID[cur] {
 				rep[l] = v
 			}
@@ -99,12 +82,6 @@ func (s *State) DeleteBatchAndHeal(xs []int) HealResult {
 		s.SortByDelta(rt)
 		added := s.WireBinaryTree(rt)
 		s.PropagateMinID(rt)
-		root := find(labels[rt[0]])
-		for _, v := range rt[1:] {
-			if l := find(labels[v]); l != root {
-				merged[l] = root
-			}
-		}
 		res.RTSize += len(rt)
 		res.Added = append(res.Added, added...)
 	}

@@ -129,76 +129,3 @@ func TestClusterDeletionsGrouping(t *testing.T) {
 		t.Errorf("second cluster = %v", clusters[1])
 	}
 }
-
-// deleteBatchPerCluster is DeleteBatchAndHeal as it was before the
-// union-find: it recomputes the structural G′ labels for every cluster.
-// It is the reference for TestBatchLabelsOncePerBatch.
-func deleteBatchPerCluster(s *State, xs []int) HealResult {
-	dels := s.RemoveBatch(xs)
-	var res HealResult
-	for _, cluster := range ClusterDeletions(dels) {
-		candSet := make(map[int]struct{})
-		for _, d := range cluster {
-			for _, v := range d.GNbrs {
-				if s.G.Alive(v) {
-					candSet[v] = struct{}{}
-				}
-			}
-		}
-		if len(candSet) == 0 {
-			continue
-		}
-		labels := s.Gp.ComponentLabels()
-		rep := make(map[int]int)
-		for v := range candSet {
-			l := labels[v]
-			if cur, ok := rep[l]; !ok || s.initID[v] < s.initID[cur] {
-				rep[l] = v
-			}
-		}
-		rt := make([]int, 0, len(rep))
-		for _, v := range rep {
-			rt = append(rt, v)
-		}
-		s.SortByDelta(rt)
-		added := s.WireBinaryTree(rt)
-		s.PropagateMinID(rt)
-		res.RTSize += len(rt)
-		res.Added = append(res.Added, added...)
-	}
-	s.noteRound()
-	return res
-}
-
-// TestBatchLabelsOncePerBatch checks DeleteBatchAndHeal, which labels G′
-// once per batch and tracks the wiring's merges in a union-find, against
-// the per-cluster relabelling it replaced. The batches are uniform
-// random sets, so most have many clusters whose boundaries share G′
-// components, including components an earlier cluster's wiring merged.
-func TestBatchLabelsOncePerBatch(t *testing.T) {
-	for seed := uint64(1); seed <= 6; seed++ {
-		r := rng.New(seed)
-		g := gen.BarabasiAlbert(300, 2, r)
-		got, want := NewState(g.Clone(), rng.New(seed+100)), NewState(g, rng.New(seed+100))
-		for round := 0; got.G.NumAlive() > 0; round++ {
-			alive := got.G.AliveNodes()
-			k := min(1+r.Intn(40), len(alive))
-			batch := make([]int, 0, k)
-			for _, i := range r.Perm(len(alive))[:k] {
-				batch = append(batch, alive[i])
-			}
-			a, b := got.DeleteBatchAndHeal(batch), deleteBatchPerCluster(want, batch)
-			same := a.RTSize == b.RTSize && len(a.Added) == len(b.Added) &&
-				got.G.Equal(want.G) && got.Gp.Equal(want.Gp)
-			for i := 0; same && i < len(a.Added); i++ {
-				same = a.Added[i] == b.Added[i]
-			}
-			for v := 0; same && v < got.N(); v++ {
-				same = got.CurID(v) == want.CurID(v)
-			}
-			if !same {
-				t.Fatalf("seed %d round %d (batch of %d): heal differs from per-cluster labelling", seed, round, k)
-			}
-		}
-	}
-}
