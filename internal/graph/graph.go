@@ -70,47 +70,52 @@ func FromEdges(n int, edges []int32) *Graph {
 		panic(fmt.Sprintf("graph: FromEdges with %d endpoints, want pairs", len(edges)))
 	}
 	g := New(n)
-	fill := make([]int32, n) // first the degrees, then the arcs written so far
+	deg := make([]int32, n)
 	for _, x := range edges {
 		if x < 0 || int(x) >= n {
 			panic(fmt.Sprintf("graph: node %d is not alive", x))
 		}
-		fill[x]++
+		deg[x]++
 	}
-	// v's window is back[off[v]:off[v+1]].
-	off := make([]int, n+1)
-	for v, d := range fill {
-		off[v+1] = off[v] + rowCap(int(d))
+	total := 0
+	for _, d := range deg {
+		total += rowCap(int(d))
 	}
-	back := make([]int32, off[n])
-	clear(fill)
+	back := make([]int32, total)
+	for v, d := range deg {
+		g.adj[v], back = window(back, int(d))
+	}
 	for i := 0; i < len(edges); i += 2 {
 		u, v := edges[i], edges[i+1]
 		if u == v {
 			panic(fmt.Sprintf("graph: self-loop at %d", u))
 		}
-		back[off[u]+int(fill[u])] = v
-		fill[u]++
-		back[off[v]+int(fill[v])] = u
-		fill[v]++
+		g.adj[u] = append(g.adj[u], v)
+		g.adj[v] = append(g.adj[v], u)
 	}
-	for v, d := range fill {
-		if d == 0 {
-			continue
-		}
-		// Capped at the window (a 3-index slice), so an insert past
-		// the room reallocates instead of overwriting the next row.
-		row := back[off[v] : off[v]+int(d) : off[v+1]]
+	for v, row := range g.adj {
 		if !ascending(row) {
 			slices.Sort(row)
 			if !ascending(row) {
 				panic(fmt.Sprintf("graph: duplicate edge at node %d", v))
 			}
 		}
-		g.adj[v] = row
 	}
 	g.nEdge = len(edges) / 2
 	return g
+}
+
+// window cuts the room for a packed row of degree d off the front of
+// back and returns the empty row and the rest of back. The row is
+// cap-limited (a 3-index slice), so an append past its room reallocates
+// it instead of writing into the next row's window. A row of degree 0
+// stays nil.
+func window(back []int32, d int) (row, rest []int32) {
+	if d == 0 {
+		return nil, back
+	}
+	k := rowCap(d)
+	return back[:0:k], back[k:]
 }
 
 // ascending reports whether s is strictly increasing.
@@ -340,12 +345,9 @@ func (g *Graph) Clone() *Graph {
 	}
 	back := make([]int32, total)
 	for v, nbrs := range g.adj {
-		if len(nbrs) == 0 {
-			continue
-		}
-		k := rowCap(len(nbrs))
-		c.adj[v] = append(back[:0:k], nbrs...) // capped, as in FromEdges
-		back = back[k:]
+		var row []int32
+		row, back = window(back, len(nbrs))
+		c.adj[v] = append(row, nbrs...)
 	}
 	return c
 }
