@@ -2,18 +2,20 @@
 // actor per network node, run on a GOMAXPROCS worker pool, all
 // coordination via messages (death
 // notices, leader-collected heal reports, attach orders, hop-tagged
-// label floods, NoN gossip). It optionally cross-checks every round
-// against the sequential reference implementation: topology, healing
-// edges, every label and δ, and the Lemma 9 flood accounting.
+// label floods, NoN gossip). One round loop drives the attack: each
+// round the attack picks a target on the sequential reference state,
+// the round's victims die on both engines, and (with -verify, the
+// default) the distributed network is cross-checked against the
+// sequential reference: topology, healing edges, every label and δ, and
+// the Lemma 9 flood accounting.
 //
-// With -batch k, each round is a correlated disaster instead of a
-// single kill: a BFS ball of up to k alive nodes around the attack's
-// chosen epicenter dies at once, healed by the distributed batch-kill
-// epoch (cluster probe, candidate convergecast, per-cluster leader
-// election and wiring) and cross-checked against the sequential
-// batch-DASH rule (core.DeleteBatchAndHeal).
-//
-// Examples:
+// Without -batch a round's victim is the target alone, healed by a
+// single-kill epoch. With -batch k, each round is a correlated disaster
+// instead: a BFS ball of up to k alive nodes around the target dies at
+// once, healed by the distributed batch-kill epoch (cluster probe,
+// candidate convergecast, per-cluster leader election and wiring) and
+// cross-checked against the sequential batch-DASH rule
+// (core.DeleteBatchAndHeal).
 //
 // With -chaos, the transport turns hostile: frames are dropped,
 // duplicated, and delayed at the given rates, and nodes fail-stop at
@@ -81,7 +83,7 @@ func realMain() error {
 			*chaosDrop, *chaosDup, *chaosDelay, *chaosCrash, *chaosSeed, *chaosOps)
 	}
 	if *every <= 0 {
-		// Both round loops compute round % every; never divide by zero.
+		// The round loop computes round % every; never divide by zero.
 		*every = 1
 	}
 
@@ -107,58 +109,17 @@ func realMain() error {
 	fmt.Printf("distributed %s: %d node actors, %d edges, attack=%s, verify=%v\n\n",
 		*healName, *n, g.NumEdges(), *attackName, *verify)
 
-	att := newAttack()
-	attR := master.Split()
-	if *batch > 0 {
-		diverged := runBatchMode(os.Stdout, seq, nw, att, attR, *batch, *every, *verify)
-		if *verify {
-			if diverged {
-				fmt.Println("\nresult: FAILED — distributed batch run diverged from the sequential reference")
-				return fmt.Errorf("distributed batch run diverged from the sequential reference")
-			}
-			fmt.Println("\nresult: distributed batch run matched the sequential reference exactly, every epoch")
-		}
-		return nil
-	}
-	divergence := false
-	for round := 1; seq.G.NumAlive() > 0; round++ {
-		x := att.Next(seq, attR)
-		if x == attack.NoTarget {
-			break
-		}
-		seq.DeleteAndHeal(x, seqHealer)
-		nw.Kill(x)
-
-		if *verify || round%*every == 0 || seq.G.NumAlive() == 0 {
-			err := nw.Diverges(seq)
-			match := err == nil
-			if *verify && !match {
-				divergence = true
-				fmt.Printf("round %d: DIVERGENCE from sequential reference: %v\n", round, err)
-			}
-			if round%*every == 0 || seq.G.NumAlive() == 0 {
-				snap := nw.Snapshot()
-				var label, coord, non int64
-				for v := 0; v < *n; v++ {
-					label += snap.MsgSent[v]
-					coord += snap.CoordMsgs[v]
-					non += snap.NoNMsgs[v]
-				}
-				fSum, fMax, rounds := nw.FloodStats()
-				fmt.Printf("round %4d: alive=%4d connected=%v match=%v | label msgs=%d coord=%d NoN=%d | flood depth amortized=%s worst=%d\n",
-					round, snap.G.NumAlive(), snap.G.Connected(), match,
-					label, coord, non,
-					stats.FormatFloat(float64(fSum)/float64(max(rounds, 1))), fMax)
-			}
-		}
-	}
-
+	diverged := runRounds(os.Stdout, seq, nw, seqHealer, newAttack(), master.Split(), *batch, *every, *verify)
 	if *verify {
-		if divergence {
-			fmt.Println("\nresult: FAILED — distributed run diverged from the sequential reference")
-			return fmt.Errorf("distributed run diverged from the sequential reference")
+		what, per := "distributed run", "every round"
+		if *batch > 0 {
+			what, per = "distributed batch run", "every epoch"
 		}
-		fmt.Println("\nresult: distributed run matched the sequential reference exactly, every round")
+		if diverged {
+			fmt.Printf("\nresult: FAILED — %s diverged from the sequential reference\n", what)
+			return fmt.Errorf("%s diverged from the sequential reference", what)
+		}
+		fmt.Printf("\nresult: %s matched the sequential reference exactly, %s\n", what, per)
 	}
 	return nil
 }
@@ -205,40 +166,68 @@ func runChaosMode(n int, seed uint64, healName string,
 	return nil
 }
 
-// runBatchMode drives disaster rounds: the attack picks an epicenter on
-// the sequential state, a BFS ball of up to batchSize alive nodes dies
-// as one batch, and both engines heal it — core.DeleteBatchAndHeal on
-// the sequential side, the staged batch-kill epoch on the distributed
-// side — with optional exact cross-checking per epoch. It reports
-// whether any epoch diverged.
-func runBatchMode(w io.Writer, seq *core.State, nw *dist.Network, att attack.Strategy,
-	attR *rng.RNG, batchSize, every int, verify bool) bool {
+// runRounds drives the attack: each round the attack picks a target x
+// on the sequential state, and the round's victims die on both engines.
+// With batch = 0 the victim is x alone, healed by healer on the
+// sequential side and by a kill epoch on the distributed one; with
+// batch = k it is a BFS ball of up to k alive nodes around x, healed by
+// core.DeleteBatchAndHeal and by the staged batch-kill epoch. With
+// verify every round is cross-checked exactly; every every rounds (and
+// at the end) a status line is printed. It reports whether any round
+// diverged.
+func runRounds(w io.Writer, seq *core.State, nw *dist.Network, healer core.Healer,
+	att attack.Strategy, attR *rng.RNG, batch, every int, verify bool) bool {
+	unit := "round"
+	if batch > 0 {
+		unit = "epoch"
+	}
 	diverged := false
 	var marks graph.Marks
 	for round := 1; seq.G.NumAlive() > 0; round++ {
-		center := att.Next(seq, attR)
-		if center == attack.NoTarget {
+		x := att.Next(seq, attR)
+		if x == attack.NoTarget {
 			break
 		}
-		ball := seq.G.BFSBall(&marks, center, batchSize)
-		seq.DeleteBatchAndHeal(ball)
-		nw.KillBatch(ball)
-
-		if verify || round%every == 0 || seq.G.NumAlive() == 0 {
-			err := nw.Diverges(seq)
-			match := err == nil
-			if verify && !match {
-				diverged = true
-				fmt.Fprintf(w, "epoch %d: DIVERGENCE from sequential reference: %v\n", round, err)
-			}
-			if round%every == 0 || seq.G.NumAlive() == 0 {
-				snap := nw.Snapshot()
-				fSum, fMax, rounds := nw.FloodStats()
-				fmt.Fprintf(w, "epoch %4d: killed %3d (ball around %5d) alive=%5d connected=%v match=%v | flood depth amortized=%s worst=%d\n",
-					round, len(ball), center, snap.G.NumAlive(), snap.G.Connected(), match,
-					stats.FormatFloat(float64(fSum)/float64(max(rounds, 1))), fMax)
-			}
+		var ball []int
+		if batch > 0 {
+			ball = seq.G.BFSBall(&marks, x, batch)
+			seq.DeleteBatchAndHeal(ball)
+			nw.KillBatch(ball)
+		} else {
+			seq.DeleteAndHeal(x, healer)
+			nw.Kill(x)
 		}
+
+		last := round%every == 0 || seq.G.NumAlive() == 0
+		if !verify && !last {
+			continue
+		}
+		err := nw.Diverges(seq)
+		match := err == nil
+		if verify && !match {
+			diverged = true
+			fmt.Fprintf(w, "%s %d: DIVERGENCE from sequential reference: %v\n", unit, round, err)
+		}
+		if !last {
+			continue
+		}
+		snap := nw.Snapshot()
+		fSum, fMax, rounds := nw.FloodStats()
+		flood := fmt.Sprintf("flood depth amortized=%s worst=%d",
+			stats.FormatFloat(float64(fSum)/float64(max(rounds, 1))), fMax)
+		if batch > 0 {
+			fmt.Fprintf(w, "epoch %4d: killed %3d (ball around %5d) alive=%5d connected=%v match=%v | %s\n",
+				round, len(ball), x, snap.G.NumAlive(), snap.G.Connected(), match, flood)
+			continue
+		}
+		var label, coord, non int64
+		for v := range snap.MsgSent {
+			label += snap.MsgSent[v]
+			coord += snap.CoordMsgs[v]
+			non += snap.NoNMsgs[v]
+		}
+		fmt.Fprintf(w, "round %4d: alive=%4d connected=%v match=%v | label msgs=%d coord=%d NoN=%d | %s\n",
+			round, snap.G.NumAlive(), snap.G.Connected(), match, label, coord, non, flood)
 	}
 	return diverged
 }

@@ -26,11 +26,10 @@ func TestPickHealer(t *testing.T) {
 	}
 }
 
-// TestRunBatchMode drives the disaster loop end to end on a small
-// network: the distributed batch epochs must match the sequential
-// batch-DASH rule every round, all the way to an empty graph.
-func TestRunBatchMode(t *testing.T) {
-	const n, seed = 160, 9
+// newRoundsNet builds the sequential reference and a distributed network
+// of the given kind over the same start graph, as realMain does.
+func newRoundsNet(t *testing.T, n int, seed uint64, kind dist.HealerKind) (*core.State, *dist.Network, *rng.RNG) {
+	t.Helper()
 	master := rng.New(seed)
 	g := gen.BarabasiAlbert(n, 3, master.Split())
 	seq := core.NewState(g.Clone(), master.Split())
@@ -38,18 +37,58 @@ func TestRunBatchMode(t *testing.T) {
 	for v := range ids {
 		ids[v] = seq.InitID(v)
 	}
-	nw := dist.New(g.Clone(), ids)
-	defer nw.Close()
+	nw := dist.NewKind(g.Clone(), ids, kind)
+	t.Cleanup(nw.Close)
+	return seq, nw, master.Split()
+}
 
+// TestRunBatchMode drives the round loop in disaster mode end to end
+// on a small network: the distributed batch epochs must match the
+// sequential batch-DASH rule every round, all the way to an empty graph.
+func TestRunBatchMode(t *testing.T) {
+	seq, nw, attR := newRoundsNet(t, 160, 9, dist.HealDASH)
 	var buf bytes.Buffer
-	diverged := runBatchMode(&buf, seq, nw, attack.MaxDegree{}, master.Split(), 12, 4, true)
-	if diverged {
+	if runRounds(&buf, seq, nw, core.DASH{}, attack.MaxDegree{}, attR, 12, 4, true) {
 		t.Fatalf("batch mode diverged:\n%s", buf.String())
 	}
 	if seq.G.NumAlive() != 0 {
 		t.Fatalf("MaxNode disaster loop should empty the graph, %d alive", seq.G.NumAlive())
 	}
-	if !strings.Contains(buf.String(), "killed") {
-		t.Fatalf("expected status lines, got:\n%s", buf.String())
+	if out := buf.String(); !strings.Contains(out, "epoch    4: killed  12") || strings.Contains(out, "label msgs") {
+		t.Fatalf("expected disaster status lines, got:\n%s", out)
+	}
+}
+
+// TestRunSingleKillMode drives the same loop with single kills, for
+// both distributed rules: every round must match the sequential healer
+// exactly, all the way to an empty graph, and the status lines must
+// carry the message counters.
+func TestRunSingleKillMode(t *testing.T) {
+	for _, kind := range []dist.HealerKind{dist.HealDASH, dist.HealSDASH} {
+		seq, nw, attR := newRoundsNet(t, 96, 5, kind)
+		var buf bytes.Buffer
+		if runRounds(&buf, seq, nw, kind.Healer(), attack.NeighborOfMax{}, attR, 0, 16, true) {
+			t.Fatalf("%v: single-kill mode diverged:\n%s", kind, buf.String())
+		}
+		if seq.G.NumAlive() != 0 {
+			t.Fatalf("%v: the attack should empty the graph, %d alive", kind, seq.G.NumAlive())
+		}
+		if out := buf.String(); !strings.Contains(out, "round   16: alive=  80") || !strings.Contains(out, "label msgs=") {
+			t.Fatalf("%v: expected single-kill status lines, got:\n%s", kind, out)
+		}
+	}
+}
+
+// TestRunRoundsReportsDivergence pins that the loop's per-round check
+// is real: a sequential reference healing by OracleDASH (DASH's heal,
+// no label floods) must be flagged on the first round.
+func TestRunRoundsReportsDivergence(t *testing.T) {
+	seq, nw, attR := newRoundsNet(t, 64, 3, dist.HealDASH)
+	var buf bytes.Buffer
+	if !runRounds(&buf, seq, nw, core.OracleDASH{}, attack.MaxDegree{}, attR, 0, 8, true) {
+		t.Fatal("a label-free sequential reference should diverge")
+	}
+	if out := buf.String(); !strings.HasPrefix(out, "round 1: DIVERGENCE") || !strings.Contains(out, "label") {
+		t.Fatalf("expected a label divergence on round 1, got:\n%s", out)
 	}
 }

@@ -14,13 +14,13 @@
 //
 // With -differential the preset is not swept but replayed: trial 0 runs
 // through the sequential engine AND the distributed actor-per-node
-// engine in lockstep — batch kills included, via the staged batch-kill
-// epoch — with exact G/G′/label/δ equality checked after every mutating
+// engine — batch kills included, via the staged batch-kill epoch — with
+// exact G/G′/label/δ equality checked at window 1, after every mutating
 // event (keep n moderate; every event is checked against a full
-// snapshot of the network). Adding -pipelined
-// issues the mutations asynchronously in windows instead, so disjoint
-// heal epochs overlap on the wire, and checks the same exact
-// equivalence at every window flush.
+// snapshot of the network). Adding -pipelined widens the window to
+// scenario.DefaultDiffWindow mutations, so disjoint heal epochs overlap
+// on the wire between checks, and checks the same exact equivalence at
+// every window flush.
 //
 // Examples:
 //
@@ -40,6 +40,7 @@ import (
 	"os"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -79,8 +80,8 @@ func realMain() error {
 		connEvery = flag.Int("connectivity-every", 1, "connectivity check cadence: 1 = every event (exact first-break), k > 1 = one batched check per k events (flat cost on churn-heavy schedules)")
 		out       = flag.String("out", "", "write checkpoint JSONL to this file ('-' = stdout)")
 		tracePath = flag.String("trace", "", "write trial 0's mutation trace as JSONL to this file")
-		diff      = flag.Bool("differential", false, "replay trial 0 through the sequential AND distributed engines in lockstep, verifying exact equality per event (DASH/SDASH only; keep n moderate)")
-		pipelined = flag.Bool("pipelined", false, "with -differential: issue mutations asynchronously in windows so heal epochs overlap, checking equality at window flushes")
+		diff      = flag.Bool("differential", false, "replay trial 0 through the sequential AND distributed engines at window 1, verifying exact equality after every event (DASH/SDASH only; keep n moderate)")
+		pipelined = flag.Bool("pipelined", false, "with -differential: widen the window to "+strconv.Itoa(scenario.DefaultDiffWindow)+" mutations so heal epochs overlap, checking equality at each window flush")
 		shards    = flag.Int("shards", 0, "run trials on the sharded commit path with this many graph shards (rounded up to a power of two; DASH/SDASH + Uniform victims only, implies -connectivity=false)")
 		commitW   = flag.Int("commit-workers", 0, "with -shards: concurrent commit workers within each trial (0 = all CPUs)")
 		benchOut  = flag.String("bench-out", "", "write a machine-readable benchmark record (wall clock, heals/sec, latency percentiles) as JSON to this file")
@@ -93,11 +94,11 @@ func realMain() error {
 		return cli.Usagef("-shards is incompatible with -differential (the replay harness assumes the sequential engine)")
 	}
 	if *diff {
-		mode := scenario.Lockstep
+		window := 1
 		if *pipelined {
-			mode = scenario.Pipelined
+			window = scenario.DefaultDiffWindow
 		}
-		return runDifferential(os.Stdout, *preset, *n, *healName, *victim, *seed, mode)
+		return runDifferential(os.Stdout, *preset, *n, *healName, *victim, *seed, window)
 	}
 	connSet := false
 	flag.Visit(func(f *flag.Flag) { connSet = connSet || f.Name == "connectivity" })
@@ -134,8 +135,9 @@ func victimPolicy(victim string) (func() scenario.VictimPolicy, error) {
 
 // runDifferential replays a preset differentially: the scenario runner
 // drives the sequential engine, every mutation is mirrored onto the
-// distributed network, and any divergence is an error.
-func runDifferential(w io.Writer, preset string, n int, healName, victim string, seed uint64, mode scenario.DiffMode) error {
+// distributed network, the two are compared at every window flush, and
+// any divergence is an error.
+func runDifferential(w io.Writer, preset string, n int, healName, victim string, seed uint64, window int) error {
 	sc, err := scenario.Preset(preset, n)
 	if err != nil {
 		return cli.WrapUsage(err)
@@ -148,20 +150,20 @@ func runDifferential(w io.Writer, preset string, n int, healName, victim string,
 	if err != nil {
 		return cli.WrapUsage(err)
 	}
-	rep, err := scenario.ReplayDifferentialMode(scenario.Config{
+	rep, err := scenario.ReplayDifferential(scenario.Config{
 		NewGraph:     func(r *rng.RNG) *graph.Graph { return gen.BarabasiAlbert(n, 3, r) },
 		Schedule:     sc,
 		Healer:       healer,
 		NewVictim:    newVictim,
 		Seed:         seed,
 		MeasureEvery: -1,
-	}, mode, 5*time.Minute)
+	}, window, 5*time.Minute)
 	if err != nil {
 		return err
 	}
-	how := "in lockstep on every event"
-	if mode == scenario.Pipelined {
-		how = fmt.Sprintf("at every %d-op pipelined flush", scenario.DefaultDiffWindow)
+	how := "at window 1, after every event"
+	if window > 1 {
+		how = fmt.Sprintf("at every %d-op pipelined flush", window)
 	}
 	fmt.Fprintf(w, "differential replay of %q (n=%d, %s healing, %s victims): engines agreed %s\n",
 		preset, n, healName, victimName(victim), how)

@@ -112,28 +112,28 @@ func TestRunSmall(t *testing.T) {
 // say so.
 func TestRunDifferential(t *testing.T) {
 	var buf bytes.Buffer
-	if err := runDifferential(&buf, "disaster", 256, "DASH", "MaxNode", 3, scenario.Lockstep); err != nil {
+	if err := runDifferential(&buf, "disaster", 256, "DASH", "MaxNode", 3, 1); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	if !strings.Contains(out, "engines agreed in lockstep") || !strings.Contains(out, "batch epochs") ||
+	if !strings.Contains(out, "engines agreed at window 1, after every event") || !strings.Contains(out, "batch epochs") ||
 		!strings.Contains(out, "MaxNode victims") {
 		t.Fatalf("unexpected differential summary:\n%s", out)
 	}
-	if err := runDifferential(&buf, "disaster", 64, "GraphHeal", "Uniform", 1, scenario.Lockstep); err == nil {
+	if err := runDifferential(&buf, "disaster", 64, "GraphHeal", "Uniform", 1, 1); err == nil {
 		t.Error("healers without a distributed counterpart must be rejected")
 	}
-	if err := runDifferential(&buf, "disaster", 64, "DASH", "NoSuchVictim", 1, scenario.Lockstep); err == nil {
+	if err := runDifferential(&buf, "disaster", 64, "DASH", "NoSuchVictim", 1, 1); err == nil {
 		t.Error("unknown victim policies must be rejected")
 	}
 }
 
 // TestRunDifferentialPipelined drives the -differential -pipelined
-// path: the same preset with mutations issued asynchronously in
-// windows, equivalence checked at every flush.
+// path: the same replay loop at window DefaultDiffWindow, equivalence
+// checked at every flush.
 func TestRunDifferentialPipelined(t *testing.T) {
 	var buf bytes.Buffer
-	if err := runDifferential(&buf, "sustained-churn", 256, "DASH", "Uniform", 5, scenario.Pipelined); err != nil {
+	if err := runDifferential(&buf, "sustained-churn", 256, "DASH", "Uniform", 5, scenario.DefaultDiffWindow); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "pipelined flush") {

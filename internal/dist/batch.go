@@ -39,8 +39,6 @@ package dist
 // MINID wave contributes its own depth to the flood sums, and the whole
 // epoch counts as one round.
 
-import "time"
-
 // batchCluster is one dead cluster's supervisor-side record: its root
 // (smallest member index) and the surviving leader the root appointed.
 type batchCluster struct {
@@ -61,18 +59,12 @@ func (nw *Network) recordBatchCluster(epoch uint64, root, leader int) {
 // whole batch epoch — correlated death notices, per-cluster leader
 // election, cluster heals — has completed, like the sequential engine's
 // DeleteBatchAndHeal. Duplicates are ignored; it panics if any victim is
-// dead (mirroring core.State.RemoveBatch) or if the epoch wedges.
+// dead (mirroring core.State.RemoveBatch) or if the epoch fails to
+// complete within DefaultKillTimeout.
 func (nw *Network) KillBatch(vs []int) {
-	if err := nw.KillBatchWithTimeout(vs, DefaultKillTimeout); err != nil {
+	if err := nw.KillBatchAsync(vs).Wait(DefaultKillTimeout); err != nil {
 		panic(err)
 	}
-}
-
-// KillBatchWithTimeout is KillBatch with an explicit deadline covering
-// the whole epoch. On timeout it returns an error naming the wedged
-// stage and carrying the diagnostic dump.
-func (nw *Network) KillBatchWithTimeout(vs []int, timeout time.Duration) error {
-	return nw.KillBatchAsync(vs).Wait(timeout)
 }
 
 // KillBatchAsync schedules the batch deletion as a pipelined epoch and

@@ -111,7 +111,7 @@ func runBatchEquivalence(t *testing.T, kind HealerKind, n int, seed uint64) {
 			batch := pickBatch(seq.G, 2+opR.Intn(8), opR)
 			roots := slices.Sorted(maps.Keys(coreClusters(seq.G, batch)))
 			seq.DeleteBatchAndHeal(batch)
-			if err := nw.KillBatchWithTimeout(batch, testTimeout); err != nil {
+			if err := nw.KillBatchAsync(batch).Wait(testTimeout); err != nil {
 				t.Fatalf("round %d (batch %v): %v", round, batch, err)
 			}
 			got := make([]int, 0, len(roots))
@@ -126,7 +126,7 @@ func runBatchEquivalence(t *testing.T, kind HealerKind, n int, seed uint64) {
 			alive := seq.G.AliveNodes()
 			x := alive[opR.Intn(len(alive))]
 			seq.DeleteAndHeal(x, kind.Healer())
-			if err := nw.KillWithTimeout(x, testTimeout); err != nil {
+			if err := nw.KillAsync(x).Wait(testTimeout); err != nil {
 				t.Fatalf("round %d (kill %d): %v", round, x, err)
 			}
 		case 3: // join to up to 3 distinct targets
@@ -144,8 +144,8 @@ func runBatchEquivalence(t *testing.T, kind HealerKind, n int, seed uint64) {
 				}
 			}
 			v := seq.Join(attach, opR)
-			dv, err := nw.JoinWithTimeout(attach, seq.InitID(v), testTimeout)
-			if err != nil {
+			dv, ep := nw.JoinAsync(attach, seq.InitID(v))
+			if err := ep.Wait(testTimeout); err != nil {
 				t.Fatalf("round %d (join): %v", round, err)
 			}
 			if dv != v {
@@ -180,7 +180,7 @@ func TestBatchKillClusterMatchesCore(t *testing.T) {
 		wantRoots := coreClusters(seq.G, batch)
 
 		seq.DeleteBatchAndHeal(batch)
-		if err := nw.KillBatchWithTimeout(batch, testTimeout); err != nil {
+		if err := nw.KillBatchAsync(batch).Wait(testTimeout); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		if len(nw.lastClusters) != len(wantRoots) {
@@ -213,7 +213,7 @@ func TestBatchKillEdgeCases(t *testing.T) {
 
 	// Singleton batch with duplicates.
 	seq.DeleteBatchAndHeal([]int{3, 3, 3})
-	if err := nw.KillBatchWithTimeout([]int{3, 3, 3}, testTimeout); err != nil {
+	if err := nw.KillBatchAsync([]int{3, 3, 3}).Wait(testTimeout); err != nil {
 		t.Fatal(err)
 	}
 	assertStateEqual(t, 1, nw, seq)
@@ -228,7 +228,7 @@ func TestBatchKillEdgeCases(t *testing.T) {
 		}
 	}
 	seq.DeleteBatchAndHeal(pair)
-	if err := nw.KillBatchWithTimeout(pair, testTimeout); err != nil {
+	if err := nw.KillBatchAsync(pair).Wait(testTimeout); err != nil {
 		t.Fatal(err)
 	}
 	assertStateEqual(t, 2, nw, seq)
@@ -236,7 +236,7 @@ func TestBatchKillEdgeCases(t *testing.T) {
 	// Apocalypse: every remaining node in one batch.
 	rest := seq.G.AliveNodes()
 	seq.DeleteBatchAndHeal(rest)
-	if err := nw.KillBatchWithTimeout(rest, testTimeout); err != nil {
+	if err := nw.KillBatchAsync(rest).Wait(testTimeout); err != nil {
 		t.Fatal(err)
 	}
 	snap := nw.Snapshot()

@@ -316,20 +316,13 @@ func (nw *Network) msgKindTotal(kind msgKind) int64 {
 // Kill deletes node v and blocks until the resulting healing epoch has
 // completed, like the sequential engine's DeleteAndHeal. It panics if v
 // is not alive (mirroring core.State.Remove) or if the epoch fails to
-// complete within DefaultKillTimeout. Epochs already in flight keep
-// draining concurrently.
+// complete within DefaultKillTimeout; for another deadline, call
+// KillAsync(v).Wait. Epochs already in flight keep draining
+// concurrently.
 func (nw *Network) Kill(v int) {
-	if err := nw.KillWithTimeout(v, DefaultKillTimeout); err != nil {
+	if err := nw.KillAsync(v).Wait(DefaultKillTimeout); err != nil {
 		panic(err)
 	}
-}
-
-// KillWithTimeout is Kill with an explicit completion deadline. On
-// timeout it returns an error carrying a diagnostic dump (per-epoch
-// in-flight counts and per-node mailbox depths) and leaves the network
-// as-is; the caller owns the watchdog policy.
-func (nw *Network) KillWithTimeout(v int, timeout time.Duration) error {
-	return nw.KillAsync(v).Wait(timeout)
 }
 
 // KillAsync schedules the deletion of node v as a pipelined epoch and
@@ -356,19 +349,13 @@ func (nw *Network) TryKillAsync(v int) *Epoch {
 // degree), a fresh singleton G′ component, and its initial ID id as its
 // current label. It returns the new node's index (core's AddNode order:
 // one past the previous slot count). It panics on a dead attach target
-// or a wedged epoch.
+// or an epoch that fails to complete within DefaultKillTimeout.
 func (nw *Network) Join(attachTo []int, id uint64) int {
-	v, err := nw.JoinWithTimeout(attachTo, id, DefaultKillTimeout)
-	if err != nil {
+	v, ep := nw.JoinAsync(attachTo, id)
+	if err := ep.Wait(DefaultKillTimeout); err != nil {
 		panic(err)
 	}
 	return v
-}
-
-// JoinWithTimeout is Join with an explicit completion deadline.
-func (nw *Network) JoinWithTimeout(attachTo []int, id uint64, timeout time.Duration) (int, error) {
-	v, ep := nw.JoinAsync(attachTo, id)
-	return v, ep.Wait(timeout)
 }
 
 // JoinAsync schedules a join as a pipelined epoch and returns the

@@ -32,7 +32,7 @@ func TestKillHealsAndQuiesces(t *testing.T) {
 	nw := newTestNet(t, 48, 1, HealDASH)
 	defer nw.Close()
 	for v := 0; v < 24; v++ {
-		if err := nw.KillWithTimeout(v, testTimeout); err != nil {
+		if err := nw.KillAsync(v).Wait(testTimeout); err != nil {
 			t.Fatalf("kill %d: %v", v, err)
 		}
 		snap := nw.Snapshot()
@@ -59,7 +59,7 @@ func TestKillToEmpty(t *testing.T) {
 	nw := newTestNet(t, n, 2, HealSDASH)
 	defer nw.Close()
 	for v := 0; v < n; v++ {
-		if err := nw.KillWithTimeout(v, testTimeout); err != nil {
+		if err := nw.KillAsync(v).Wait(testTimeout); err != nil {
 			t.Fatalf("kill %d: %v", v, err)
 		}
 	}
@@ -74,7 +74,7 @@ func TestKillIsolatedNodes(t *testing.T) {
 	nw := New(g, []uint64{10, 20, 30})
 	defer nw.Close()
 	for v := 0; v < 3; v++ {
-		if err := nw.KillWithTimeout(v, testTimeout); err != nil {
+		if err := nw.KillAsync(v).Wait(testTimeout); err != nil {
 			t.Fatalf("kill isolated %d: %v", v, err)
 		}
 	}
@@ -170,14 +170,14 @@ func TestTrackerQuiescence(t *testing.T) {
 
 // TestWatchdogDumpOnLostMessage is the quiescence watchdog test: with a
 // lossy transport that drops every heal report, the round can never
-// complete, and KillWithTimeout must detect that and return an error
+// complete, and the kill epoch's Wait must detect that and return an error
 // carrying a usable diagnostic dump rather than deadlocking.
 func TestWatchdogDumpOnLostMessage(t *testing.T) {
 	nw := newTestNet(t, 24, 6, HealDASH)
 	defer nw.Close()
 	nw.testDrop = func(to int, msg message) bool { return msg.kind == msgHealReport }
 
-	err := nw.KillWithTimeout(0, 300*time.Millisecond)
+	err := nw.KillAsync(0).Wait(300 * time.Millisecond)
 	if err == nil {
 		t.Fatal("round quiesced despite every heal report being dropped")
 	}
@@ -198,7 +198,7 @@ func TestSnapshotAfterWatchdogTimeout(t *testing.T) {
 	nw := newTestNet(t, 24, 8, HealDASH)
 	defer nw.Close()
 	nw.testDrop = func(to int, msg message) bool { return msg.kind == msgHealReport }
-	if err := nw.KillWithTimeout(0, 300*time.Millisecond); err == nil {
+	if err := nw.KillAsync(0).Wait(300 * time.Millisecond); err == nil {
 		t.Fatal("round quiesced despite dropped heal reports")
 	}
 

@@ -80,7 +80,7 @@ func runEquivalence(t *testing.T, kind HealerKind, n int, seed uint64, att attac
 			break
 		}
 		seq.DeleteAndHeal(x, kind.Healer())
-		if err := nw.KillWithTimeout(x, testTimeout); err != nil {
+		if err := nw.KillAsync(x).Wait(testTimeout); err != nil {
 			t.Fatalf("round %d (kill %d): %v", round, x, err)
 		}
 
@@ -127,7 +127,7 @@ func TestLabelNotificationsMatchSequential(t *testing.T) {
 			break
 		}
 		seq.DeleteAndHeal(x, core.DASH{})
-		if err := nw.KillWithTimeout(x, testTimeout); err != nil {
+		if err := nw.KillAsync(x).Wait(testTimeout); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -10,11 +10,13 @@ package dist
 // covers every interleaving of faults with protocol steps, not just the
 // ones a seeded random schedule happens to hit.
 //
-// The wire model is the chaos transport's reliable channel with time
-// abstracted away: per-channel sequence numbers, receiver-side dedup
-// and resequencing against a cumulative cursor, sender-side
-// retransmission of unacked frames. Acknowledgement is folded into
-// delivery (the cursor advance releases the sender's copy); a lost ack
+// The wire model is the chaos transport's reliable channel (relChan)
+// with time abstracted away: per-channel sequence numbers, the same
+// receiver-side dedup and resequencing against a cumulative cursor
+// (relChan.accept), sender-side retransmission of unacked frames.
+// FaultSim adds only the frames in transit and their copy counts.
+// Acknowledgement is folded into delivery (the cursor advance releases
+// the sender's copy through relChan.release); a lost ack
 // followed by a retransmission is observationally a duplicate frame,
 // which the Dup event covers directly. Supervisor traffic is
 // out-of-band, exactly as on the chaos transport.
@@ -112,16 +114,14 @@ type wireFrame struct {
 	msg message
 }
 
-// wireChan is one directed channel's wire state: frames in transit (in
-// arrival order), the sender's unacked copies, and the receiver's
-// resequencing endpoint.
+// wireChan is one directed channel's wire state: the reliable channel
+// (the sender's unacked frames and the receiver's resequencing
+// endpoint) plus the frames in transit, in arrival order. Its relChan
+// locks are never taken: FaultSim runs on one goroutine.
 type wireChan struct {
-	nextSeq uint64
-	frames  []wireFrame
-	unacked map[uint64]message
-	copies  map[uint64]int // wire copies per unacked seq
-	expect  uint64         // highest contiguously delivered seq
-	held    map[uint64]message
+	relChan
+	frames []wireFrame
+	copies map[uint64]int // wire copies per unacked seq
 }
 
 // FaultSim drives an unstarted network deterministically through both
@@ -151,7 +151,7 @@ func (fw faultWire) deliver(to int, msg message) {
 	ch := fw.fs.channel(msg.from, to)
 	ch.nextSeq++
 	ch.frames = append(ch.frames, wireFrame{seq: ch.nextSeq, msg: msg})
-	ch.unacked[ch.nextSeq] = msg
+	ch.unacked[ch.nextSeq] = &frameState{msg: msg, seq: ch.nextSeq}
 	ch.copies[ch.nextSeq]++
 }
 
@@ -178,9 +178,8 @@ func (fs *FaultSim) channel(from, to int) *wireChan {
 	ch := fs.chans[k]
 	if ch == nil {
 		ch = &wireChan{
-			unacked: make(map[uint64]message),
+			relChan: relChan{unacked: make(map[uint64]*frameState), held: make(map[uint64]message)},
 			copies:  make(map[uint64]int),
-			held:    make(map[uint64]message),
 		}
 		fs.chans[k] = ch
 	}
@@ -291,7 +290,7 @@ func (fs *FaultSim) Apply(ev FaultEvent) {
 		if seq == 0 {
 			panic(fmt.Sprintf("dist: faultsim retransmit with nothing due on %v", ev))
 		}
-		ch.frames = append(ch.frames, wireFrame{seq: seq, msg: ch.unacked[seq]})
+		ch.frames = append(ch.frames, wireFrame{seq: seq, msg: ch.unacked[seq].msg})
 		ch.copies[seq]++
 	case FaultCrash:
 		if fs.crashLeft <= 0 {
@@ -317,54 +316,34 @@ func (fs *FaultSim) popFrame(ch *wireChan, ev FaultEvent) wireFrame {
 	return fr
 }
 
-// wireDeliver is the receiver side of one frame: dedup against the
-// cursor, resequence, release the sender's acked copies, and hand the
-// newly in-order messages onward. The head in-order message is handled
-// directly when per-sender FIFO allows (nothing from this sender still
-// queued in the mailbox): a frame sitting on the wire and a message
-// sitting unhandled in the mailbox are bisimilar — nothing in the
-// protocol can observe the difference before the handler runs — so
-// collapsing arrival and handling into one event prunes an exponential
-// factor of interleavings without losing any reachable terminal state.
-// A gap-fill suffix beyond the head goes through the mailbox as usual,
-// keeping other nodes' handlers free to interleave between them.
+// wireDeliver moves one frame off the wire into the channel's
+// endpoint (relChan.accept, then release of the sender's acked copies)
+// and hands the newly in-order messages onward. The head in-order
+// message is handled directly when per-sender FIFO allows (nothing from
+// this sender still queued in the mailbox): a frame sitting on the wire
+// and a message sitting unhandled in the mailbox are bisimilar —
+// nothing in the protocol can observe the difference before the
+// handler runs — so collapsing arrival and handling into one event
+// prunes an exponential factor of interleavings without losing any
+// reachable terminal state. A gap-fill suffix beyond the head goes
+// through the mailbox as usual, keeping other nodes' handlers free to
+// interleave between them.
 func (fs *FaultSim) wireDeliver(to, from int) {
 	ch := fs.channel(from, to)
 	fr := fs.popFrame(ch, FaultEvent{Op: FaultWire, To: to, From: from})
 	if _, live := ch.unacked[fr.seq]; live {
 		ch.copies[fr.seq]--
 	}
-	direct := false
-	var out []message
-	switch {
-	case fr.seq == ch.expect+1:
-		ch.expect++
-		direct = !fs.mailboxHasSender(to, from) && !fs.sim.gone[to]
-		if !direct {
-			out = append(out, fr.msg)
-		}
-		for {
-			m, ok := ch.held[ch.expect+1]
-			if !ok {
-				break
-			}
-			delete(ch.held, ch.expect+1)
-			ch.expect++
-			out = append(out, m)
-		}
-	case fr.seq > ch.expect:
-		ch.held[fr.seq] = fr.msg
-	default:
-		// Duplicate of a delivered frame: discard.
-	}
-	for seq := range ch.unacked {
+	out := ch.accept(fr.seq, fr.msg)
+	ch.release()
+	for seq := range ch.copies {
 		if seq <= ch.expect {
-			delete(ch.unacked, seq)
 			delete(ch.copies, seq)
 		}
 	}
-	if direct {
-		fs.handleNow(to, fr.msg)
+	if len(out) > 0 && !fs.mailboxHasSender(to, from) && !fs.sim.gone[to] {
+		fs.handleNow(to, out[0])
+		out = out[1:]
 	}
 	nd := fs.sim.nw.node(to)
 	for _, m := range out {
@@ -443,7 +422,7 @@ func (fs *FaultSim) encodeWireState(e *stateEnc) {
 		for _, seq := range sortedKeysU64(ch.unacked) {
 			e.u64(seq - ch.expect)
 			e.int(ch.copies[seq])
-			e.message(ch.unacked[seq])
+			e.message(ch.unacked[seq].msg)
 		}
 		e.int(len(ch.held))
 		for _, seq := range sortedKeysU64(ch.held) {

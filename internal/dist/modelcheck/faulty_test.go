@@ -32,10 +32,12 @@ func TestMessageLossExhaustive(t *testing.T) {
 		Drops:  2,
 		Dups:   1,
 	}
+	want := counts{States: 209903, Terminals: 6, Oracles: 1}
 	if testing.Short() {
 		cfg.Drops, cfg.Dups = 1, 0
+		want = counts{States: 2593, Terminals: 2, Oracles: 1}
 	}
-	res := run(t, cfg)
+	res := run(t, cfg, want)
 	if res.Oracles != 1 {
 		t.Fatalf("loss-only run saw %d distinct effective logs, want 1 (faults must not change the oracle)", res.Oracles)
 	}
@@ -64,7 +66,7 @@ func TestLeaderCrashExhaustive(t *testing.T) {
 		Crashes:      1,
 		CrashTargets: []int{1, 2}, // victim 0's orphans: leader + reporter
 	}
-	res := run(t, cfg)
+	res := run(t, cfg, counts{States: 1251, Terminals: 18, CrashedTerminals: 17, Oracles: 3})
 	if res.CrashedTerminals == 0 {
 		t.Fatal("no terminal state crashed: the schedule space never exercised recovery")
 	}
@@ -92,7 +94,7 @@ func TestStandaloneCrashExhaustive(t *testing.T) {
 		Crashes:      1,
 		CrashTargets: []int{1}, // not in kill(5)'s region
 	}
-	res := run(t, cfg)
+	res := run(t, cfg, counts{States: 167, Terminals: 2, CrashedTerminals: 1, Oracles: 2})
 	if res.CrashedTerminals == 0 {
 		t.Fatal("no terminal state crashed")
 	}
@@ -120,7 +122,7 @@ func TestCrashNoticeOrderExhaustive(t *testing.T) {
 		Crashes:      1,
 		CrashTargets: []int{4}, // victim 5's orphan, with a smaller index
 	}
-	res := run(t, cfg)
+	res := run(t, cfg, counts{States: 345, Terminals: 6, CrashedTerminals: 5, Oracles: 2})
 	if res.CrashedTerminals == 0 {
 		t.Fatal("no terminal state crashed: the schedule space never exercised recovery")
 	}
@@ -144,7 +146,7 @@ func TestFaultyMatchesFaultFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := run(t, cfg)
+	want := run(t, cfg, counts{States: 4225, Terminals: 1, Oracles: 1})
 	if faulty != want {
 		t.Fatalf("zero-budget FaultSim search %+v, Sim search %+v", faulty, want)
 	}

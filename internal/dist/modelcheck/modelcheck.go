@@ -53,7 +53,7 @@
 // and Lemma 9 flood accounting of its oracle. It says nothing about
 // other graphs, other operation mixes, or configurations larger than
 // enumeration reaches; the randomized differential harness
-// (scenario.ReplayDifferential in Pipelined mode) covers that scale,
+// (scenario.ReplayDifferential at window DefaultDiffWindow) covers that scale,
 // with this package as the ground truth for why its oracle is the
 // sequential engine.
 package modelcheck

@@ -26,7 +26,18 @@ func bridgedTriangles() *graph.Graph {
 	return g
 }
 
-func run(t *testing.T, cfg Config) Result {
+// counts is the part of a search's Result that pins what it reached:
+// distinct states, terminals, crashed terminals and effective-op logs.
+// A change to the mailbox, the fingerprint, the wire or the handlers
+// that keeps the search identical leaves all four as they are; one that
+// shrinks the search fails here instead of passing quietly. Deliveries
+// is left out, because pruning the order of independent deliveries may
+// cut it without changing what is reached.
+type counts struct {
+	States, Terminals, CrashedTerminals, Oracles int
+}
+
+func run(t *testing.T, cfg Config, want counts) Result {
 	t.Helper()
 	res, err := Run(cfg)
 	if err != nil {
@@ -38,6 +49,10 @@ func run(t *testing.T, cfg Config) Result {
 	t.Logf("states=%d terminals=%d crashedTerminals=%d oracles=%d deliveries=%d maxDepth=%d",
 		res.States, res.Terminals, res.CrashedTerminals, res.Oracles,
 		res.Deliveries, res.MaxDepth)
+	got := counts{res.States, res.Terminals, res.CrashedTerminals, res.Oracles}
+	if got != want {
+		t.Fatalf("search reached %+v, want %+v", got, want)
+	}
 	return res
 }
 
@@ -54,7 +69,7 @@ func TestTwoOverlappingKills(t *testing.T) {
 			Healer: healer,
 			Ops:    []Op{{Kind: OpKill, Victim: 0}, {Kind: OpKill, Victim: 5}},
 		}
-		res := run(t, cfg)
+		res := run(t, cfg, counts{States: 4225, Terminals: 1, Oracles: 1})
 		if res.MaxDepth < 8 {
 			t.Fatalf("suspiciously shallow enumeration (maxDepth=%d): epochs did not overlap?", res.MaxDepth)
 		}
@@ -76,7 +91,7 @@ func TestBatchKillOverlappingJoin(t *testing.T) {
 			{Kind: OpJoin, Attach: []int{4, 5}},
 		},
 	}
-	run(t, cfg)
+	run(t, cfg, counts{States: 9234, Terminals: 3, Oracles: 1})
 }
 
 // TestConflictingKillsSerialize kills both bridge endpoints: their
@@ -91,7 +106,7 @@ func TestConflictingKillsSerialize(t *testing.T) {
 		Healer: dist.HealDASH,
 		Ops:    []Op{{Kind: OpKill, Victim: 2}, {Kind: OpKill, Victim: 3}},
 	}
-	run(t, cfg)
+	run(t, cfg, counts{States: 2502, Terminals: 1, Oracles: 1})
 }
 
 // TestThreeOverlappingEpochs pushes to three concurrent epochs: two
@@ -119,7 +134,7 @@ func TestThreeOverlappingEpochs(t *testing.T) {
 			{Kind: OpJoin, Attach: []int{3, 4}},
 		},
 	}
-	run(t, cfg)
+	run(t, cfg, counts{States: 57834, Terminals: 1, Oracles: 1})
 }
 
 // TestCheckerCatchesLabelDrift pins that terminal verification really

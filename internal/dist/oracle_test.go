@@ -36,7 +36,7 @@ func TestDivergesNamesTheField(t *testing.T) {
 		t.Errorf("other initial IDs: Diverges = %v, want an error naming the label", err)
 	}
 	seq.DeleteAndHeal(0, core.DASH{})
-	if err := nw.KillWithTimeout(0, testTimeout); err != nil {
+	if err := nw.KillAsync(0).Wait(testTimeout); err != nil {
 		t.Fatal(err)
 	}
 	if err := nw.Diverges(seq); err != nil {

@@ -308,15 +308,17 @@ func intersects(a, b map[int]struct{}) bool {
 	return false
 }
 
-// enqueue computes the epoch's dependencies and frozen effective region
-// against every incomplete top-level epoch, registers it, and launches
-// it when nothing blocks it. Caller must flush() after unlocking.
-func (pi *pipeline) enqueue(es *epochState) {
-	if pi.serial {
-		es.universal, es.region = true, nil
-	}
+// chain applies the scheduler's one dependency rule to es, whose
+// tentative region is set, against the incomplete epochs issued before
+// it (earlier, in issue order, all registered in pi.epochs). es waits
+// for every epoch it conflicts with — regions intersect, or either is
+// universal — and its frozen effective region absorbs theirs, turning
+// universal when a dependency is or when the union outgrows the cap. A
+// universal epoch then waits for every earlier epoch, including those
+// the pass skipped before it turned universal.
+func (pi *pipeline) chain(es *epochState, earlier []uint64) {
 	es.deps = make(map[uint64]struct{})
-	for _, eid := range pi.order {
+	for _, eid := range earlier {
 		other := pi.epochs[eid]
 		if es.universal || other.universal || intersects(es.region, other.region) {
 			es.deps[eid] = struct{}{}
@@ -334,12 +336,20 @@ func (pi *pipeline) enqueue(es *epochState) {
 		}
 	}
 	if es.universal {
-		// A universal epoch conflicts with everything, including epochs
-		// the region pass above skipped before the cap was hit.
-		for _, eid := range pi.order {
+		for _, eid := range earlier {
 			es.deps[eid] = struct{}{}
 		}
 	}
+}
+
+// enqueue computes the epoch's dependencies and frozen effective region
+// against every incomplete top-level epoch, registers it, and launches
+// it when nothing blocks it. Caller must flush() after unlocking.
+func (pi *pipeline) enqueue(es *epochState) {
+	if pi.serial {
+		es.universal, es.region = true, nil
+	}
+	pi.chain(es, pi.order)
 	pi.epochs[es.id] = es
 	pi.order = append(pi.order, es.id)
 	if len(es.deps) == 0 {
@@ -830,26 +840,12 @@ func (pi *pipeline) scheduleClusters(es *epochState) {
 		pi.completeBatch(es)
 		return
 	}
-	for i, child := range es.clusters {
+	earlier := make([]uint64, 0, len(es.clusters))
+	for _, child := range es.clusters {
 		child.region, _ = pi.growRegion(child.attach)
 		child.universal = child.region == nil
-		child.deps = make(map[uint64]struct{})
-		for _, prev := range es.clusters[:i] {
-			if child.universal || prev.universal || intersects(child.region, prev.region) {
-				child.deps[prev.id] = struct{}{}
-				if prev.universal {
-					child.universal, child.region = true, nil
-				}
-				if !child.universal {
-					for v := range prev.region {
-						child.region[v] = struct{}{}
-					}
-					if len(child.region) > pi.regionCap {
-						child.universal, child.region = true, nil
-					}
-				}
-			}
-		}
+		pi.chain(child, earlier)
+		earlier = append(earlier, child.id)
 		child.handle = es.handle // children report into the parent's handle
 		pi.epochs[child.id] = child
 	}

@@ -128,7 +128,9 @@ type frameState struct {
 
 // relChan is the reliable-delivery state of one directed channel:
 // sender-side sequence numbering and retransmission queue, receiver-side
-// cumulative-delivery cursor and resequencing buffer.
+// cumulative-delivery cursor and resequencing buffer. The chaos
+// transport and FaultSim's deterministic wire share it, and with it the
+// receive path (accept, release).
 type relChan struct {
 	// deliverMu serializes arrive() end to end: advancing the delivery
 	// cursor and pushing the resulting in-order suffix into the mailbox
@@ -317,8 +319,8 @@ func (ct *chaosTransport) after(d time.Duration, fn func()) {
 	ct.timers[t] = struct{}{}
 }
 
-// arrive is the receiver side of one frame: dedup against the delivery
-// cursor, resequence held frames, acknowledge cumulatively (the ack is
+// arrive is the receiver side of one frame on the chaos wire: accept it
+// into the channel's endpoint, acknowledge cumulatively (the ack is
 // itself subject to loss, unless the frame had escalated past the
 // bypass threshold — that exception is what lets retransmission always
 // terminate), and push the in-order suffix into the mailbox, checking
@@ -326,8 +328,28 @@ func (ct *chaosTransport) after(d time.Duration, fn func()) {
 func (ct *chaosTransport) arrive(ch *relChan, from, to int, seq uint64, msg message, attempt int) {
 	ch.deliverMu.Lock()
 	defer ch.deliverMu.Unlock()
-	var out []message
 	ch.mu.Lock()
+	out := ch.accept(seq, msg)
+	if attempt > ct.plan.MaxAttemptsOrDefault() || !ct.plan.AckDrop(from, to, ch.expect) {
+		ch.release()
+	}
+	ch.mu.Unlock()
+
+	for _, m := range out {
+		ct.maybeCrash(to, m.kind)
+		ct.nw.node(to).post(m)
+	}
+}
+
+// accept is the receiver side of one frame: dedup against the delivery
+// cursor and resequence held frames. It returns the messages the frame
+// makes deliverable in per-sender order — the frame itself first, then
+// every held frame it unblocks — and nothing for an early frame (held
+// until the gap fills) or a duplicate of a delivered one (discarded).
+// accept and release take no lock: the chaos transport calls them under
+// ch.mu, FaultSim on its single goroutine.
+func (ch *relChan) accept(seq uint64, msg message) []message {
+	var out []message
 	switch {
 	case seq == ch.expect+1:
 		ch.expect++
@@ -343,22 +365,18 @@ func (ct *chaosTransport) arrive(ch *relChan, from, to int, seq uint64, msg mess
 		}
 	case seq > ch.expect:
 		ch.held[seq] = msg
-	default:
-		// Duplicate of an already-delivered frame: discard (still acks).
 	}
-	if attempt > ct.plan.MaxAttemptsOrDefault() || !ct.plan.AckDrop(from, to, ch.expect) {
-		for s, fr := range ch.unacked {
-			if s <= ch.expect {
-				fr.acked = true
-				delete(ch.unacked, s)
-			}
-		}
-	}
-	ch.mu.Unlock()
+	return out
+}
 
-	for _, m := range out {
-		ct.maybeCrash(to, m.kind)
-		ct.nw.node(to).post(m)
+// release is the cumulative acknowledgement: the sender drops every
+// unacked frame up to the delivery cursor.
+func (ch *relChan) release() {
+	for s, fr := range ch.unacked {
+		if s <= ch.expect {
+			fr.acked = true
+			delete(ch.unacked, s)
+		}
 	}
 }
 

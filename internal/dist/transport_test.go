@@ -204,7 +204,7 @@ func TestChaosPartitionHeals(t *testing.T) {
 	defer nw.Close()
 	for i, v := range []int{5, 9, 1} {
 		seq.DeleteAndHeal(v, core.DASH{})
-		if err := nw.KillWithTimeout(v, testTimeout); err != nil {
+		if err := nw.KillAsync(v).Wait(testTimeout); err != nil {
 			t.Fatal(err)
 		}
 		assertStateEqual(t, i, nw, seq)
@@ -278,7 +278,7 @@ func TestChaosLeaderCrashRecovery(t *testing.T) {
 		}
 	}
 	oracle.DeleteAndHeal(next, core.DASH{})
-	if err := nw.KillWithTimeout(next, testTimeout); err != nil {
+	if err := nw.KillAsync(next).Wait(testTimeout); err != nil {
 		t.Fatal(err)
 	}
 	assertStateEqual(t, 1, nw, oracle)

@@ -12,6 +12,11 @@ package scenario
 // flood accounting. Drops, duplicates, and delays must be invisible in
 // that comparison; crashes must appear exactly as the log says.
 //
+// The workload generator is its own, because it must tolerate faults
+// (see ChaosConfig.Ops), but the check at each window flush is the one
+// ReplayDifferential makes (drainAndCompare in differential.go); only
+// the oracle differs.
+//
 // This is the scenario-scale complement to internal/dist's fixed-attack
 // chaos tests and the modelcheck package's exhaustive small-config
 // fault enumeration: randomized schedules, thousands of nodes, the real
@@ -37,7 +42,7 @@ type ChaosConfig struct {
 	// which drives the fault draws.
 	Seed uint64
 	// Plan is the deterministic fault schedule (nil: direct transport,
-	// which turns the run into a plain pipelined differential).
+	// which turns the run into a plain windowed differential).
 	Plan *chaos.Plan
 	// Ops is how many mutations to attempt. An attempt whose target has
 	// crashed (or joined a pending epoch) is skipped, not retried — the
@@ -121,16 +126,16 @@ func ReplayChaosDifferential(cfg ChaosConfig) (ChaosReport, error) {
 	var pendingID uint64
 	havePending := false
 
-	verify := func() error {
-		if err := nw.Drain(timeout); err != nil {
-			return err
-		}
+	// The oracle is a fresh sequential engine replaying the network's
+	// effective-operation log, not the issued workload.
+	oracle := func() (*core.State, error) {
 		seq := build()
-		if err := dist.ReplayEffective(seq, nw.EffectiveOps(), core.DASH{}, rng.New(cfg.Seed+1)); err != nil {
-			return err
-		}
-		if err := nw.Diverges(seq); err != nil {
-			return fmt.Errorf("after %d issued ops, effective replay: %w", rep.Kills+rep.Joins, err)
+		err := dist.ReplayEffective(seq, nw.EffectiveOps(), core.DASH{}, rng.New(cfg.Seed+1))
+		return seq, err
+	}
+	verify := func() error {
+		if err := drainAndCompare(nw, timeout, oracle); err != nil {
+			return fmt.Errorf("after %d issued ops: %w", rep.Kills+rep.Joins, err)
 		}
 		rep.Checks++
 		return nil

@@ -2,14 +2,15 @@ package scenario
 
 // Differential tests: randomized scenario schedules — now including
 // Disaster phases, the footnote-1 batch kills — replayed through the
-// sequential engine and the distributed engine in lockstep via
-// ReplayDifferential, which asserts exact G/G′/label/δ equality and
-// exact flood accounting after every mutating event. This
+// sequential engine and the distributed engine via ReplayDifferential,
+// which asserts exact G/G′/label/δ equality and exact flood accounting
+// at every window flush (window 1: after every mutating event). This
 // extends internal/dist's equivalence tests (fixed attacks, delete-only)
 // to the full insert/delete/batch-kill interleavings the scenario engine
 // generates.
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -69,7 +70,7 @@ func TestDifferentialCoreVsDist(t *testing.T) {
 					Healer:       healer,
 					Seed:         seed,
 					MeasureEvery: -1, // equivalence only; no metrics sweeps
-				}, diffTimeout)
+				}, 1, diffTimeout)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -83,11 +84,11 @@ func TestDifferentialCoreVsDist(t *testing.T) {
 	}
 }
 
-// TestDifferentialPipelinedSmall replays randomized mixed schedules in
-// Pipelined mode: mutations are issued asynchronously in windows of
-// DefaultDiffWindow so disjoint heal epochs genuinely overlap, and the
-// same bit-exact equivalence Lockstep demands is asserted at every
-// window flush. Small-n complement to the 10k gate below.
+// TestDifferentialPipelinedSmall replays randomized mixed schedules at
+// window DefaultDiffWindow: disjoint heal epochs genuinely overlap
+// between flushes, and the same bit-exact equivalence window 1 demands
+// after every event is asserted at every flush. Small-n complement to
+// the 10k gate below.
 func TestDifferentialPipelinedSmall(t *testing.T) {
 	for _, healer := range []core.Healer{core.DASH{}, core.SDASH{}} {
 		for seed := uint64(1); seed <= 3; seed++ {
@@ -95,13 +96,13 @@ func TestDifferentialPipelinedSmall(t *testing.T) {
 			t.Run(healer.Name()+"/"+string(rune('0'+seed)), func(t *testing.T) {
 				t.Parallel()
 				sc := randomSchedule(rng.New(seed*104729 + 17))
-				rep, err := ReplayDifferentialMode(Config{
+				rep, err := ReplayDifferential(Config{
 					NewGraph:     func(r *rng.RNG) *graph.Graph { return gen.BarabasiAlbert(48, 3, r) },
 					Schedule:     sc,
 					Healer:       healer,
 					Seed:         seed,
 					MeasureEvery: -1,
-				}, Pipelined, diffTimeout)
+				}, DefaultDiffWindow, diffTimeout)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -123,33 +124,43 @@ func TestDifferentialRejectsForeignHealer(t *testing.T) {
 		Schedule: Schedule{Name: "x", Phases: []Phase{Attrition(1)}},
 		Healer:   core.SDASHFull{},
 		Seed:     1,
-	}, diffTimeout)
+	}, 1, diffTimeout)
 	if err == nil {
 		t.Fatal("SDASHFull has no distributed implementation and must be rejected")
 	}
 }
 
-// TestDifferentialCatchesLabelDrift pins that the per-event check
-// really compares labels: OracleDASH heals exactly as DASH but floods no
-// labels, so replaying it against the distributed DASH rule must stop
-// at the first kill with an error naming a label — the first field of
-// the oracle's order that differs.
+// TestDifferentialCatchesLabelDrift pins that the flush check really
+// compares labels, and how often it runs: OracleDASH heals exactly as
+// DASH but floods no labels, so replaying it against the distributed
+// DASH rule must fail with an error naming a label — the first field
+// of the oracle's order that differs — at the first check. At window 1
+// that is the first kill's event; at DefaultDiffWindow it is the first
+// full window, well before the final flush.
 func TestDifferentialCatchesLabelDrift(t *testing.T) {
-	_, err := replayDifferential(Config{
-		NewGraph:     func(r *rng.RNG) *graph.Graph { return gen.BarabasiAlbert(32, 3, r) },
-		Schedule:     Schedule{Name: "x", Phases: []Phase{Attrition(3)}},
-		Healer:       core.OracleDASH{},
-		Seed:         1,
-		MeasureEvery: -1,
-	}, dist.HealDASH, Lockstep, diffTimeout)
-	if err == nil || !strings.Contains(err.Error(), "label") {
-		t.Fatalf("replay = %v, want a label divergence", err)
+	for _, tc := range []struct {
+		window int
+		want   string
+	}{
+		{1, "event 1 (flush of 1 in-flight epochs)"},
+		{DefaultDiffWindow, fmt.Sprintf("event %d (flush of %d in-flight epochs)", DefaultDiffWindow, DefaultDiffWindow)},
+	} {
+		_, err := replayDifferential(Config{
+			NewGraph:     func(r *rng.RNG) *graph.Graph { return gen.BarabasiAlbert(32, 3, r) },
+			Schedule:     Schedule{Name: "x", Phases: []Phase{Attrition(3 * DefaultDiffWindow)}},
+			Healer:       core.OracleDASH{},
+			Seed:         1,
+			MeasureEvery: -1,
+		}, dist.HealDASH, tc.window, diffTimeout)
+		if err == nil || !strings.Contains(err.Error(), "label") || !strings.HasPrefix(err.Error(), tc.want) {
+			t.Fatalf("window %d: replay = %v, want a label divergence at %q", tc.window, err, tc.want)
+		}
 	}
 }
 
 // TestDisasterDifferential10k is the CI dist-disaster-smoke gate: a
-// disaster-heavy schedule at n = 10k replayed through both engines with
-// per-event equality checks. Eight correlated waves of ~n/64 nodes die
+// disaster-heavy schedule at n = 10k replayed through both engines at
+// window 1, so equality is checked after every event. Eight correlated waves of ~n/64 nodes die
 // as batch epochs, followed by churn and an attrition tail. Skipped
 // under -short (the dedicated CI job runs it under -race with a
 // 10-minute timeout, mirroring the scenario-smoke gate).
@@ -170,7 +181,7 @@ func TestDisasterDifferential10k(t *testing.T) {
 		Healer:       core.DASH{},
 		Seed:         1,
 		MeasureEvery: -1,
-	}, 5*time.Minute)
+	}, 1, 5*time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,8 +198,7 @@ func TestDisasterDifferential10k(t *testing.T) {
 // mutations issued asynchronously in windows of DefaultDiffWindow, so
 // up to a window's worth of heal epochs are in flight between each
 // drain-and-check flush. The flush equivalence is the same bit-exact
-// G/G′/label/δ check Lockstep performs per event, plus the final
-// Lemma 9 flood accounting. Skipped under -short (the dedicated CI job
+// G/G′/label/δ and Lemma 9 flood check window 1 performs per event. Skipped under -short (the dedicated CI job
 // runs it under -race with a 10-minute timeout).
 func TestPipelinedDifferential10k(t *testing.T) {
 	if testing.Short() {
@@ -202,13 +212,13 @@ func TestPipelinedDifferential10k(t *testing.T) {
 		Churn(24, 3, 3),
 		Attrition(16),
 	}}
-	rep, err := ReplayDifferentialMode(Config{
+	rep, err := ReplayDifferential(Config{
 		NewGraph:     func(r *rng.RNG) *graph.Graph { return gen.BarabasiAlbert(n, 3, r) },
 		Schedule:     sc,
 		Healer:       core.DASH{},
 		Seed:         2,
 		MeasureEvery: -1,
-	}, Pipelined, 5*time.Minute)
+	}, DefaultDiffWindow, 5*time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}

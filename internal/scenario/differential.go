@@ -2,24 +2,27 @@ package scenario
 
 // The differential replay harness: one scenario schedule executed
 // through the sequential engine (internal/core, driven by the scenario
-// runner) and the distributed engine (internal/dist) in lockstep, with
-// exact equivalence — topology G, healing forest G′, every component
-// label, every δ, and the Lemma 9 flood accounting — asserted after
-// every mutating event. Since the distributed engine gained KillBatch,
-// schedules may contain Disaster phases: correlated batch kills replay
-// through the staged batch epoch and must match core.DeleteBatchAndHeal
-// bit for bit.
+// runner) and the distributed engine (internal/dist), with exact
+// equivalence — topology G, healing forest G′, every component label,
+// every δ, and the Lemma 9 flood accounting — asserted by
+// dist.Network.Diverges at every window flush. Schedules may contain
+// Disaster phases: correlated batch kills replay through the staged
+// batch epoch and must match core.DeleteBatchAndHeal bit for bit.
+//
+// There is one replay loop. Every mutation is issued asynchronously,
+// and once window of them are in flight at the end of an event the
+// loop drains the network and compares. Window 1 checks after every
+// mutating event; DefaultDiffWindow lets up to that many heal epochs
+// overlap between checks, exercising the epoch scheduler's conflict
+// chaining under the full scenario op mix at scale — the randomized,
+// large-n complement to the modelcheck package's exhaustive
+// small-config enumeration. The chaos differential (chaos.go) makes the
+// same drain-and-compare step with a different oracle.
 //
 // The harness is a library (not test-only) so cmd/scenario can replay a
 // preset differentially from the command line; the randomized-schedule
-// tests in diff_test.go and the n=10k disaster gate CI runs are thin
-// wrappers around ReplayDifferential.
-//
-// Two replay modes exist since the distributed engine dropped its
-// global quiescence barrier: Lockstep (one blocking op at a time,
-// checked after every event) and Pipelined (ops issued asynchronously
-// in windows so disjoint heal epochs overlap, checked at every window
-// flush) — see DiffMode.
+// tests in diff_test.go and the n = 10k gates CI runs are thin wrappers
+// around ReplayDifferential.
 
 import (
 	"fmt"
@@ -51,64 +54,57 @@ type seqOp struct {
 	initID uint64
 }
 
-// DiffMode selects how mutations reach the distributed engine.
-type DiffMode int
-
-const (
-	// Lockstep replays each mutation with a blocking call and asserts
-	// full equivalence after every mutating event: maximal checking
-	// density, no epoch overlap.
-	Lockstep DiffMode = iota
-	// Pipelined issues mutations asynchronously in windows of
-	// DefaultDiffWindow ops, so disjoint heal epochs genuinely overlap
-	// inside the window, then drains and asserts full equivalence at
-	// each window boundary. The equivalence demanded at a flush point is
-	// the same bit-exact one Lockstep demands — including the Lemma 9
-	// flood accounting, which survives pipelining because floods stay
-	// confined to their epoch's conflict region.
-	Pipelined
-)
-
-// DefaultDiffWindow is the number of mutations issued asynchronously
-// between drain-and-check flush points in Pipelined mode.
+// DefaultDiffWindow is the number of mutations a pipelined replay keeps
+// in flight between drain-and-check flushes.
 const DefaultDiffWindow = 8
+
+// drainAndCompare is the check every replay loop makes at a flush: wait
+// until no epoch is in flight, then compare the drained network with
+// the sequential state oracle returns. The oracle runs after the drain
+// because a crash during the drain can still rewrite a chaos run's
+// effective-operation log.
+func drainAndCompare(nw *dist.Network, timeout time.Duration, oracle func() (*core.State, error)) error {
+	if err := nw.Drain(timeout); err != nil {
+		return err
+	}
+	seq, err := oracle()
+	if err != nil {
+		return err
+	}
+	return nw.Diverges(seq)
+}
 
 // ReplayDifferential executes one trial of cfg's schedule through the
 // sequential engine and replays every mutation — single kills, joins,
 // and batch-kill epochs — onto a distributed network of the matching
-// healer kind in lockstep, verifying exact G/G′/label/δ equality after
-// every mutating event, flood-depth accounting included.
+// healer kind. Mutations are issued asynchronously; whenever window or
+// more are in flight at the end of an event, and once at the end, the
+// network is drained and checked for exact G/G′/label/δ equality,
+// flood-depth accounting included. Window 1 checks after every mutating
+// event; window ≤ 0 means DefaultDiffWindow, as in ChaosConfig.Window.
 // cfg.Observe is taken over by the harness (a caller-provided Observe is
 // still invoked first); Trials and Workers are ignored — a differential
-// replay is inherently one serial trial. The per-round timeout guards
-// against a wedged distributed round.
-func ReplayDifferential(cfg Config, timeout time.Duration) (DiffReport, error) {
-	return ReplayDifferentialMode(cfg, Lockstep, timeout)
-}
-
-// ReplayDifferentialMode is ReplayDifferential with an explicit replay
-// mode. Pipelined keeps up to DefaultDiffWindow heal epochs in flight
-// before each drain-and-check flush, exercising the epoch scheduler's
-// conflict chaining under the full scenario op mix at scale — the
-// randomized, large-n complement to the modelcheck package's exhaustive
-// small-config enumeration.
-func ReplayDifferentialMode(cfg Config, mode DiffMode, timeout time.Duration) (DiffReport, error) {
+// replay is inherently one serial trial. The timeout bounds each drain.
+func ReplayDifferential(cfg Config, window int, timeout time.Duration) (DiffReport, error) {
 	kind, err := dist.KindOf(cfg.Healer)
 	if err != nil {
 		return DiffReport{}, fmt.Errorf("scenario: %w", err)
 	}
-	return replayDifferential(cfg, kind, mode, timeout)
+	return replayDifferential(cfg, kind, window, timeout)
 }
 
 // replayDifferential replays cfg's mutations onto a network healing by
 // kind, which should mirror cfg.Healer.
-func replayDifferential(cfg Config, kind dist.HealerKind, mode DiffMode, timeout time.Duration) (DiffReport, error) {
+func replayDifferential(cfg Config, kind dist.HealerKind, window int, timeout time.Duration) (DiffReport, error) {
 	events, err := cfg.Schedule.Compile()
 	if err != nil {
 		return DiffReport{}, err
 	}
 	if cfg.NewGraph == nil {
 		return DiffReport{}, fmt.Errorf("scenario: Config needs NewGraph")
+	}
+	if window <= 0 {
+		window = DefaultDiffWindow
 	}
 	newVictim := cfg.NewVictim
 	if newVictim == nil {
@@ -168,83 +164,50 @@ func replayDifferential(cfg Config, kind dist.HealerKind, mode DiffMode, timeout
 	defer nw.Close()
 
 	var rep DiffReport
-	check := func() error {
-		if err := nw.Diverges(seqState); err != nil {
-			return fmt.Errorf("event %d: %w", run.res.Events, err)
-		}
-		return nil
-	}
+	oracle := func() (*core.State, error) { return seqState, nil }
 	inFlight := 0
 	flush := func() error {
-		if inFlight == 0 {
-			return nil
-		}
-		if err := nw.Drain(timeout); err != nil {
+		if err := drainAndCompare(nw, timeout, oracle); err != nil {
 			return fmt.Errorf("event %d (flush of %d in-flight epochs): %w", run.res.Events, inFlight, err)
 		}
 		inFlight = 0
-		return check()
+		return nil
 	}
 	for {
 		more := run.step()
-		mutated := len(ops) > 0
 		for _, op := range ops {
 			switch {
 			case op.batch != nil:
 				rep.BatchKills++
 				rep.Killed += len(op.batch)
-				if mode == Pipelined {
-					nw.KillBatchAsync(op.batch)
-					inFlight++
-				} else if err := nw.KillBatchWithTimeout(op.batch, timeout); err != nil {
-					return rep, fmt.Errorf("event %d (batch kill %v): %w", run.res.Events, op.batch, err)
-				}
+				nw.KillBatchAsync(op.batch)
 			case op.kill:
 				rep.Kills++
-				if mode == Pipelined {
-					nw.KillAsync(op.node)
-					inFlight++
-				} else if err := nw.KillWithTimeout(op.node, timeout); err != nil {
-					return rep, fmt.Errorf("event %d (kill %d): %w", run.res.Events, op.node, err)
-				}
+				nw.KillAsync(op.node)
 			default:
 				rep.Joins++
-				var v int
-				var err error
-				if mode == Pipelined {
-					v, _ = nw.JoinAsync(op.attach, op.initID)
-					inFlight++
-				} else if v, err = nw.JoinWithTimeout(op.attach, op.initID, timeout); err != nil {
-					return rep, fmt.Errorf("event %d (join): %w", run.res.Events, err)
-				}
-				if v != op.node {
+				if v, _ := nw.JoinAsync(op.attach, op.initID); v != op.node {
 					return rep, fmt.Errorf("event %d: join index %d, sequential %d", run.res.Events, v, op.node)
 				}
 			}
+			inFlight++
 		}
 		ops = ops[:0]
-		switch mode {
-		case Pipelined:
-			// Drain and verify only at window boundaries, so up to a
-			// window's worth of heal epochs overlap in between.
-			if inFlight >= DefaultDiffWindow {
-				if err := flush(); err != nil {
-					return rep, err
-				}
-			}
-		default:
-			if mutated {
-				if err := check(); err != nil {
-					return rep, err
-				}
+		// Drain and verify only once a window is full, so up to a
+		// window's worth of heal epochs overlap in between.
+		if inFlight >= window {
+			if err := flush(); err != nil {
+				return rep, err
 			}
 		}
 		if !more {
 			break
 		}
 	}
-	if err := flush(); err != nil {
-		return rep, err
+	if inFlight > 0 {
+		if err := flush(); err != nil {
+			return rep, err
+		}
 	}
 	rep.Events = run.finish().Events
 	_, _, rep.Rounds = nw.FloodStats()
