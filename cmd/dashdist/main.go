@@ -99,10 +99,7 @@ func realMain() error {
 	master := rng.New(*seed)
 	g := gen.BarabasiAlbert(*n, 3, master.Split())
 	seq := core.NewState(g.Clone(), master.Split())
-	ids := make([]uint64, *n)
-	for v := range ids {
-		ids[v] = seq.InitID(v)
-	}
+	ids := dist.InitIDs(seq)
 	nw := dist.NewKind(g.Clone(), ids, kind)
 	defer nw.Close()
 

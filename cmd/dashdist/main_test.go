@@ -33,10 +33,7 @@ func newRoundsNet(t *testing.T, n int, seed uint64, kind dist.HealerKind) (*core
 	master := rng.New(seed)
 	g := gen.BarabasiAlbert(n, 3, master.Split())
 	seq := core.NewState(g.Clone(), master.Split())
-	ids := make([]uint64, n)
-	for v := range ids {
-		ids[v] = seq.InitID(v)
-	}
+	ids := dist.InitIDs(seq)
 	nw := dist.NewKind(g.Clone(), ids, kind)
 	t.Cleanup(nw.Close)
 	return seq, nw, master.Split()

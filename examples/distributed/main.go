@@ -32,10 +32,7 @@ func main() {
 	// Shared identities: the sequential reference assigns the random
 	// initial IDs; the distributed network receives the same ones.
 	seq := core.NewState(g.Clone(), rng.New(2))
-	ids := make([]uint64, n)
-	for v := range ids {
-		ids[v] = seq.InitID(v)
-	}
+	ids := dist.InitIDs(seq)
 	nw := dist.New(g.Clone(), ids)
 	defer nw.Close()
 

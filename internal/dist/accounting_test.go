@@ -33,10 +33,7 @@ func TestBatchProbeMessageAccounting(t *testing.T) {
 	master := rng.New(77)
 	g := gen.BarabasiAlbert(n, 3, master.Split())
 	seq := core.NewState(g.Clone(), master.Split())
-	ids := make([]uint64, n)
-	for v := range ids {
-		ids[v] = seq.InitID(v)
-	}
+	ids := InitIDs(seq)
 	nw := NewKind(g.Clone(), ids, HealDASH)
 	defer nw.Close()
 
@@ -121,10 +118,7 @@ func TestSingleKillNotifyAccounting(t *testing.T) {
 	master := rng.New(9)
 	g := gen.BarabasiAlbert(n, 3, master.Split())
 	seq := core.NewState(g.Clone(), master.Split())
-	ids := make([]uint64, n)
-	for v := range ids {
-		ids[v] = seq.InitID(v)
-	}
+	ids := InitIDs(seq)
 	nw := NewKind(g.Clone(), ids, HealDASH)
 	defer nw.Close()
 

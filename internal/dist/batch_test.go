@@ -95,10 +95,7 @@ func runBatchEquivalence(t *testing.T, kind HealerKind, n int, seed uint64) {
 	master := rng.New(seed)
 	g := gen.BarabasiAlbert(n, 3, master.Split())
 	seq := core.NewState(g.Clone(), master.Split())
-	ids := make([]uint64, n)
-	for v := range ids {
-		ids[v] = seq.InitID(v)
-	}
+	ids := InitIDs(seq)
 	nw := NewKind(g.Clone(), ids, kind)
 	defer nw.Close()
 
@@ -165,10 +162,7 @@ func TestBatchKillClusterMatchesCore(t *testing.T) {
 	master := rng.New(seed)
 	g := gen.BarabasiAlbert(n, 3, master.Split())
 	seq := core.NewState(g.Clone(), master.Split())
-	ids := make([]uint64, n)
-	for v := range ids {
-		ids[v] = seq.InitID(v)
-	}
+	ids := InitIDs(seq)
 	nw := New(g.Clone(), ids)
 	defer nw.Close()
 
@@ -204,10 +198,7 @@ func TestBatchKillEdgeCases(t *testing.T) {
 	master := rng.New(seed)
 	g := gen.BarabasiAlbert(n, 3, master.Split())
 	seq := core.NewState(g.Clone(), master.Split())
-	ids := make([]uint64, n)
-	for v := range ids {
-		ids[v] = seq.InitID(v)
-	}
+	ids := InitIDs(seq)
 	nw := New(g.Clone(), ids)
 	defer nw.Close()
 

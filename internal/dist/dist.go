@@ -51,7 +51,9 @@
 // identical to the sequential engine's and the healed state bit-exact.
 // KillAsync/JoinAsync/KillBatchAsync expose the pipelined form; Kill,
 // Join and KillBatch are blocking wrappers that wait for their own
-// epoch only. internal/dist/modelcheck exhaustively enumerates message
+// epoch only. Network.Issue issues an Op, the operation type both
+// engines are fed (op.go), and refuses where those forms panic.
+// internal/dist/modelcheck exhaustively enumerates message
 // interleavings of overlapping epochs on small networks and asserts
 // every schedule converges to the sequential core result.
 //
@@ -334,15 +336,6 @@ func (nw *Network) KillAsync(v int) *Epoch {
 	return nw.pipe.issueKill(v)
 }
 
-// TryKillAsync is KillAsync without the panic: it returns nil when v is
-// dead, crashed, or already doomed by a pending epoch. The check and
-// the issue run under the scheduler lock, so a concurrent chaos crash
-// cannot invalidate the choice between them — which is exactly the race
-// a fault-schedule driver needs to be immune to.
-func (nw *Network) TryKillAsync(v int) *Epoch {
-	return nw.pipe.tryIssueKill(v)
-}
-
 // Join adds a new node attached to the distinct members of attachTo and
 // blocks until the join epoch has completed, mirroring core.State.Join:
 // the newcomer starts with δ = 0 (its initial degree is its join
@@ -364,14 +357,6 @@ func (nw *Network) Join(attachTo []int, id uint64) int {
 // still draining).
 func (nw *Network) JoinAsync(attachTo []int, id uint64) (int, *Epoch) {
 	return nw.pipe.issueJoin(attachTo, id)
-}
-
-// TryJoinAsync is JoinAsync without the panic: it returns (-1, nil)
-// when any attach target is dead, crashed, or doomed by a pending
-// epoch, with the check and the issue atomic under the scheduler lock
-// (see TryKillAsync).
-func (nw *Network) TryJoinAsync(attachTo []int, id uint64) (int, *Epoch) {
-	return nw.pipe.tryIssueJoin(attachTo, id)
 }
 
 // Drain blocks until every issued epoch has completed and no message is

@@ -65,10 +65,7 @@ func runEquivalence(t *testing.T, kind HealerKind, n int, seed uint64, att attac
 		t.Fatalf("seed graph not connected")
 	}
 	seq := core.NewState(g.Clone(), master.Split())
-	ids := make([]uint64, n)
-	for v := range ids {
-		ids[v] = seq.InitID(v)
-	}
+	ids := InitIDs(seq)
 	nw := NewKind(g.Clone(), ids, kind)
 	defer nw.Close()
 
@@ -112,10 +109,7 @@ func TestLabelNotificationsMatchSequential(t *testing.T) {
 	master := rng.New(seed)
 	g := gen.BarabasiAlbert(n, 3, master.Split())
 	seq := core.NewState(g.Clone(), master.Split())
-	ids := make([]uint64, n)
-	for v := range ids {
-		ids[v] = seq.InitID(v)
-	}
+	ids := InitIDs(seq)
 	nw := New(g.Clone(), ids)
 	defer nw.Close()
 

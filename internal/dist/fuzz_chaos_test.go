@@ -57,32 +57,20 @@ func runChaosCase(t *testing.T, opsData, sched, faults []byte) (ChaosStats, bool
 		t.Skip("no decodable ops")
 	}
 	plan := decodeFaultPlan(faults)
-	crashy := plan != nil && len(plan.Crashes) > 0
 
 	base := core.NewState(fuzzGraph(), rng.New(11))
-	ids := make([]uint64, 8)
-	for v := range ids {
-		ids[v] = base.InitID(v)
-	}
+	ids := InitIDs(base)
 	nw, err := NewChaos(fuzzGraph(), ids, HealDASH, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer nw.Close()
 
-	// Join IDs are drawn from the same stream the oracle replay will
-	// draw from (rng.New(12), deduped against every ID in play), one
-	// draw per accepted join. A refused join holds its draw for the next
-	// attempt so accepted joins consume draws in order — exactly the
-	// draws core.Join makes when replaying the effective log.
-	used := make(map[uint64]bool, 16)
-	for _, id := range ids {
-		used[id] = true
-	}
-	joinR := rng.New(12)
-	var pendingID uint64
-	havePending := false
-
+	// Join IDs come from the stream the oracle replay draws from, and
+	// slots follow the accepted joins. An op a fault got to first is
+	// refused and skipped.
+	joinIDs := NewJoinIDs(rng.New(12), ids)
+	slot := len(ids)
 	var eps []*Epoch
 	si := 0
 	pace := func() {
@@ -98,36 +86,18 @@ func runChaosCase(t *testing.T, opsData, sched, faults []byte) (ChaosStats, bool
 		}
 	}
 	for _, op := range ops {
-		switch op.kind {
-		case 0:
-			if ep := nw.TryKillAsync(op.victim); ep != nil {
-				eps = append(eps, ep)
-			}
-		case 1:
-			if !havePending {
-				pendingID = joinR.Uint64()
-				for used[pendingID] {
-					pendingID = joinR.Uint64()
-				}
-				havePending = true
-			}
-			if _, ep := nw.TryJoinAsync(op.attach, pendingID); ep != nil {
-				used[pendingID] = true
-				havePending = false
-				eps = append(eps, ep)
-			}
-		case 2:
-			if crashy {
-				// No atomic Try form exists for batches, and under a
-				// crashy plan a member may be gone by issue time — fall
-				// back to independent single kills of the members.
-				for _, v := range op.batch {
-					if ep := nw.TryKillAsync(v); ep != nil {
-						eps = append(eps, ep)
-					}
-				}
-			} else {
-				eps = append(eps, nw.KillBatchAsync(op.batch))
+		if op.Kind == OpJoin {
+			op.NewID, op.InitID = slot, joinIDs.Next()
+		}
+		ep, err := nw.Issue(op)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ep != nil {
+			eps = append(eps, ep)
+			if op.Kind == OpJoin {
+				joinIDs.Use()
+				slot++
 			}
 		}
 		pace()

@@ -25,20 +25,12 @@ func fuzzGraph() *graph.Graph {
 	return g
 }
 
-// fuzzOp mirrors modelcheck.Op locally so the decoder stays in-package.
-type fuzzOp struct {
-	kind   int // 0 kill, 1 join, 2 batch
-	victim int
-	batch  []int
-	attach []int
-}
-
 // decodeFuzzOps turns the leading bytes of data into a valid op script
 // against fuzzGraph, tracking issue-order liveness so the script never
 // kills a dead node or attaches to one (both are caller-contract
 // panics, not protocol states). Returns the ops and the remaining bytes,
 // which become the schedule stream.
-func decodeFuzzOps(data []byte) ([]fuzzOp, []byte) {
+func decodeFuzzOps(data []byte) ([]Op, []byte) {
 	if len(data) == 0 {
 		return nil, nil
 	}
@@ -64,7 +56,7 @@ func decodeFuzzOps(data []byte) ([]fuzzOp, []byte) {
 		data = data[1:]
 		return b, true
 	}
-	var ops []fuzzOp
+	var ops []Op
 	nextID := 8
 	for len(ops) < nOps {
 		kb, ok := next()
@@ -82,7 +74,7 @@ func decodeFuzzOps(data []byte) ([]fuzzOp, []byte) {
 				return ops, data
 			}
 			v := alive[int(vb)%len(alive)]
-			ops = append(ops, fuzzOp{kind: 0, victim: v})
+			ops = append(ops, Op{Kind: OpKill, Victim: v})
 			kill(v)
 		case 1: // join with 1–2 attach points
 			ab, ok := next()
@@ -98,7 +90,7 @@ func decodeFuzzOps(data []byte) ([]fuzzOp, []byte) {
 			if b := alive[int(bb)%len(alive)]; b != a {
 				attach = append(attach, b)
 			}
-			ops = append(ops, fuzzOp{kind: 1, attach: attach})
+			ops = append(ops, Op{Kind: OpJoin, Attach: attach})
 			alive = append(alive, nextID)
 			nextID++
 		case 2: // batch of 2–3 victims
@@ -127,7 +119,7 @@ func decodeFuzzOps(data []byte) ([]fuzzOp, []byte) {
 				kill(v)
 			}
 			if len(batch) > 0 {
-				ops = append(ops, fuzzOp{kind: 2, batch: batch})
+				ops = append(ops, Op{Kind: OpBatch, Batch: batch})
 			}
 		}
 	}
@@ -159,23 +151,14 @@ func FuzzPipelinedSchedule(f *testing.F) {
 			t.Skip("no decodable ops")
 		}
 
-		// Sequential oracle in issue order, capturing all initial IDs.
+		// Sequential oracle in issue order, recording each joiner's slot
+		// and initial ID for the network to use.
 		seq := core.NewState(fuzzGraph(), rng.New(11))
-		ids := make([]uint64, 8)
-		for v := range ids {
-			ids[v] = seq.InitID(v)
-		}
+		ids := InitIDs(seq)
 		joinR := rng.New(12)
-		var joinIDs []uint64
-		for _, op := range ops {
-			switch op.kind {
-			case 0:
-				seq.DeleteAndHeal(op.victim, core.DASH{})
-			case 1:
-				v := seq.Join(op.attach, joinR)
-				joinIDs = append(joinIDs, seq.InitID(v))
-			case 2:
-				seq.DeleteBatchAndHeal(op.batch)
+		for i := range ops {
+			if err := ops[i].Apply(seq, core.DASH{}, joinR); err != nil {
+				t.Fatal(err)
 			}
 		}
 
@@ -184,18 +167,8 @@ func FuzzPipelinedSchedule(f *testing.F) {
 		s := NewSim(fuzzGraph(), ids, HealDASH)
 		nw := s.Network()
 		eps := make([]*Epoch, 0, len(ops))
-		ji := 0
 		for _, op := range ops {
-			switch op.kind {
-			case 0:
-				eps = append(eps, nw.KillAsync(op.victim))
-			case 1:
-				_, ep := nw.JoinAsync(op.attach, joinIDs[ji])
-				ji++
-				eps = append(eps, ep)
-			case 2:
-				eps = append(eps, nw.KillBatchAsync(op.batch))
-			}
+			eps = append(eps, mustIssue(t, nw, op))
 		}
 		si := 0
 		for steps := 0; ; steps++ {

@@ -19,10 +19,7 @@ func TestJoinMatchesSequential(t *testing.T) {
 	master := rng.New(seed)
 	g := gen.BarabasiAlbert(n, 3, master.Split())
 	seq := core.NewState(g.Clone(), master.Split())
-	ids := make([]uint64, n)
-	for v := range ids {
-		ids[v] = seq.InitID(v)
-	}
+	ids := InitIDs(seq)
 	nw := New(g.Clone(), ids)
 	defer nw.Close()
 
@@ -81,10 +78,7 @@ func TestJoinIsolatedAndDuplicates(t *testing.T) {
 	master := rng.New(5)
 	g := gen.Ring(n)
 	seq := core.NewState(g.Clone(), master.Split())
-	ids := make([]uint64, n)
-	for v := range ids {
-		ids[v] = seq.InitID(v)
-	}
+	ids := InitIDs(seq)
 	nw := New(g.Clone(), ids)
 	defer nw.Close()
 	idR := master.Split()

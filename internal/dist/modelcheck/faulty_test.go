@@ -28,7 +28,7 @@ func TestMessageLossExhaustive(t *testing.T) {
 		Graph:  diamond,
 		Seed:   11,
 		Healer: dist.HealDASH,
-		Ops:    []Op{{Kind: OpKill, Victim: 0}},
+		Ops:    []dist.Op{{Kind: dist.OpKill, Victim: 0}},
 		Drops:  2,
 		Dups:   1,
 	}
@@ -62,7 +62,7 @@ func TestLeaderCrashExhaustive(t *testing.T) {
 		Graph:        bridgedTriangles,
 		Seed:         12,
 		Healer:       dist.HealDASH,
-		Ops:          []Op{{Kind: OpKill, Victim: 0}},
+		Ops:          []dist.Op{{Kind: dist.OpKill, Victim: 0}},
 		Crashes:      1,
 		CrashTargets: []int{1, 2}, // victim 0's orphans: leader + reporter
 	}
@@ -90,7 +90,7 @@ func TestStandaloneCrashExhaustive(t *testing.T) {
 		Graph:        bridgedTriangles,
 		Seed:         13,
 		Healer:       dist.HealDASH,
-		Ops:          []Op{{Kind: OpKill, Victim: 5}},
+		Ops:          []dist.Op{{Kind: dist.OpKill, Victim: 5}},
 		Crashes:      1,
 		CrashTargets: []int{1}, // not in kill(5)'s region
 	}
@@ -118,7 +118,7 @@ func TestCrashNoticeOrderExhaustive(t *testing.T) {
 		Graph:        bridgedTriangles,
 		Seed:         14,
 		Healer:       dist.HealDASH,
-		Ops:          []Op{{Kind: OpKill, Victim: 5}},
+		Ops:          []dist.Op{{Kind: dist.OpKill, Victim: 5}},
 		Crashes:      1,
 		CrashTargets: []int{4}, // victim 5's orphan, with a smaller index
 	}
@@ -140,7 +140,7 @@ func TestFaultyMatchesFaultFree(t *testing.T) {
 		Graph:  bridgedTriangles,
 		Seed:   1,
 		Healer: dist.HealDASH,
-		Ops:    []Op{{Kind: OpKill, Victim: 0}, {Kind: OpKill, Victim: 5}},
+		Ops:    []dist.Op{{Kind: dist.OpKill, Victim: 0}, {Kind: dist.OpKill, Victim: 5}},
 	}
 	faulty, err := search(cfg, cfg.Healer.Healer(), faultSim(cfg))
 	if err != nil {

@@ -13,6 +13,12 @@
 // including every schedule where a second deletion's epoch runs while a
 // prior MINID flood is still draining.
 //
+// A configuration's operations (Config.Ops) are dist.Ops, the one type
+// both engines are fed. The sequential oracle applies them in order
+// with dist.Op.Apply, which records each join's slot and initial ID,
+// and every simulated network is issued exactly those ops with
+// dist.Network.Issue. A join therefore needs only its Attach list.
+//
 // One search loop serves two simulators. A fault-free configuration
 // runs on dist.Sim. A configuration with a drop, duplicate or crash
 // budget runs on dist.FaultSim, so the nondeterminism also includes
@@ -60,6 +66,7 @@ package modelcheck
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/dist"
@@ -69,39 +76,6 @@ import (
 
 // DefaultBudget is the distinct-state ceiling when Config.Budget is 0.
 const DefaultBudget = 2_000_000
-
-// OpKind selects an operation type.
-type OpKind int
-
-const (
-	// OpKill deletes one node and heals.
-	OpKill OpKind = iota
-	// OpJoin attaches a new node to Attach.
-	OpJoin
-	// OpBatch deletes Batch simultaneously and heals per cluster.
-	OpBatch
-)
-
-// Op is one operation of a configuration, applied to the sequential
-// engine in slice order and issued to the pipelined network up front.
-type Op struct {
-	Kind   OpKind
-	Victim int   // OpKill
-	Batch  []int // OpBatch
-	Attach []int // OpJoin
-}
-
-func (op Op) String() string {
-	switch op.Kind {
-	case OpKill:
-		return fmt.Sprintf("kill(%d)", op.Victim)
-	case OpJoin:
-		return fmt.Sprintf("join(%v)", op.Attach)
-	case OpBatch:
-		return fmt.Sprintf("batch(%v)", op.Batch)
-	}
-	return "unknown"
-}
 
 // Config is one model-checking run.
 type Config struct {
@@ -113,8 +87,10 @@ type Config struct {
 	Seed uint64
 	// Healer selects DASH or SDASH on both engines.
 	Healer dist.HealerKind
-	// Ops is the operation mix; all are issued up front.
-	Ops []Op
+	// Ops is the operation mix, applied to the sequential engine in
+	// slice order and all issued to the pipelined network up front. A
+	// join needs only its Attach list (see the package doc).
+	Ops []dist.Op
 	// Budget bounds the number of distinct states explored; 0 means
 	// DefaultBudget. Exceeding the budget is an error — a truncated
 	// search proves nothing and must not read as a pass.
@@ -196,27 +172,18 @@ func search[S simulator[E], E any](cfg Config, healer core.Healer, newSim func(*
 		c.budget = DefaultBudget
 	}
 
-	// Sequential oracle: apply the ops in issue order, capturing the
-	// initial IDs (including each joiner's) the simulated runs must use.
-	// Joins never move in an effective log, so the join-ID draw order is
-	// the same in every effective replay too.
-	g := cfg.Graph()
+	// Sequential oracle: apply the ops in issue order, recording the
+	// slots and initial IDs (including each joiner's) the simulated runs
+	// must use. Joins never move in an effective log, so the join-ID draw
+	// order is the same in every effective replay too.
 	c.healer = healer
-	c.issued = core.NewState(g.Clone(), rng.New(cfg.Seed))
-	c.ids = make([]uint64, g.N())
-	for v := range c.ids {
-		c.ids[v] = c.issued.InitID(v)
-	}
+	c.issued = core.NewState(cfg.Graph(), rng.New(cfg.Seed))
+	c.ids = dist.InitIDs(c.issued)
+	c.ops = slices.Clone(cfg.Ops)
 	joinR := rng.New(cfg.Seed + 1)
-	for _, op := range cfg.Ops {
-		switch op.Kind {
-		case OpKill:
-			c.issued.DeleteAndHeal(op.Victim, healer)
-		case OpJoin:
-			v := c.issued.Join(op.Attach, joinR)
-			c.joinIDs = append(c.joinIDs, c.issued.InitID(v))
-		case OpBatch:
-			c.issued.DeleteBatchAndHeal(op.Batch)
+	for i := range c.ops {
+		if err := c.ops[i].Apply(c.issued, healer, joinR); err != nil {
+			return c.res, fmt.Errorf("modelcheck: op %d: %w", i, err)
 		}
 	}
 
@@ -232,32 +199,28 @@ type checker[S simulator[E], E any] struct {
 	cfg     Config
 	newSim  func(*graph.Graph, []uint64) S
 	healer  core.Healer
-	issued  *core.State // cfg.Ops applied in issue order
+	issued  *core.State // ops applied in issue order
 	ids     []uint64
-	joinIDs []uint64
+	ops     []dist.Op // cfg.Ops with every join's slot and initial ID
 	visited map[[16]byte]struct{}
 	oracles map[string]*core.State // by effective-operation log
 	budget  int
 	res     Result
 }
 
-// build assembles a fresh simulated network with every op issued.
+// build assembles a fresh simulated network with every op issued. The
+// sequential apply has already accepted every op, so a refusal means
+// the engines disagree on who is alive.
 func (c *checker[S, E]) build() (S, []*dist.Epoch) {
 	s := c.newSim(c.cfg.Graph(), c.ids)
 	nw := s.Network()
-	eps := make([]*dist.Epoch, 0, len(c.cfg.Ops))
-	ji := 0
-	for _, op := range c.cfg.Ops {
-		switch op.Kind {
-		case OpKill:
-			eps = append(eps, nw.KillAsync(op.Victim))
-		case OpJoin:
-			_, ep := nw.JoinAsync(op.Attach, c.joinIDs[ji])
-			ji++
-			eps = append(eps, ep)
-		case OpBatch:
-			eps = append(eps, nw.KillBatchAsync(op.Batch))
+	eps := make([]*dist.Epoch, len(c.ops))
+	for i, op := range c.ops {
+		ep, err := nw.Issue(op)
+		if ep == nil || err != nil {
+			panic(fmt.Sprintf("modelcheck: the network refused %v (%v)", op, err))
 		}
+		eps[i] = ep
 	}
 	return s, eps
 }
@@ -317,8 +280,8 @@ func (c *checker[S, E]) dfs(s S, eps []*dist.Epoch, prefix []E) error {
 // effective-operation log, built once per distinct log.
 func (c *checker[S, E]) oracle(nw *dist.Network) (*core.State, error) {
 	ops := nw.EffectiveOps()
-	sig := fmt.Sprint(ops)
-	if st, ok := c.oracles[sig]; ok {
+	key := logKey(ops)
+	if st, ok := c.oracles[key]; ok {
 		return st, nil
 	}
 	st := c.issued
@@ -328,9 +291,14 @@ func (c *checker[S, E]) oracle(nw *dist.Network) (*core.State, error) {
 			return nil, err
 		}
 	}
-	c.oracles[sig] = st
+	c.oracles[key] = st
 	return st, nil
 }
+
+// logKey keys the oracle cache on an effective-operation log. It prints
+// every field of every op with %#v, which ignores Op.String, so two
+// different logs never share a key.
+func logKey(ops []dist.Op) string { return fmt.Sprintf("%#v", ops) }
 
 // verify checks a terminal state bit for bit against its oracle:
 // topology, healing overlay, labels, δ, and flood accounting.
@@ -345,7 +313,7 @@ func (c *checker[S, E]) verify(s S, eps []*dist.Epoch, prefix []E) error {
 	for i, ep := range eps {
 		if !ep.Done() {
 			return fail("op %d (%v, epoch %d) never completed:\n%s",
-				i, c.cfg.Ops[i], ep.ID(), nw.DumpState())
+				i, c.ops[i], ep.ID(), nw.DumpState())
 		}
 	}
 	if nw.CrashCount() > 0 {

@@ -67,7 +67,7 @@ func TestTwoOverlappingKills(t *testing.T) {
 			Graph:  bridgedTriangles,
 			Seed:   1,
 			Healer: healer,
-			Ops:    []Op{{Kind: OpKill, Victim: 0}, {Kind: OpKill, Victim: 5}},
+			Ops:    []dist.Op{{Kind: dist.OpKill, Victim: 0}, {Kind: dist.OpKill, Victim: 5}},
 		}
 		res := run(t, cfg, counts{States: 4225, Terminals: 1, Oracles: 1})
 		if res.MaxDepth < 8 {
@@ -86,9 +86,9 @@ func TestBatchKillOverlappingJoin(t *testing.T) {
 		Graph:  bridgedTriangles,
 		Seed:   2,
 		Healer: dist.HealDASH,
-		Ops: []Op{
-			{Kind: OpBatch, Batch: []int{0, 1}},
-			{Kind: OpJoin, Attach: []int{4, 5}},
+		Ops: []dist.Op{
+			{Kind: dist.OpBatch, Batch: []int{0, 1}},
+			{Kind: dist.OpJoin, Attach: []int{4, 5}},
 		},
 	}
 	run(t, cfg, counts{States: 9234, Terminals: 3, Oracles: 1})
@@ -104,7 +104,7 @@ func TestConflictingKillsSerialize(t *testing.T) {
 		Graph:  bridgedTriangles,
 		Seed:   3,
 		Healer: dist.HealDASH,
-		Ops:    []Op{{Kind: OpKill, Victim: 2}, {Kind: OpKill, Victim: 3}},
+		Ops:    []dist.Op{{Kind: dist.OpKill, Victim: 2}, {Kind: dist.OpKill, Victim: 3}},
 	}
 	run(t, cfg, counts{States: 2502, Terminals: 1, Oracles: 1})
 }
@@ -128,10 +128,10 @@ func TestThreeOverlappingEpochs(t *testing.T) {
 		Graph:  g,
 		Seed:   4,
 		Healer: dist.HealDASH,
-		Ops: []Op{
-			{Kind: OpKill, Victim: 0},
-			{Kind: OpKill, Victim: 7},
-			{Kind: OpJoin, Attach: []int{3, 4}},
+		Ops: []dist.Op{
+			{Kind: dist.OpKill, Victim: 0},
+			{Kind: dist.OpKill, Victim: 7},
+			{Kind: dist.OpJoin, Attach: []int{3, 4}},
 		},
 	}
 	run(t, cfg, counts{States: 57834, Terminals: 1, Oracles: 1})
@@ -146,7 +146,7 @@ func TestCheckerCatchesLabelDrift(t *testing.T) {
 		Graph:  bridgedTriangles,
 		Seed:   1,
 		Healer: dist.HealDASH,
-		Ops:    []Op{{Kind: OpKill, Victim: 0}},
+		Ops:    []dist.Op{{Kind: dist.OpKill, Victim: 0}},
 	}
 	_, err := search(cfg, core.OracleDASH{}, sim(cfg))
 	if err == nil || !strings.Contains(err.Error(), "label") {
@@ -161,10 +161,39 @@ func TestBudgetExceededIsAnError(t *testing.T) {
 		Graph:  bridgedTriangles,
 		Seed:   1,
 		Healer: dist.HealDASH,
-		Ops:    []Op{{Kind: OpKill, Victim: 0}, {Kind: OpKill, Victim: 5}},
+		Ops:    []dist.Op{{Kind: dist.OpKill, Victim: 0}, {Kind: dist.OpKill, Victim: 5}},
 		Budget: 10,
 	}
 	if _, err := Run(cfg); err == nil {
 		t.Fatal("budget-truncated run must return an error")
+	}
+}
+
+// TestLogKeyKeepsEveryField pins the oracle cache's key: logs that
+// differ in any one field of one op, or only in a nil against an empty
+// batch, get different keys, so a crashed terminal is never checked
+// against another log's oracle.
+func TestLogKeyKeepsEveryField(t *testing.T) {
+	base := dist.Op{Kind: dist.OpJoin, Victim: 1, Batch: []int{2}, NewID: 3, Attach: []int{4}, InitID: 5}
+	variants := []func(*dist.Op){
+		func(op *dist.Op) { op.Kind = dist.OpKill },
+		func(op *dist.Op) { op.Victim = 9 },
+		func(op *dist.Op) { op.Batch = []int{9} },
+		func(op *dist.Op) { op.NewID = 9 },
+		func(op *dist.Op) { op.Attach = []int{9} },
+		func(op *dist.Op) { op.InitID = 9 },
+	}
+	seen := map[string]int{logKey([]dist.Op{base}): -1}
+	for i, change := range variants {
+		op := base
+		change(&op)
+		key := logKey([]dist.Op{op})
+		if j, dup := seen[key]; dup {
+			t.Fatalf("variant %d shares key %q with %d", i, key, j)
+		}
+		seen[key] = i
+	}
+	if logKey([]dist.Op{{Kind: dist.OpBatch}}) == logKey([]dist.Op{{Kind: dist.OpBatch, Batch: []int{}}}) {
+		t.Fatal("a nil and an empty batch share a key")
 	}
 }

@@ -74,25 +74,51 @@ func (nw *Network) Diverges(seq *core.State) error {
 	return nil
 }
 
+// InitIDs returns seq's initial IDs, one per slot: the ids a network
+// built over seq's graph needs to be seq's distributed twin.
+func InitIDs(seq *core.State) []uint64 {
+	ids := make([]uint64, seq.N())
+	for v := range ids {
+		ids[v] = seq.InitID(v)
+	}
+	return ids
+}
+
+// Apply applies op to seq, the sequential engine: a kill heals with
+// healer, a batch (crash recoveries included) with the batch rule, and
+// a join draws its initial ID from joinR as core.Join does. A join
+// whose slot is not known yet — NewID 0, which no join can land in,
+// since the node it attaches to holds a lower slot — has its slot and
+// initial ID recorded in op, ready to Issue. Any other join must land in
+// op.NewID with op.InitID, or Apply fails.
+func (op *Op) Apply(seq *core.State, healer core.Healer, joinR *rng.RNG) error {
+	switch op.Kind {
+	case OpKill:
+		seq.DeleteAndHeal(op.Victim, healer)
+	case OpJoin:
+		v := seq.Join(op.Attach, joinR)
+		if op.NewID == 0 {
+			op.NewID, op.InitID = v, seq.InitID(v)
+		} else if v != op.NewID || seq.InitID(v) != op.InitID {
+			return fmt.Errorf("sequential join (slot %d, id %#x), op %v", v, seq.InitID(v), op)
+		}
+	case OpBatch:
+		seq.DeleteBatchAndHeal(op.Batch)
+	default:
+		return fmt.Errorf("cannot apply %v", op)
+	}
+	return nil
+}
+
 // ReplayEffective applies ops, a network's effective-operation log, to
-// seq in order: kills heal with healer, batches (crash recoveries
-// included) with the batch rule, and joins draw their initial IDs from
-// joinR, the stream the network's joiners were given theirs from. It
-// fails if a join lands in another slot or draws another initial ID
-// than the log records.
-func ReplayEffective(seq *core.State, ops []EffectiveOp, healer core.Healer, joinR *rng.RNG) error {
-	for i, op := range ops {
-		switch op.Kind {
-		case EffKill:
-			seq.DeleteAndHeal(op.Victim, healer)
-		case EffJoin:
-			v := seq.Join(op.Attach, joinR)
-			if v != op.NewID || seq.InitID(v) != op.InitID {
-				return fmt.Errorf("effective op %d: replay join (slot %d, id %d), network (slot %d, id %d)",
-					i, v, seq.InitID(v), op.NewID, op.InitID)
-			}
-		case EffBatch:
-			seq.DeleteBatchAndHeal(op.Batch)
+// seq in order, joins drawing their initial IDs from joinR, the stream
+// the network's joiners were given theirs from. It fails if a join
+// lands in another slot or draws another initial ID than the log
+// records.
+func ReplayEffective(seq *core.State, ops []Op, healer core.Healer, joinR *rng.RNG) error {
+	for i := range ops {
+		if err := ops[i].Apply(seq, healer, joinR); err != nil {
+			return fmt.Errorf("effective op %d: %w", i, err)
 		}
 	}
 	return nil

@@ -22,10 +22,7 @@ func TestDivergesNamesTheField(t *testing.T) {
 	const n, seed = 48, 5
 	g := gen.BarabasiAlbert(n, 3, rng.New(seed))
 	seq := core.NewState(g.Clone(), rng.New(seed+1))
-	ids := make([]uint64, n)
-	for v := range ids {
-		ids[v] = seq.InitID(v)
-	}
+	ids := InitIDs(seq)
 	nw := New(g.Clone(), ids)
 	defer nw.Close()
 	if err := nw.Diverges(seq); err != nil {
@@ -70,7 +67,7 @@ func TestDivergesNamesTheField(t *testing.T) {
 func TestReplayEffectiveChecksJoins(t *testing.T) {
 	g := gen.BarabasiAlbert(16, 3, rng.New(1))
 	seq := core.NewState(g, rng.New(2))
-	ops := []EffectiveOp{{Kind: EffJoin, NewID: 16, Attach: []int{0, 1}, InitID: 7}}
+	ops := []Op{{Kind: OpJoin, NewID: 16, Attach: []int{0, 1}, InitID: 7}}
 	err := ReplayEffective(seq, ops, core.DASH{}, rng.New(3))
 	if err == nil || !strings.Contains(err.Error(), "join") {
 		t.Fatalf("ReplayEffective = %v, want a join mismatch", err)

@@ -424,7 +424,7 @@ func (pi *pipeline) tryIssueKill(v int) *Epoch {
 	es.region, _ = pi.growRegion(seeds)
 	es.universal = es.region == nil
 	pi.pendingVictim[v] = es.id
-	pi.effLog = append(pi.effLog, effEntry{epoch: es.id, op: EffectiveOp{Kind: EffKill, Victim: v}})
+	pi.effLog = append(pi.effLog, effEntry{epoch: es.id, op: Op{Kind: OpKill, Victim: v}})
 	pi.enqueue(es)
 	pi.mu.Unlock()
 	pi.flush()
@@ -511,8 +511,8 @@ func (pi *pipeline) tryIssueJoin(attachTo []int, id uint64) (int, *Epoch) {
 	for _, u := range attach {
 		es.region[u] = struct{}{}
 	}
-	pi.effLog = append(pi.effLog, effEntry{epoch: es.id, op: EffectiveOp{
-		Kind: EffJoin, NewID: v, InitID: id, Attach: append([]int(nil), attach...),
+	pi.effLog = append(pi.effLog, effEntry{epoch: es.id, op: Op{
+		Kind: OpJoin, NewID: v, InitID: id, Attach: append([]int(nil), attach...),
 	}})
 	pi.enqueue(es)
 	pi.mu.Unlock()
@@ -521,6 +521,17 @@ func (pi *pipeline) tryIssueJoin(attachTo []int, id uint64) (int, *Epoch) {
 }
 
 func (pi *pipeline) issueBatch(vs []int) *Epoch {
+	ep := pi.tryIssueBatch(vs)
+	if ep == nil {
+		panic(fmt.Sprintf("dist: batch-killing dead node in %v", vs))
+	}
+	return ep
+}
+
+// tryIssueBatch is issueBatch returning nil instead of panicking when a
+// victim is dead, crashed, or doomed (atomic with the issue, see
+// tryIssueKill). Duplicates are ignored.
+func (pi *pipeline) tryIssueBatch(vs []int) *Epoch {
 	set := make(map[int]struct{}, len(vs))
 	batch := make([]int, 0, len(vs))
 
@@ -532,10 +543,10 @@ func (pi *pipeline) issueBatch(vs []int) *Epoch {
 			continue
 		}
 		_, doomed := pi.pendingVictim[v]
-		if v < 0 || v >= nw.n || nw.dead[v] || doomed {
+		if v < 0 || v >= nw.n || nw.dead[v] || doomed || pi.crashed[v] {
 			nw.mu.Unlock()
 			pi.mu.Unlock()
-			panic(fmt.Sprintf("dist: batch-killing dead node %d", v))
+			return nil
 		}
 		set[v] = struct{}{}
 		batch = append(batch, v)
@@ -543,7 +554,7 @@ func (pi *pipeline) issueBatch(vs []int) *Epoch {
 	nw.mu.Unlock()
 	if len(batch) == 0 {
 		// An empty batch is still a round, as in the sequential engine.
-		pi.effLog = append(pi.effLog, effEntry{op: EffectiveOp{Kind: EffBatch}})
+		pi.effLog = append(pi.effLog, effEntry{op: Op{Kind: OpBatch}})
 		pi.mu.Unlock()
 		nw.mu.Lock()
 		nw.rounds++
@@ -570,8 +581,8 @@ func (pi *pipeline) issueBatch(vs []int) *Epoch {
 	for _, v := range batch {
 		pi.pendingVictim[v] = es.id
 	}
-	pi.effLog = append(pi.effLog, effEntry{epoch: es.id, op: EffectiveOp{
-		Kind: EffBatch, Batch: append([]int(nil), batch...),
+	pi.effLog = append(pi.effLog, effEntry{epoch: es.id, op: Op{
+		Kind: OpBatch, Batch: append([]int(nil), batch...),
 	}})
 	pi.enqueue(es)
 	pi.mu.Unlock()

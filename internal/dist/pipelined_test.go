@@ -35,10 +35,7 @@ func twoTriangles() *graph.Graph {
 // dependency and only launches when it completes.
 func TestDisjointEpochsLaunchConcurrently(t *testing.T) {
 	seq := core.NewState(twoTriangles(), rng.New(1))
-	ids := make([]uint64, 6)
-	for v := range ids {
-		ids[v] = seq.InitID(v)
-	}
+	ids := InitIDs(seq)
 	s := NewSim(twoTriangles(), ids, HealDASH)
 	nw := s.Network()
 	ep0 := nw.KillAsync(0)
@@ -144,10 +141,7 @@ func TestAsyncChurnConverges(t *testing.T) {
 	master := rng.New(42)
 	g := gen.BarabasiAlbert(n, 3, master.Split())
 	seq := core.NewState(g.Clone(), master.Split())
-	ids := make([]uint64, n)
-	for v := range ids {
-		ids[v] = seq.InitID(v)
-	}
+	ids := InitIDs(seq)
 	nw := NewKind(g.Clone(), ids, HealDASH)
 	defer nw.Close()
 
@@ -208,10 +202,7 @@ func TestSerialModeMatchesPipelined(t *testing.T) {
 	master := rng.New(7)
 	g := gen.BarabasiAlbert(n, 3, master.Split())
 	seq := core.NewState(g.Clone(), master.Split())
-	ids := make([]uint64, n)
-	for v := range ids {
-		ids[v] = seq.InitID(v)
-	}
+	ids := InitIDs(seq)
 	nw := NewKind(g.Clone(), ids, HealDASH)
 	defer nw.Close()
 	nw.SetSerial(true)

@@ -12,15 +12,6 @@ import (
 	"repro/internal/rng"
 )
 
-// churnOp is one mutation of a recorded sequential churn run: a kill of
-// node, or a join that the sequential engine placed at slot node.
-type churnOp struct {
-	kill   bool
-	node   int
-	attach []int
-	id     uint64
-}
-
 // churnRun is a sequential DASH churn run over a BA(n, 3) graph: the
 // starting graph, its initial IDs, and the sequential state after the
 // ops drawn so far.
@@ -35,43 +26,31 @@ func newChurnRun(n int, seed uint64) (*churnRun, *rng.RNG) {
 	master := rng.New(seed)
 	g := gen.BarabasiAlbert(n, 3, master.Split())
 	seq := core.NewState(g.Clone(), master.Split())
-	ids := make([]uint64, n)
-	for v := range ids {
-		ids[v] = seq.InitID(v)
-	}
+	ids := InitIDs(seq)
 	return &churnRun{g: g, ids: ids, seq: seq}, master
 }
 
 // next applies one random churn op to the sequential twin — a kill of a
 // random alive node or a join to three of them, alternating at random —
-// and returns it for the distributed side to replay.
-func (cr *churnRun) next(r *rng.RNG) churnOp {
+// and returns it, join slot and initial ID recorded, for the
+// distributed side to replay.
+func (cr *churnRun) next(r *rng.RNG) Op {
 	alive := cr.seq.G.AliveNodes()
+	op := Op{Kind: OpKill}
 	if r.Intn(2) == 0 {
-		x := alive[r.Intn(len(alive))]
-		cr.seq.DeleteAndHeal(x, core.DASH{})
-		return churnOp{kill: true, node: x}
-	}
-	var attach []int
-	for len(attach) < 3 {
-		if u := alive[r.Intn(len(alive))]; !slices.Contains(attach, u) {
-			attach = append(attach, u)
+		op.Victim = alive[r.Intn(len(alive))]
+	} else {
+		op.Kind = OpJoin
+		for len(op.Attach) < 3 {
+			if u := alive[r.Intn(len(alive))]; !slices.Contains(op.Attach, u) {
+				op.Attach = append(op.Attach, u)
+			}
 		}
 	}
-	v := cr.seq.Join(attach, r)
-	return churnOp{node: v, attach: attach, id: cr.seq.InitID(v)}
-}
-
-// issue replays one op asynchronously on nw.
-func issue(tb testing.TB, nw *Network, op churnOp) *Epoch {
-	if op.kill {
-		return nw.KillAsync(op.node)
+	if err := op.Apply(cr.seq, core.DASH{}, r); err != nil {
+		panic(err) // a join with no slot yet is recorded, never checked
 	}
-	v, ep := nw.JoinAsync(op.attach, op.id)
-	if v != op.node {
-		tb.Fatalf("join got slot %d, the sequential engine %d", v, op.node)
-	}
-	return ep
+	return op
 }
 
 // TestOneWorkerPipelinedChurn runs pipelined churn on a pool of one
@@ -86,7 +65,7 @@ func TestOneWorkerPipelinedChurn(t *testing.T) {
 	const window, flushEvery = 8, 4
 	for w := 0; w < 64; w++ {
 		for i := 0; i < window; i++ {
-			issue(t, nw, cr.next(r))
+			mustIssue(t, nw, cr.next(r))
 		}
 		if (w+1)%flushEvery != 0 {
 			continue
@@ -111,7 +90,7 @@ func TestPoolGoroutineBound(t *testing.T) {
 		t.Fatalf("%d goroutines after NewKind at n=%d, want at most %d", got, n, limit)
 	}
 	for i := 0; i < 64; i++ {
-		issue(t, nw, cr.next(r))
+		mustIssue(t, nw, cr.next(r))
 	}
 	if err := nw.Drain(testTimeout); err != nil {
 		t.Fatal(err)
@@ -176,15 +155,16 @@ func TestMailboxReusesItsArray(t *testing.T) {
 }
 
 // BenchmarkDistChurnReplay replays a recorded sustained-churn stream
-// (n = 2048, alternating random kills and joins) through
-// KillAsync/JoinAsync in windows of 8, waiting on each window's epochs
+// (n = 2048, alternating random kills and joins) through Network.Issue,
+// which runs KillAsync's and JoinAsync's pipeline issue path, in
+// windows of 8, waiting on each window's epochs
 // and draining at the end: the distributed runtime under the load the
 // dist-churn workload puts on it. One op is the whole replay; the
 // per-churn-op cost is reported alongside.
 func BenchmarkDistChurnReplay(b *testing.B) {
 	const n, ops, window = 2048, 1024, 8
 	cr, r := newChurnRun(n, 3)
-	stream := make([]churnOp, ops)
+	stream := make([]Op, ops)
 	for i := range stream {
 		stream[i] = cr.next(r)
 	}
@@ -197,7 +177,7 @@ func BenchmarkDistChurnReplay(b *testing.B) {
 		for lo := 0; lo < ops; lo += window {
 			eps = eps[:0]
 			for _, op := range stream[lo:min(lo+window, ops)] {
-				eps = append(eps, issue(b, nw, op))
+				eps = append(eps, mustIssue(b, nw, op))
 			}
 			for _, ep := range eps {
 				if err := ep.Wait(testTimeout); err != nil {

@@ -62,48 +62,21 @@ import (
 	"sort"
 )
 
-// EffOpKind discriminates EffectiveOp.
-type EffOpKind uint8
-
-const (
-	// EffKill is a completed single deletion (core.DeleteAndHeal).
-	EffKill EffOpKind = iota
-	// EffJoin is a completed join (core.Join at NewID with InitID).
-	EffJoin
-	// EffBatch is a completed batch deletion — including crash
-	// recoveries, whose oracle is core.DeleteBatchAndHeal over the
-	// crashed set (an empty Batch is an empty round: rounds++ only).
-	EffBatch
-)
-
-// EffectiveOp is one entry of the network's effective-operation log: the
-// operation sequence that, replayed through the sequential core, must
-// reproduce the drained network bit-for-bit. Crashes rewrite history —
-// an aborted kill never appears, and the recovery appears as a batch
-// deletion of the crashed set — so differential harnesses must replay
-// EffectiveOps(), not the operations they issued.
-type EffectiveOp struct {
-	Kind   EffOpKind
-	Victim int    // EffKill
-	Batch  []int  // EffBatch, ascending
-	NewID  int    // EffJoin: the slot index core.AddNode must yield
-	Attach []int  // EffJoin, issue order
-	InitID uint64 // EffJoin
-}
-
 // effEntry tags a log entry with the epoch that produced it, so a crash
 // can expunge the aborted kill's entry.
 type effEntry struct {
 	epoch uint64
-	op    EffectiveOp
+	op    Op
 }
 
-// EffectiveOps snapshots the effective-operation log.
-func (nw *Network) EffectiveOps() []EffectiveOp {
+// EffectiveOps snapshots the effective-operation log: the operations
+// that, applied to the sequential engine in order (ReplayEffective),
+// must reproduce the drained network bit for bit.
+func (nw *Network) EffectiveOps() []Op {
 	pi := nw.pipe
 	pi.mu.Lock()
 	defer pi.mu.Unlock()
-	out := make([]EffectiveOp, len(pi.effLog))
+	out := make([]Op, len(pi.effLog))
 	for i, e := range pi.effLog {
 		out[i] = e.op
 	}
@@ -322,7 +295,7 @@ func (pi *pipeline) performCrash(v int, es *epochState) {
 	}
 	pi.effLog = append(pi.effLog, effEntry{
 		epoch: r.id,
-		op:    EffectiveOp{Kind: EffBatch, Batch: append([]int(nil), W...)},
+		op:    Op{Kind: OpBatch, Batch: append([]int(nil), W...)},
 	})
 
 	if es != nil {

@@ -21,10 +21,7 @@ func buildChaosPair(t *testing.T, n int, seed uint64, plan *chaos.Plan) (*Networ
 	master := rng.New(seed)
 	g := gen.BarabasiAlbert(n, 3, master.Split())
 	seq := core.NewState(g.Clone(), master.Split())
-	ids := make([]uint64, n)
-	for v := range ids {
-		ids[v] = seq.InitID(v)
-	}
+	ids := InitIDs(seq)
 	nw, err := NewChaos(g.Clone(), ids, HealDASH, plan)
 	if err != nil {
 		t.Fatal(err)
@@ -213,7 +210,7 @@ func TestChaosPartitionHeals(t *testing.T) {
 
 // replayEffective replays a network's effective-operation log through a
 // fresh sequential engine built from the same topology seed.
-func replayEffective(t *testing.T, n int, seed uint64, ops []EffectiveOp) *core.State {
+func replayEffective(t *testing.T, n int, seed uint64, ops []Op) *core.State {
 	t.Helper()
 	master := rng.New(seed)
 	g := gen.BarabasiAlbert(n, 3, master.Split())
@@ -263,7 +260,7 @@ func TestChaosLeaderCrashRecovery(t *testing.T) {
 	}
 
 	ops := nw.EffectiveOps()
-	if len(ops) != 1 || ops[0].Kind != EffBatch || len(ops[0].Batch) != 2 {
+	if len(ops) != 1 || ops[0].Kind != OpBatch || len(ops[0].Batch) != 2 {
 		t.Fatalf("EffectiveOps = %+v, want one two-member batch", ops)
 	}
 	oracle := replayEffective(t, n, seed, ops)
@@ -344,10 +341,7 @@ func TestStallErrorFields(t *testing.T) {
 	master := rng.New(3)
 	g := gen.BarabasiAlbert(16, 3, master.Split())
 	seq := core.NewState(g.Clone(), master.Split())
-	ids := make([]uint64, 16)
-	for v := range ids {
-		ids[v] = seq.InitID(v)
-	}
+	ids := InitIDs(seq)
 	nw := NewKind(g, ids, HealDASH)
 	defer nw.Close()
 	// Swallow every heal report: the kill epoch can never finish.
@@ -406,7 +400,7 @@ func TestTrackerNoEpochLeak(t *testing.T) {
 			defer wg.Done()
 			r := rng.New(seed)
 			for i := 0; i < 40; i++ {
-				nw.TryKillAsync(r.Intn(n))
+				nw.Issue(Op{Kind: OpKill, Victim: r.Intn(n)})
 			}
 		}(uint64(100 + w))
 	}

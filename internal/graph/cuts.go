@@ -1,11 +1,9 @@
 package graph
 
-// Cut-structure analysis: articulation points and bridges, via Tarjan's
-// lowpoint algorithm (iterative, so deep graphs cannot overflow the
-// stack). The CutVertex attack strategy deletes articulation points —
-// the nodes whose loss disconnects an unhealed network — and the
-// fragility metrics report how many such single points of failure a
-// topology carries over time.
+// Cut-structure analysis: articulation points, via Tarjan's lowpoint
+// algorithm (iterative, so deep graphs cannot overflow the stack). The
+// CutVertex attack strategy deletes articulation points — the nodes
+// whose loss disconnects an unhealed network.
 
 // ArticulationPoints returns the alive nodes whose removal would
 // disconnect their component, in sorted order.
@@ -73,76 +71,4 @@ func (g *Graph) ArticulationPoints() []int {
 		}
 	}
 	return out
-}
-
-// Bridges returns the edges (u < v) whose removal would disconnect their
-// component, in lexicographic order.
-func (g *Graph) Bridges() [][2]int {
-	n := len(g.adj)
-	disc := make([]int, n)
-	low := make([]int, n)
-	parent := make([]int, n)
-	for i := range parent {
-		parent[i] = -1
-	}
-	timer := 0
-	var bridges [][2]int
-
-	type frame struct {
-		v    int
-		nbrs []int32
-		next int
-	}
-	for root := 0; root < n; root++ {
-		if !g.alive[root] || disc[root] != 0 {
-			continue
-		}
-		timer++
-		disc[root], low[root] = timer, timer
-		stack := []frame{{v: root, nbrs: g.Neighbors(root)}}
-		for len(stack) > 0 {
-			f := &stack[len(stack)-1]
-			if f.next < len(f.nbrs) {
-				u := int(f.nbrs[f.next])
-				f.next++
-				if disc[u] == 0 {
-					parent[u] = f.v
-					timer++
-					disc[u], low[u] = timer, timer
-					stack = append(stack, frame{v: u, nbrs: g.Neighbors(u)})
-				} else if u != parent[f.v] && disc[u] < low[f.v] {
-					low[f.v] = disc[u]
-				}
-				continue
-			}
-			stack = stack[:len(stack)-1]
-			p := parent[f.v]
-			if p != -1 {
-				if low[f.v] < low[p] {
-					low[p] = low[f.v]
-				}
-				if low[f.v] > disc[p] {
-					a, b := p, f.v
-					if a > b {
-						a, b = b, a
-					}
-					bridges = append(bridges, [2]int{a, b})
-				}
-			}
-		}
-	}
-	sortEdges(bridges)
-	return bridges
-}
-
-func sortEdges(es [][2]int) {
-	for i := 1; i < len(es); i++ {
-		for j := i; j > 0; j-- {
-			a, b := es[j-1], es[j]
-			if a[0] < b[0] || (a[0] == b[0] && a[1] <= b[1]) {
-				break
-			}
-			es[j-1], es[j] = b, a
-		}
-	}
 }

@@ -44,9 +44,10 @@ type ChaosConfig struct {
 	// Plan is the deterministic fault schedule (nil: direct transport,
 	// which turns the run into a plain windowed differential).
 	Plan *chaos.Plan
-	// Ops is how many mutations to attempt. An attempt whose target has
-	// crashed (or joined a pending epoch) is skipped, not retried — the
-	// workload generator cannot know what the fault plan killed.
+	// Ops is how many mutations to attempt. An attempt the network
+	// refuses, because its target has crashed or is doomed by a pending
+	// epoch, is skipped, not retried — the workload generator cannot know
+	// what the fault plan killed.
 	Ops int
 	// JoinEvery makes every k-th attempt a join (0: kills only).
 	JoinEvery int
@@ -92,12 +93,7 @@ func ReplayChaosDifferential(cfg ChaosConfig) (ChaosReport, error) {
 		return core.NewState(g, master.Split())
 	}
 	base := build()
-	ids := make([]uint64, cfg.N)
-	used := make(map[uint64]bool, cfg.N+cfg.Ops)
-	for v := range ids {
-		ids[v] = base.InitID(v)
-		used[ids[v]] = true
-	}
+	ids := dist.InitIDs(base)
 	nw, err := dist.NewChaos(base.G.Clone(), ids, dist.HealDASH, cfg.Plan)
 	if err != nil {
 		return rep, err
@@ -105,9 +101,9 @@ func ReplayChaosDifferential(cfg ChaosConfig) (ChaosReport, error) {
 	defer nw.Close()
 
 	// Workload state. alive tracks the generator's own view — stale the
-	// moment a crash fires, which is exactly why every issue goes
-	// through the TryXxxAsync forms (check and issue are atomic under
-	// the scheduler lock).
+	// moment a crash fires, which is exactly why every op goes out
+	// through Issue, whose check and issue are atomic under the
+	// scheduler lock.
 	wkR := rng.New(cfg.Seed*2654435761 + 17)
 	alive := make([]int, cfg.N)
 	for v := range alive {
@@ -118,13 +114,9 @@ func ReplayChaosDifferential(cfg ChaosConfig) (ChaosReport, error) {
 		alive = alive[:len(alive)-1]
 	}
 
-	// Join IDs come from rng.New(Seed+1), deduped against every ID in
-	// play — the same draws core.Join makes when the effective log is
-	// replayed with that stream. A refused join holds its draw for the
-	// next attempt so accepted joins consume draws in order.
-	joinR := rng.New(cfg.Seed + 1)
-	var pendingID uint64
-	havePending := false
+	// Join IDs come from rng.New(Seed+1), the stream the effective log
+	// is replayed with, and slots follow the accepted joins.
+	joinIDs := dist.NewJoinIDs(rng.New(cfg.Seed+1), ids)
 
 	// The oracle is a fresh sequential engine replaying the network's
 	// effective-operation log, not the issued workload.
@@ -143,7 +135,12 @@ func ReplayChaosDifferential(cfg ChaosConfig) (ChaosReport, error) {
 
 	inFlight := 0
 	for i := 0; i < cfg.Ops && len(alive) > cfg.N/2; i++ {
-		if cfg.JoinEvery > 0 && (i+1)%cfg.JoinEvery == 0 {
+		join := cfg.JoinEvery > 0 && (i+1)%cfg.JoinEvery == 0
+		var (
+			op dist.Op
+			vi int
+		)
+		if join {
 			// Join attached to two distinct survivors.
 			ai := wkR.Intn(len(alive))
 			bi := wkR.Intn(len(alive))
@@ -151,34 +148,33 @@ func ReplayChaosDifferential(cfg ChaosConfig) (ChaosReport, error) {
 			if alive[bi] != alive[ai] {
 				attach = append(attach, alive[bi])
 			}
-			if !havePending {
-				pendingID = joinR.Uint64()
-				for used[pendingID] {
-					pendingID = joinR.Uint64()
-				}
-				havePending = true
-			}
-			if v, ep := nw.TryJoinAsync(attach, pendingID); ep != nil {
-				used[pendingID] = true
-				havePending = false
-				alive = append(alive, v)
-				rep.Joins++
-				inFlight++
-			} else {
-				rep.Skipped++
-			}
+			op = dist.Op{Kind: dist.OpJoin, NewID: cfg.N + rep.Joins, Attach: attach, InitID: joinIDs.Next()}
 		} else {
-			vi := wkR.Intn(len(alive))
-			if ep := nw.TryKillAsync(alive[vi]); ep != nil {
-				removeAlive(vi)
-				rep.Kills++
-				inFlight++
-			} else {
-				// A fault beat the generator to this node; drop it from
-				// the pool so the workload moves on.
-				removeAlive(vi)
-				rep.Skipped++
-			}
+			vi = wkR.Intn(len(alive))
+			op = dist.Op{Kind: dist.OpKill, Victim: alive[vi]}
+		}
+		ep, err := nw.Issue(op)
+		if err != nil {
+			return rep, fmt.Errorf("scenario: chaos op %d: %w", i+1, err)
+		}
+		switch {
+		case ep == nil:
+			// A fault got to the target first.
+			rep.Skipped++
+		case join:
+			joinIDs.Use()
+			alive = append(alive, op.NewID)
+			rep.Joins++
+		default:
+			rep.Kills++
+		}
+		if !join {
+			// Accepted or refused, the victim leaves the pool so the
+			// workload moves on.
+			removeAlive(vi)
+		}
+		if ep != nil {
+			inFlight++
 		}
 		if inFlight >= window {
 			if err := verify(); err != nil {

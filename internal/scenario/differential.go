@@ -43,17 +43,6 @@ type DiffReport struct {
 	Rounds     int // healing rounds (each batch epoch counts once)
 }
 
-// seqOp is one concrete mutation the sequential runner performed,
-// captured through core hooks and replayed against the distributed
-// network.
-type seqOp struct {
-	kill   bool
-	batch  []int // batch kill when non-nil
-	node   int
-	attach []int
-	initID uint64
-}
-
 // DefaultDiffWindow is the number of mutations a pipelined replay keeps
 // in flight between drain-and-check flushes.
 const DefaultDiffWindow = 8
@@ -111,9 +100,12 @@ func replayDifferential(cfg Config, kind dist.HealerKind, window int, timeout ti
 		newVictim = func() VictimPolicy { return Uniform{} }
 	}
 
+	// The sequential runner's mutations are captured through core hooks
+	// as dist.Ops and issued to the network after each event.
 	var (
+		rep      DiffReport
 		seqState *core.State
-		ops      []seqOp
+		ops      []dist.Op
 		pending  map[int]bool // members of the batch op being captured
 	)
 	userObserve := cfg.Observe
@@ -125,7 +117,9 @@ func replayDifferential(cfg Config, kind dist.HealerKind, window int, timeout ti
 		s.SetHooks(&core.Hooks{
 			OnBatchKill: func(xs []int) {
 				batch := append([]int(nil), xs...)
-				ops = append(ops, seqOp{batch: batch})
+				ops = append(ops, dist.Op{Kind: dist.OpBatch, Batch: batch})
+				rep.BatchKills++
+				rep.Killed += len(batch)
 				if pending == nil {
 					pending = make(map[int]bool)
 				}
@@ -139,14 +133,17 @@ func replayDifferential(cfg Config, kind dist.HealerKind, window int, timeout ti
 					delete(pending, x)
 					return
 				}
-				ops = append(ops, seqOp{kill: true, node: x})
+				ops = append(ops, dist.Op{Kind: dist.OpKill, Victim: x})
+				rep.Kills++
 			},
 			OnJoin: func(v int, attach []int) {
-				ops = append(ops, seqOp{
-					node:   v,
-					attach: append([]int(nil), attach...),
-					initID: s.InitID(v),
+				ops = append(ops, dist.Op{
+					Kind:   dist.OpJoin,
+					NewID:  v,
+					Attach: append([]int(nil), attach...),
+					InitID: s.InitID(v),
 				})
+				rep.Joins++
 			},
 		})
 	}
@@ -156,14 +153,9 @@ func replayDifferential(cfg Config, kind dist.HealerKind, window int, timeout ti
 	if seqState == nil {
 		return DiffReport{}, fmt.Errorf("scenario: Observe never fired")
 	}
-	ids := make([]uint64, seqState.N())
-	for v := range ids {
-		ids[v] = seqState.InitID(v)
-	}
-	nw := dist.NewKind(seqState.G.Clone(), ids, kind)
+	nw := dist.NewKind(seqState.G.Clone(), dist.InitIDs(seqState), kind)
 	defer nw.Close()
 
-	var rep DiffReport
 	oracle := func() (*core.State, error) { return seqState, nil }
 	inFlight := 0
 	flush := func() error {
@@ -176,19 +168,12 @@ func replayDifferential(cfg Config, kind dist.HealerKind, window int, timeout ti
 	for {
 		more := run.step()
 		for _, op := range ops {
-			switch {
-			case op.batch != nil:
-				rep.BatchKills++
-				rep.Killed += len(op.batch)
-				nw.KillBatchAsync(op.batch)
-			case op.kill:
-				rep.Kills++
-				nw.KillAsync(op.node)
-			default:
-				rep.Joins++
-				if v, _ := nw.JoinAsync(op.attach, op.initID); v != op.node {
-					return rep, fmt.Errorf("event %d: join index %d, sequential %d", run.res.Events, v, op.node)
-				}
+			ep, err := nw.Issue(op)
+			if err == nil && ep == nil {
+				err = fmt.Errorf("network refused %v", op)
+			}
+			if err != nil {
+				return rep, fmt.Errorf("event %d: %w", run.res.Events, err)
 			}
 			inFlight++
 		}

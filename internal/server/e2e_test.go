@@ -14,6 +14,7 @@ package server
 import (
 	"context"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -283,6 +284,28 @@ func TestE2ESnapshotRestoreResume(t *testing.T) {
 	}
 	if err := <-streamDone; err != nil {
 		t.Fatalf("post-restore stream ended with %v, want clean EOF", err)
+	}
+}
+
+// TestRunLoadRefusesInvalidSchedule pins that the load generator
+// compiles through scenario's one schedule compiler: a churn phase with
+// insertEvery 0, which the compiler's Validate rejects, must come back
+// as that error before any request is sent, not as a divide-by-zero.
+func TestRunLoadRefusesInvalidSchedule(t *testing.T) {
+	s := New(Config{Seed: 45}, gen.BarabasiAlbert(64, 3, rng.New(45)))
+	ts := newHTTPServer(t, s)
+	c := &Client{BaseURL: ts.URL}
+	sched := scenario.Schedule{Phases: []scenario.Phase{scenario.Churn(3, 0, 1)}}
+	ctx := context.Background()
+	if _, err := RunLoad(ctx, c, LoadConfig{Schedule: sched}); err == nil || !strings.Contains(err.Error(), "insertEvery") {
+		t.Fatalf("RunLoad = %v, want the schedule's validation error", err)
+	}
+	st, err := c.Stats(ctx, false, true)
+	if err != nil {
+		t.Fatalf("stats: %v", err)
+	}
+	if st.Joins != 0 || st.Kills != 0 {
+		t.Fatalf("an invalid schedule reached the daemon: %d joins, %d kills", st.Joins, st.Kills)
 	}
 }
 

@@ -23,41 +23,6 @@ import (
 	"repro/internal/scenario"
 )
 
-// loadOp is one compiled schedule event.
-type loadOp struct {
-	kind     scenario.PhaseKind
-	attach   int // growth/churn insertions
-	waveSize int // disaster
-}
-
-// compileOps flattens a schedule into its per-event op stream. Quiet
-// rounds compile to nothing: over HTTP, not sending a request is the
-// faithful rendering of a quiet period.
-func compileOps(sc scenario.Schedule) []loadOp {
-	var ops []loadOp
-	for _, p := range sc.Phases {
-		for i := 0; i < p.Rounds; i++ {
-			switch p.Kind {
-			case scenario.PhaseQuiet:
-				// no request
-			case scenario.PhaseAttrition:
-				ops = append(ops, loadOp{kind: scenario.PhaseAttrition})
-			case scenario.PhaseGrowth:
-				ops = append(ops, loadOp{kind: scenario.PhaseGrowth, attach: p.Attach})
-			case scenario.PhaseChurn:
-				if (i+1)%p.InsertEvery == 0 {
-					ops = append(ops, loadOp{kind: scenario.PhaseGrowth, attach: p.Attach})
-				} else {
-					ops = append(ops, loadOp{kind: scenario.PhaseAttrition})
-				}
-			case scenario.PhaseDisaster:
-				ops = append(ops, loadOp{kind: scenario.PhaseDisaster, waveSize: p.WaveSize})
-			}
-		}
-	}
-	return ops
-}
-
 // LoadConfig drives RunLoad.
 type LoadConfig struct {
 	// Schedule is the workload; compile order is preserved, but ops are
@@ -96,14 +61,26 @@ func quantile(sorted []time.Duration, q float64) time.Duration {
 // concurrent sessions and reports sustained throughput and exact
 // client-observed latency quantiles. Request-level rejections (409s on
 // an emptied graph, deadline-bounded 429s) are counted, not fatal;
-// transport errors end the run with that error.
+// transport errors end the run with that error. A schedule that fails
+// Validate is refused before any request is sent. Quiet rounds send
+// nothing: over HTTP, not sending a request is the faithful rendering
+// of a quiet period.
 func RunLoad(ctx context.Context, c *Client, cfg LoadConfig) (LoadReport, error) {
 	sessions := cfg.Sessions
 	if sessions <= 0 {
 		sessions = 1
 	}
-	ops := compileOps(cfg.Schedule)
-	feed := make(chan loadOp, sessions)
+	events, err := cfg.Schedule.Compile()
+	if err != nil {
+		return LoadReport{}, err
+	}
+	ops := make([]scenario.Event, 0, len(events))
+	for _, ev := range events {
+		if ev.Kind != scenario.OpQuiet {
+			ops = append(ops, ev)
+		}
+	}
+	feed := make(chan scenario.Event, sessions)
 
 	var rep LoadReport
 	var joined, killed, errs int64
@@ -128,20 +105,20 @@ func RunLoad(ctx context.Context, c *Client, cfg LoadConfig) (LoadReport, error)
 				}
 				t0 := time.Now()
 				var err error
-				switch op.kind {
-				case scenario.PhaseGrowth:
-					_, err = c.Join(ctx, nil, op.attach)
+				switch op.Kind {
+				case scenario.OpInsert:
+					_, err = c.Join(ctx, nil, op.Size)
 					if err == nil {
 						atomic.AddInt64(&joined, 1)
 					}
-				case scenario.PhaseAttrition:
+				case scenario.OpDelete:
 					_, err = c.Kill(ctx, -1)
 					if err == nil {
 						atomic.AddInt64(&killed, 1)
 					}
-				case scenario.PhaseDisaster:
+				case scenario.OpBatchKill:
 					var res BatchKillResult
-					res, err = c.BatchKill(ctx, nil, op.waveSize, -1)
+					res, err = c.BatchKill(ctx, nil, op.Size, -1)
 					if err == nil {
 						atomic.AddInt64(&killed, int64(len(res.Killed)))
 					}

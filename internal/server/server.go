@@ -184,22 +184,7 @@ func (s *Server) install(st *core.State) {
 	s.st = st
 	s.alive = scenario.NewAliveSet(st.G)
 	s.aliveN.Store(int64(st.G.NumAlive()))
-	st.SetHooks(&core.Hooks{
-		OnRemove: func(x int) {
-			s.pending = append(s.pending, trace.Event{Kind: trace.KindRemove, Node: x})
-		},
-		OnEdge: func(u, v int, newInG, inGp bool) {
-			s.pending = append(s.pending, trace.Event{Kind: trace.KindEdge, U: u, V: v, NewInG: newInG, InGp: inGp})
-		},
-		OnAdopt: func(v int, id uint64) {
-			s.pending = append(s.pending, trace.Event{Kind: trace.KindAdopt, Node: v, ID: id})
-		},
-		OnJoin: func(v int, attach []int) {
-			s.pending = append(s.pending, trace.Event{
-				Kind: trace.KindJoin, Node: v, Attach: append([]int(nil), attach...),
-			})
-		},
-	})
+	st.SetHooks(trace.Hooks(func(e trace.Event) { s.pending = append(s.pending, e) }))
 	g, gp, initID, curID, initDeg := st.SnapshotData()
 	s.initial = &graphio.Snapshot{G: g, Gp: gp, InitID: initID, CurID: curID, InitDeg: initDeg}
 	s.auto = metrics.NewAutoStretch(st.G, s.cfg.SampleThreshold, s.cfg.SampleSources, s.rng.Split())

@@ -64,23 +64,29 @@ type Recorder struct {
 // returns it.
 func Attach(s *core.State) *Recorder {
 	r := &Recorder{}
-	s.SetHooks(&core.Hooks{
+	s.SetHooks(Hooks(func(e Event) { r.events = append(r.events, e) }))
+	return r
+}
+
+// Hooks maps core's mutation hooks to events: every removal, healing
+// edge, label adoption and join of the state they are installed on
+// reaches emit as one Event, in the order core fires them. A join's attach list is copied, so no
+// event aliases the caller's slice.
+func Hooks(emit func(Event)) *core.Hooks {
+	return &core.Hooks{
 		OnRemove: func(x int) {
-			r.events = append(r.events, Event{Kind: KindRemove, Node: x})
+			emit(Event{Kind: KindRemove, Node: x})
 		},
 		OnEdge: func(u, v int, newInG, inGp bool) {
-			r.events = append(r.events, Event{Kind: KindEdge, U: u, V: v, NewInG: newInG, InGp: inGp})
+			emit(Event{Kind: KindEdge, U: u, V: v, NewInG: newInG, InGp: inGp})
 		},
 		OnAdopt: func(v int, id uint64) {
-			r.events = append(r.events, Event{Kind: KindAdopt, Node: v, ID: id})
+			emit(Event{Kind: KindAdopt, Node: v, ID: id})
 		},
 		OnJoin: func(v int, attach []int) {
-			r.events = append(r.events, Event{
-				Kind: KindJoin, Node: v, Attach: append([]int(nil), attach...),
-			})
+			emit(Event{Kind: KindJoin, Node: v, Attach: append([]int(nil), attach...)})
 		},
-	})
-	return r
+	}
 }
 
 // Events returns the recorded stream (not a copy; treat as read-only).
