@@ -11,6 +11,7 @@ import (
 	"math"
 	"strconv"
 	"testing"
+	"time"
 
 	"repro/internal/attack"
 	"repro/internal/core"
@@ -245,16 +246,17 @@ func BenchmarkStretchSnapshot(b *testing.B) {
 // (death notices through quiescence) on a live actor network.
 func BenchmarkDistributedRound(b *testing.B) {
 	g := gen.BarabasiAlbert(b.N+8, 3, rng.New(1))
-	s := core.NewState(g.Clone(), rng.New(2))
-	ids := make([]uint64, g.N())
-	for v := range ids {
-		ids[v] = s.InitID(v)
-	}
-	nw := dist.New(g, ids)
+	nw := dist.NewKind(g, dist.InitIDs(core.NewState(g.Clone(), rng.New(2))), dist.HealDASH)
 	defer nw.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		nw.Kill(i)
+		ep, err := nw.Issue(dist.Op{Kind: dist.OpKill, Victim: i})
+		if ep == nil || err != nil {
+			b.Fatalf("kill %d: refused (%v)", i, err)
+		}
+		if err := ep.Wait(time.Minute); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

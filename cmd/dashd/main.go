@@ -70,8 +70,8 @@ func realMain() error {
 	if err != nil {
 		return cli.WrapUsage(err)
 	}
-	if *n <= 0 && *snapPath == "" {
-		return cli.Usagef("-n must be positive")
+	if err := gen.CheckBarabasiAlbert(*n, 3); err != nil && *snapPath == "" {
+		return cli.Usagef("-n %d: %v", *n, err)
 	}
 	cfg := server.Config{
 		Healer:          healer,

@@ -53,6 +53,9 @@ import (
 	"repro/internal/stats"
 )
 
+// epochTimeout bounds each epoch's completion and each chaos drain.
+const epochTimeout = 2 * time.Minute
+
 func main() {
 	os.Exit(cli.Run("dashdist", realMain))
 }
@@ -78,6 +81,9 @@ func realMain() error {
 		chaosOps   = flag.Int("chaos-ops", 80, "chaos: number of kill/join attempts")
 	)
 	flag.Parse()
+	if err := gen.CheckBarabasiAlbert(*n, 3); err != nil {
+		return cli.Usagef("-n %d: %v", *n, err)
+	}
 	if *chaosMode {
 		return runChaosMode(*n, *seed, *healName,
 			*chaosDrop, *chaosDup, *chaosDelay, *chaosCrash, *chaosSeed, *chaosOps)
@@ -106,7 +112,10 @@ func realMain() error {
 	fmt.Printf("distributed %s: %d node actors, %d edges, attack=%s, verify=%v\n\n",
 		*healName, *n, g.NumEdges(), *attackName, *verify)
 
-	diverged := runRounds(os.Stdout, seq, nw, seqHealer, newAttack(), master.Split(), *batch, *every, *verify)
+	diverged, err := runRounds(os.Stdout, seq, nw, seqHealer, newAttack(), master.Split(), *batch, *every, *verify)
+	if err != nil {
+		return err
+	}
 	if *verify {
 		what, per := "distributed run", "every round"
 		if *batch > 0 {
@@ -134,24 +143,27 @@ func runChaosMode(n int, seed uint64, healName string,
 	if err != nil {
 		return cli.WrapUsage(err)
 	}
-	plan := &chaos.Plan{
-		Seed:    chaosSeed,
-		Drop:    drop,
-		Dup:     dup,
-		Delay:   delay,
-		Crashes: crashes,
+	cfg := scenario.ChaosConfig{
+		N:    n,
+		Seed: seed,
+		Plan: &chaos.Plan{
+			Seed:    chaosSeed,
+			Drop:    drop,
+			Dup:     dup,
+			Delay:   delay,
+			Crashes: crashes,
+		},
+		Ops:       ops,
+		JoinEvery: 5,
+		Timeout:   epochTimeout,
+	}
+	if err := cfg.Validate(); err != nil {
+		return cli.WrapUsage(err)
 	}
 	fmt.Printf("chaos DASH: %d nodes, %d op attempts, drop=%.2f dup=%.2f delay=%.2f, crashes=%q, fault seed %d\n\n",
 		n, ops, drop, dup, delay, crashSpec, chaosSeed)
 	start := time.Now()
-	rep, err := scenario.ReplayChaosDifferential(scenario.ChaosConfig{
-		N:         n,
-		Seed:      seed,
-		Plan:      plan,
-		Ops:       ops,
-		JoinEvery: 5,
-		Timeout:   2 * time.Minute,
-	})
+	rep, err := scenario.ReplayChaosDifferential(cfg)
 	fmt.Printf("%d kills, %d joins, %d skipped, %d checks passed, %d crashed nodes in %s\n",
 		rep.Kills, rep.Joins, rep.Skipped, rep.Checks, rep.Crashes, time.Since(start).Round(time.Millisecond))
 	fmt.Printf("transport: %d drops, %d dups, %d delays, %d retransmits\n", rep.Stats.Drops, rep.Stats.Dups, rep.Stats.Delays, rep.Stats.Retransmits)
@@ -164,16 +176,17 @@ func runChaosMode(n int, seed uint64, healName string,
 }
 
 // runRounds drives the attack: each round the attack picks a target x
-// on the sequential state, and the round's victims die on both engines.
-// With batch = 0 the victim is x alone, healed by healer on the
-// sequential side and by a kill epoch on the distributed one; with
-// batch = k it is a BFS ball of up to k alive nodes around x, healed by
-// core.DeleteBatchAndHeal and by the staged batch-kill epoch. With
+// on the sequential state, and the round's victims die on both engines
+// as one dist.Op. With batch = 0 it kills x alone, healed by healer on
+// the sequential side and by a kill epoch on the distributed one; with
+// batch = k it kills a BFS ball of up to k alive nodes around x, healed
+// by core.DeleteBatchAndHeal and by the staged batch-kill epoch. With
 // verify every round is cross-checked exactly; every every rounds (and
 // at the end) a status line is printed. It reports whether any round
-// diverged.
+// diverged, and fails if the network refuses an op or an epoch outlasts
+// epochTimeout.
 func runRounds(w io.Writer, seq *core.State, nw *dist.Network, healer core.Healer,
-	att attack.Strategy, attR *rng.RNG, batch, every int, verify bool) bool {
+	att attack.Strategy, attR *rng.RNG, batch, every int, verify bool) (bool, error) {
 	unit := "round"
 	if batch > 0 {
 		unit = "epoch"
@@ -185,21 +198,30 @@ func runRounds(w io.Writer, seq *core.State, nw *dist.Network, healer core.Heale
 		if x == attack.NoTarget {
 			break
 		}
-		var ball []int
+		op := dist.Op{Kind: dist.OpKill, Victim: x}
 		if batch > 0 {
-			ball = seq.G.BFSBall(&marks, x, batch)
-			seq.DeleteBatchAndHeal(ball)
-			nw.KillBatch(ball)
-		} else {
-			seq.DeleteAndHeal(x, healer)
-			nw.Kill(x)
+			op = dist.Op{Kind: dist.OpBatch, Batch: seq.G.BFSBall(&marks, x, batch)}
+		}
+		if err := op.Apply(seq, healer, nil); err != nil {
+			return diverged, err
+		}
+		// x was alive on seq, so a refusal means the engines drifted.
+		ep, err := nw.Issue(op)
+		if ep == nil && err == nil {
+			err = fmt.Errorf("the network refused %v", op)
+		}
+		if err == nil {
+			err = ep.Wait(epochTimeout)
+		}
+		if err != nil {
+			return diverged, fmt.Errorf("%s %d: %w", unit, round, err)
 		}
 
 		last := round%every == 0 || seq.G.NumAlive() == 0
 		if !verify && !last {
 			continue
 		}
-		err := nw.Diverges(seq)
+		err = nw.Diverges(seq)
 		match := err == nil
 		if verify && !match {
 			diverged = true
@@ -214,7 +236,7 @@ func runRounds(w io.Writer, seq *core.State, nw *dist.Network, healer core.Heale
 			stats.FormatFloat(float64(fSum)/float64(max(rounds, 1))), fMax)
 		if batch > 0 {
 			fmt.Fprintf(w, "epoch %4d: killed %3d (ball around %5d) alive=%5d connected=%v match=%v | %s\n",
-				round, len(ball), x, snap.G.NumAlive(), snap.G.Connected(), match, flood)
+				round, len(op.Batch), x, snap.G.NumAlive(), snap.G.Connected(), match, flood)
 			continue
 		}
 		var label, coord, non int64
@@ -226,7 +248,7 @@ func runRounds(w io.Writer, seq *core.State, nw *dist.Network, healer core.Heale
 		fmt.Fprintf(w, "round %4d: alive=%4d connected=%v match=%v | label msgs=%d coord=%d NoN=%d | %s\n",
 			round, snap.G.NumAlive(), snap.G.Connected(), match, label, coord, non, flood)
 	}
-	return diverged
+	return diverged, nil
 }
 
 // pickHealer maps the flag to the distributed rule and the matching

@@ -2,10 +2,13 @@ package main
 
 import (
 	"bytes"
+	"flag"
+	"os"
 	"strings"
 	"testing"
 
 	"repro/internal/attack"
+	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/gen"
@@ -45,8 +48,8 @@ func newRoundsNet(t *testing.T, n int, seed uint64, kind dist.HealerKind) (*core
 func TestRunBatchMode(t *testing.T) {
 	seq, nw, attR := newRoundsNet(t, 160, 9, dist.HealDASH)
 	var buf bytes.Buffer
-	if runRounds(&buf, seq, nw, core.DASH{}, attack.MaxDegree{}, attR, 12, 4, true) {
-		t.Fatalf("batch mode diverged:\n%s", buf.String())
+	if diverged, err := runRounds(&buf, seq, nw, core.DASH{}, attack.MaxDegree{}, attR, 12, 4, true); diverged || err != nil {
+		t.Fatalf("batch mode diverged (%v):\n%s", err, buf.String())
 	}
 	if seq.G.NumAlive() != 0 {
 		t.Fatalf("MaxNode disaster loop should empty the graph, %d alive", seq.G.NumAlive())
@@ -64,8 +67,8 @@ func TestRunSingleKillMode(t *testing.T) {
 	for _, kind := range []dist.HealerKind{dist.HealDASH, dist.HealSDASH} {
 		seq, nw, attR := newRoundsNet(t, 96, 5, kind)
 		var buf bytes.Buffer
-		if runRounds(&buf, seq, nw, kind.Healer(), attack.NeighborOfMax{}, attR, 0, 16, true) {
-			t.Fatalf("%v: single-kill mode diverged:\n%s", kind, buf.String())
+		if diverged, err := runRounds(&buf, seq, nw, kind.Healer(), attack.NeighborOfMax{}, attR, 0, 16, true); diverged || err != nil {
+			t.Fatalf("%v: single-kill mode diverged (%v):\n%s", kind, err, buf.String())
 		}
 		if seq.G.NumAlive() != 0 {
 			t.Fatalf("%v: the attack should empty the graph, %d alive", kind, seq.G.NumAlive())
@@ -82,10 +85,34 @@ func TestRunSingleKillMode(t *testing.T) {
 func TestRunRoundsReportsDivergence(t *testing.T) {
 	seq, nw, attR := newRoundsNet(t, 64, 3, dist.HealDASH)
 	var buf bytes.Buffer
-	if !runRounds(&buf, seq, nw, core.OracleDASH{}, attack.MaxDegree{}, attR, 0, 8, true) {
+	diverged, err := runRounds(&buf, seq, nw, core.OracleDASH{}, attack.MaxDegree{}, attR, 0, 8, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !diverged {
 		t.Fatal("a label-free sequential reference should diverge")
 	}
 	if out := buf.String(); !strings.HasPrefix(out, "round 1: DIVERGENCE") || !strings.Contains(out, "label") {
 		t.Fatalf("expected a label divergence on round 1, got:\n%s", out)
+	}
+}
+
+// TestBadSizesAreUsageErrors pins that a size the generator or the
+// chaos harness cannot run is a usage mistake, exit 2, not a generator
+// panic or a runtime failure.
+func TestBadSizesAreUsageErrors(t *testing.T) {
+	defer func(args []string, fs *flag.FlagSet) { os.Args, flag.CommandLine = args, fs }(os.Args, flag.CommandLine)
+	for _, args := range [][]string{
+		{"-n", "3"},
+		{"-n", "0", "-batch", "4"},
+		{"-chaos", "-n", "3"},
+		{"-chaos", "-n", "7"},
+		{"-chaos", "-chaos-ops", "0"},
+	} {
+		flag.CommandLine = flag.NewFlagSet("dashdist", flag.ContinueOnError)
+		os.Args = append([]string{"dashdist"}, args...)
+		if err := realMain(); cli.Code(err) != cli.ExitUsage {
+			t.Errorf("%v: exit %d (%v), want %d", args, cli.Code(err), err, cli.ExitUsage)
+		}
 	}
 }

@@ -87,6 +87,9 @@ func realMain() error {
 		benchOut  = flag.String("bench-out", "", "write a machine-readable benchmark record (wall clock, heals/sec, latency percentiles) as JSON to this file")
 	)
 	flag.Parse()
+	if err := gen.CheckBarabasiAlbert(*n, 3); err != nil {
+		return cli.Usagef("-n %d: %v", *n, err)
+	}
 	if *pipelined && !*diff {
 		return cli.Usagef("-pipelined requires -differential")
 	}

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"math"
 	"os"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cli"
 	"repro/internal/scenario"
 	"repro/internal/trace"
 )
@@ -167,6 +169,25 @@ func TestRunRejectsBadInputs(t *testing.T) {
 	bad.tracePath = "unused.jsonl"
 	if _, err := run(&buf, bad); err == nil {
 		t.Error("-shards with -trace should fail")
+	}
+}
+
+// TestBadSizesAreUsageErrors: an -n the Barabási–Albert generator
+// cannot build is a usage error (exit 2) on every path, not a generator
+// panic.
+func TestBadSizesAreUsageErrors(t *testing.T) {
+	defer func(args []string, fs *flag.FlagSet) { os.Args, flag.CommandLine = args, fs }(os.Args, flag.CommandLine)
+	for _, args := range [][]string{
+		{"-n", "2"},
+		{"-n", "0"},
+		{"-n", "3", "-differential"},
+		{"-n", "3", "-shards", "2"},
+	} {
+		flag.CommandLine = flag.NewFlagSet("scenario", flag.ContinueOnError)
+		os.Args = append([]string{"scenario"}, args...)
+		if err := realMain(); cli.Code(err) != cli.ExitUsage {
+			t.Errorf("%v: exit %d (%v), want %d", args, cli.Code(err), err, cli.ExitUsage)
+		}
 	}
 }
 

@@ -198,6 +198,9 @@ func writeDOT(path string, newGraph func(*rng.RNG) *graph.Graph, healer repro.He
 func graphGen(family string, n, m int) (func(*rng.RNG) *graph.Graph, int, error) {
 	switch family {
 	case "ba":
+		if err := gen.CheckBarabasiAlbert(n, m); err != nil {
+			return nil, 0, err
+		}
 		return func(r *rng.RNG) *graph.Graph { return gen.BarabasiAlbert(n, m, r) }, n, nil
 	case "tree":
 		return func(r *rng.RNG) *graph.Graph { return gen.RandomRecursiveTree(n, r) }, n, nil

@@ -64,6 +64,24 @@ func TestFractionOutOfRange(t *testing.T) {
 	}
 }
 
+// TestBadSizesAreUsageErrors: a Barabási–Albert size the generator
+// cannot build is a usage error (exit 2), not a generator panic.
+func TestBadSizesAreUsageErrors(t *testing.T) {
+	defer func(args []string, fs *flag.FlagSet) { os.Args, flag.CommandLine = args, fs }(os.Args, flag.CommandLine)
+	for _, args := range [][]string{
+		{"-n", "2"},
+		{"-n", "3"},
+		{"-m", "0"},
+		{"-n", "8", "-m", "8"},
+	} {
+		flag.CommandLine = flag.NewFlagSet("selfheal", flag.ContinueOnError)
+		os.Args = append([]string{"selfheal", "-trials", "1"}, args...)
+		if err := realMain(); cli.Code(err) != cli.ExitUsage {
+			t.Errorf("%v: exit %d (%v), want %d", args, cli.Code(err), err, cli.ExitUsage)
+		}
+	}
+}
+
 func TestWriteDOT(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "out.dot")
 	mk, _, err := graphGen("tree", 20, 0)

@@ -44,7 +44,7 @@ func TestBatchProbeMessageAccounting(t *testing.T) {
 		alive := seq.G.AliveNodes()
 		x := alive[attR.Intn(len(alive))]
 		seq.DeleteAndHeal(x, core.DASH{})
-		nw.Kill(x)
+		mustRun(t, nw, Op{Kind: OpKill, Victim: x})
 	}
 
 	batch := pickBatch(seq.G, 16, attR)
@@ -54,7 +54,7 @@ func TestBatchProbeMessageAccounting(t *testing.T) {
 	startBefore := nw.msgKindTotal(msgCompProbeStart)
 	probeBefore := nw.msgKindTotal(msgCompProbe)
 	seq.DeleteBatchAndHeal(batch)
-	nw.KillBatch(batch)
+	mustRun(t, nw, Op{Kind: OpBatch, Batch: batch})
 	starts := nw.msgKindTotal(msgCompProbeStart) - startBefore
 	probes := nw.msgKindTotal(msgCompProbe) - probeBefore
 
@@ -129,7 +129,7 @@ func TestSingleKillNotifyAccounting(t *testing.T) {
 
 		before := nw.msgKindTotal(msgLabelNotify)
 		seq.DeleteAndHeal(x, core.DASH{})
-		nw.Kill(x)
+		mustRun(t, nw, Op{Kind: OpKill, Victim: x})
 		notifies := nw.msgKindTotal(msgLabelNotify) - before
 
 		// Upper bound: every alive node adopts at most once and

@@ -54,22 +54,3 @@ func (nw *Network) recordBatchCluster(epoch uint64, root, leader int) {
 	nw.batchClusters[epoch] = append(nw.batchClusters[epoch], batchCluster{root, leader})
 	nw.mu.Unlock()
 }
-
-// KillBatch deletes every node in vs simultaneously and blocks until the
-// whole batch epoch — correlated death notices, per-cluster leader
-// election, cluster heals — has completed, like the sequential engine's
-// DeleteBatchAndHeal. Duplicates are ignored; it panics if any victim is
-// dead (mirroring core.State.RemoveBatch) or if the epoch fails to
-// complete within DefaultKillTimeout.
-func (nw *Network) KillBatch(vs []int) {
-	if err := nw.KillBatchAsync(vs).Wait(DefaultKillTimeout); err != nil {
-		panic(err)
-	}
-}
-
-// KillBatchAsync schedules the batch deletion as a pipelined epoch and
-// returns immediately; the returned handle completes when every
-// cluster's heal has drained.
-func (nw *Network) KillBatchAsync(vs []int) *Epoch {
-	return nw.pipe.issueBatch(vs)
-}

@@ -108,9 +108,7 @@ func runBatchEquivalence(t *testing.T, kind HealerKind, n int, seed uint64) {
 			batch := pickBatch(seq.G, 2+opR.Intn(8), opR)
 			roots := slices.Sorted(maps.Keys(coreClusters(seq.G, batch)))
 			seq.DeleteBatchAndHeal(batch)
-			if err := nw.KillBatchAsync(batch).Wait(testTimeout); err != nil {
-				t.Fatalf("round %d (batch %v): %v", round, batch, err)
-			}
+			mustRun(t, nw, Op{Kind: OpBatch, Batch: batch})
 			got := make([]int, 0, len(roots))
 			for _, c := range nw.lastClusters {
 				got = append(got, c.root)
@@ -123,9 +121,7 @@ func runBatchEquivalence(t *testing.T, kind HealerKind, n int, seed uint64) {
 			alive := seq.G.AliveNodes()
 			x := alive[opR.Intn(len(alive))]
 			seq.DeleteAndHeal(x, kind.Healer())
-			if err := nw.KillAsync(x).Wait(testTimeout); err != nil {
-				t.Fatalf("round %d (kill %d): %v", round, x, err)
-			}
+			mustRun(t, nw, Op{Kind: OpKill, Victim: x})
 		case 3: // join to up to 3 distinct targets
 			alive := seq.G.AliveNodes()
 			want := 1 + opR.Intn(3)
@@ -141,13 +137,7 @@ func runBatchEquivalence(t *testing.T, kind HealerKind, n int, seed uint64) {
 				}
 			}
 			v := seq.Join(attach, opR)
-			dv, ep := nw.JoinAsync(attach, seq.InitID(v))
-			if err := ep.Wait(testTimeout); err != nil {
-				t.Fatalf("round %d (join): %v", round, err)
-			}
-			if dv != v {
-				t.Fatalf("round %d: join index %d, sequential %d", round, dv, v)
-			}
+			mustRun(t, nw, Op{Kind: OpJoin, NewID: v, Attach: attach, InitID: seq.InitID(v)})
 		}
 		assertStateEqual(t, round, nw, seq)
 	}
@@ -163,7 +153,7 @@ func TestBatchKillClusterMatchesCore(t *testing.T) {
 	g := gen.BarabasiAlbert(n, 3, master.Split())
 	seq := core.NewState(g.Clone(), master.Split())
 	ids := InitIDs(seq)
-	nw := New(g.Clone(), ids)
+	nw := NewKind(g.Clone(), ids, HealDASH)
 	defer nw.Close()
 
 	opR := master.Split()
@@ -174,9 +164,7 @@ func TestBatchKillClusterMatchesCore(t *testing.T) {
 		wantRoots := coreClusters(seq.G, batch)
 
 		seq.DeleteBatchAndHeal(batch)
-		if err := nw.KillBatchAsync(batch).Wait(testTimeout); err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
+		mustRun(t, nw, Op{Kind: OpBatch, Batch: batch})
 		if len(nw.lastClusters) != len(wantRoots) {
 			t.Fatalf("trial %d: protocol healed %d clusters, core built %d",
 				trial, len(nw.lastClusters), len(wantRoots))
@@ -199,14 +187,12 @@ func TestBatchKillEdgeCases(t *testing.T) {
 	g := gen.BarabasiAlbert(n, 3, master.Split())
 	seq := core.NewState(g.Clone(), master.Split())
 	ids := InitIDs(seq)
-	nw := New(g.Clone(), ids)
+	nw := NewKind(g.Clone(), ids, HealDASH)
 	defer nw.Close()
 
 	// Singleton batch with duplicates.
 	seq.DeleteBatchAndHeal([]int{3, 3, 3})
-	if err := nw.KillBatchAsync([]int{3, 3, 3}).Wait(testTimeout); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, nw, Op{Kind: OpBatch, Batch: []int{3, 3, 3}})
 	assertStateEqual(t, 1, nw, seq)
 
 	// Adjacent pair (one cluster with two members).
@@ -219,17 +205,13 @@ func TestBatchKillEdgeCases(t *testing.T) {
 		}
 	}
 	seq.DeleteBatchAndHeal(pair)
-	if err := nw.KillBatchAsync(pair).Wait(testTimeout); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, nw, Op{Kind: OpBatch, Batch: pair})
 	assertStateEqual(t, 2, nw, seq)
 
 	// Apocalypse: every remaining node in one batch.
 	rest := seq.G.AliveNodes()
 	seq.DeleteBatchAndHeal(rest)
-	if err := nw.KillBatchAsync(rest).Wait(testTimeout); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, nw, Op{Kind: OpBatch, Batch: rest})
 	snap := nw.Snapshot()
 	if snap.G.NumAlive() != 0 || seq.G.NumAlive() != 0 {
 		t.Fatalf("apocalypse left %d/%d alive", snap.G.NumAlive(), seq.G.NumAlive())
@@ -240,12 +222,4 @@ func TestBatchKillEdgeCases(t *testing.T) {
 	if _, _, rounds := nw.FloodStats(); rounds != 3 {
 		t.Fatalf("distributed rounds = %d, want 3", rounds)
 	}
-
-	// A dead victim must panic, mirroring core.RemoveBatch.
-	defer func() {
-		if recover() == nil {
-			t.Fatal("batch-killing a dead node should panic")
-		}
-	}()
-	nw.KillBatch([]int{3})
 }

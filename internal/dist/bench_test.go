@@ -17,7 +17,7 @@ import (
 // measure in which epoch overlap is a genuine win: disjoint heals drain
 // simultaneously, so the pipelined makespan approaches the deepest
 // single epoch while the barrier path pays the sum of all of them.
-func measureProtocolRounds(serial bool, n, kills int) int {
+func measureProtocolRounds(b *testing.B, serial bool, n, kills int) int {
 	r := rng.New(99)
 	g := gen.ConnectedErdosRenyi(n, 6.0/float64(n), r)
 	ids := make([]uint64, n)
@@ -31,7 +31,7 @@ func measureProtocolRounds(serial bool, n, kills int) int {
 		v := r.Intn(n)
 		if !taken[v] {
 			taken[v] = true
-			s.Network().KillAsync(v)
+			mustIssue(b, s.Network(), Op{Kind: OpKill, Victim: v})
 			k++
 		}
 	}
@@ -108,7 +108,7 @@ func BenchmarkEpochOverlap(b *testing.B) {
 					b.StartTimer()
 
 					for _, v := range victims {
-						nw.KillAsync(v)
+						mustIssue(b, nw, Op{Kind: OpKill, Victim: v})
 					}
 					if err := nw.Drain(testTimeout); err != nil {
 						b.Fatal(err)
@@ -119,8 +119,8 @@ func BenchmarkEpochOverlap(b *testing.B) {
 					b.StartTimer()
 				}
 				b.ReportMetric(float64(kills), "kills/op")
-				b.ReportMetric(float64(measureProtocolRounds(mode == "serial", 600, 8)), "protocol-rounds-8kill")
-				b.ReportMetric(float64(measureProtocolRounds(mode == "serial", 600, 32)), "protocol-rounds-32kill")
+				b.ReportMetric(float64(measureProtocolRounds(b, mode == "serial", 600, 8)), "protocol-rounds-8kill")
+				b.ReportMetric(float64(measureProtocolRounds(b, mode == "serial", 600, 32)), "protocol-rounds-32kill")
 			})
 		}
 	}

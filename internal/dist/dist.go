@@ -8,7 +8,7 @@
 // cmd/dashdist cross-checks the two round by round — while actually
 // paying the message costs the paper's lemmas account for.
 //
-// One healing round, triggered by Network.Kill(x):
+// One healing round, triggered by Network.Issue(Op{Kind: OpKill, Victim: x}):
 //
 //  1. Death. The supervisor (playing the failure detector) sends the
 //     victim a die order; the victim broadcasts a death notice to its G
@@ -49,15 +49,14 @@
 // of in strict root order. Conflicting epochs are chained in issue
 // order, which is what keeps every node's reads (labels, δ, NoN views)
 // identical to the sequential engine's and the healed state bit-exact.
-// KillAsync/JoinAsync/KillBatchAsync expose the pipelined form; Kill,
-// Join and KillBatch are blocking wrappers that wait for their own
-// epoch only. Network.Issue issues an Op, the operation type both
-// engines are fed (op.go), and refuses where those forms panic.
+// Network.Issue is the one way in: it issues an Op, the operation type
+// both engines are fed (op.go), and returns the epoch's handle at once;
+// Epoch.Wait blocks on that epoch only.
 // internal/dist/modelcheck exhaustively enumerates message
 // interleavings of overlapping epochs on small networks and asserts
 // every schedule converges to the sequential core result.
 //
-// Batch kills: Network.KillBatch is footnote 1 as a protocol — a whole
+// Batch kills: an OpBatch is footnote 1 as a protocol — a whole
 // victim set dies in one supervisor-staged epoch (cluster probes through
 // the dead set, candidate convergecast to cluster roots, tombstones plus
 // leader handoff, then zombie; per cluster the leader drives a G′
@@ -66,7 +65,7 @@
 // bit-identical to core.DeleteBatchAndHeal. Disjoint clusters heal
 // concurrently under their own child epochs. See batch.go and README.md.
 //
-// Churn: Network.Join is the arrival-side operation (the distributed
+// Churn: an OpJoin is the arrival-side operation (the distributed
 // counterpart of core.State.Join). The supervisor creates the newcomer's
 // actor and sends each attach target a join hello carrying the
 // newcomer's initial ID and attach set; targets wire the edge, gossip
@@ -76,7 +75,7 @@
 // Snapshot assembles a global view (topologies G and G′, labels, δ, and
 // the per-node traffic counters) by querying every live actor; it is
 // instrumentation, not part of the protocol, and is only meaningful
-// after Drain (or between blocking calls).
+// after Drain, or once every issued epoch's Wait has returned.
 package dist
 
 import (
@@ -103,10 +102,6 @@ const (
 	// (Algorithm 3).
 	HealSDASH
 )
-
-// DefaultKillTimeout is how long the blocking operations wait for their
-// epoch to complete before declaring the protocol wedged.
-const DefaultKillTimeout = 30 * time.Second
 
 // finalStats archives a dead node's traffic counters so Snapshot can
 // still report them (the sequential engine keeps dead nodes' counters
@@ -143,7 +138,7 @@ type Network struct {
 	// testDrop, when non-nil, simulates lossy transport: a message it
 	// returns true for is counted in flight but never delivered, so the
 	// epoch visibly fails to complete instead of silently mis-healing.
-	// Tests set it immediately after NewKind, before any Kill.
+	// Tests set it immediately after NewKind, before any Issue.
 	testDrop func(to int, msg message) bool
 
 	// transport delivers counted messages to mailboxes. The default is
@@ -175,14 +170,9 @@ type Network struct {
 	lastClusters  []batchCluster
 }
 
-// New spawns a distributed DASH network over g. ids assigns each node
-// slot its immutable initial ID (as core.State.InitID would); the graph
-// is read during bootstrap and not retained.
-func New(g *graph.Graph, ids []uint64) *Network {
-	return NewKind(g, ids, HealDASH)
-}
-
-// NewKind is New with an explicit healing rule.
+// NewKind spawns a distributed network over g that heals by kind. ids
+// assigns each node slot its immutable initial ID (as core.State.InitID
+// would); the graph is read during bootstrap and not retained.
 func NewKind(g *graph.Graph, ids []uint64, kind HealerKind) *Network {
 	nw := assemble(g, ids, kind)
 	nw.start()
@@ -315,48 +305,26 @@ func (nw *Network) msgKindTotal(kind msgKind) int64 {
 	return atomic.LoadInt64(&nw.msgKindSent[kind])
 }
 
-// Kill deletes node v and blocks until the resulting healing epoch has
-// completed, like the sequential engine's DeleteAndHeal. It panics if v
-// is not alive (mirroring core.State.Remove) or if the epoch fails to
-// complete within DefaultKillTimeout; for another deadline, call
-// KillAsync(v).Wait. Epochs already in flight keep draining
-// concurrently.
-func (nw *Network) Kill(v int) {
-	if err := nw.KillAsync(v).Wait(DefaultKillTimeout); err != nil {
-		panic(err)
-	}
-}
-
-// KillAsync schedules the deletion of node v as a pipelined epoch and
-// returns immediately. The epoch launches at once when its conflict
-// region is disjoint from every in-flight epoch's, else after the
-// conflicting epochs complete. It panics if v is dead or already
-// targeted by a pending epoch.
+// KillAsync is Issue(Op{Kind: OpKill, Victim: v}) that panics where
+// Issue refuses. It and JoinAsync remain only because bench/distchurn.go
+// calls them; the next change to bench/ moves that file to Issue and
+// deletes both.
 func (nw *Network) KillAsync(v int) *Epoch {
-	return nw.pipe.issueKill(v)
-}
-
-// Join adds a new node attached to the distinct members of attachTo and
-// blocks until the join epoch has completed, mirroring core.State.Join:
-// the newcomer starts with δ = 0 (its initial degree is its join
-// degree), a fresh singleton G′ component, and its initial ID id as its
-// current label. It returns the new node's index (core's AddNode order:
-// one past the previous slot count). It panics on a dead attach target
-// or an epoch that fails to complete within DefaultKillTimeout.
-func (nw *Network) Join(attachTo []int, id uint64) int {
-	v, ep := nw.JoinAsync(attachTo, id)
-	if err := ep.Wait(DefaultKillTimeout); err != nil {
-		panic(err)
+	ep := nw.pipe.issueKill(v)
+	if ep == nil {
+		panic(fmt.Sprintf("dist: killing dead node %d", v))
 	}
-	return v
+	return ep
 }
 
-// JoinAsync schedules a join as a pipelined epoch and returns the
-// newcomer's index immediately (slots are allocated in issue order, so
-// indices match the sequential engine even while earlier epochs are
-// still draining).
+// JoinAsync issues a join to attachTo with initial ID id and returns
+// the newcomer's slot; like KillAsync, it panics where Issue refuses.
 func (nw *Network) JoinAsync(attachTo []int, id uint64) (int, *Epoch) {
-	return nw.pipe.issueJoin(attachTo, id)
+	v, ep := nw.pipe.issueJoin(attachTo, id)
+	if ep == nil {
+		panic("dist: joining to dead node")
+	}
+	return v, ep
 }
 
 // Drain blocks until every issued epoch has completed and no message is
@@ -465,11 +433,11 @@ type Snap struct {
 }
 
 // Snapshot collects the global state. Call it only when no epoch is in
-// flight (after Drain, or between blocking calls); it is not itself
-// part of the protocol and sends no countable traffic. Nodes that have
-// retired — including the victim of an epoch that failed
-// its watchdog — are reported from their archived final state rather
-// than queried, so Snapshot never blocks on a dead actor.
+// flight (after Drain, or once every issued epoch's Wait has returned);
+// it is not itself part of the protocol and sends no countable traffic.
+// Nodes that have retired — including the victim of an epoch that
+// failed its watchdog — are reported from their archived final state
+// rather than queried, so Snapshot never blocks on a dead actor.
 func (nw *Network) Snapshot() *Snap {
 	nodes := nw.nodeSlice()
 	nw.mu.Lock()

@@ -77,9 +77,7 @@ func runEquivalence(t *testing.T, kind HealerKind, n int, seed uint64, att attac
 			break
 		}
 		seq.DeleteAndHeal(x, kind.Healer())
-		if err := nw.KillAsync(x).Wait(testTimeout); err != nil {
-			t.Fatalf("round %d (kill %d): %v", round, x, err)
-		}
+		mustRun(t, nw, Op{Kind: OpKill, Victim: x})
 
 		// The hop-relaxing wave makes the Lemma 9 depth accounting
 		// exact: the distributed stats must equal the sequential BFS's,
@@ -110,7 +108,7 @@ func TestLabelNotificationsMatchSequential(t *testing.T) {
 	g := gen.BarabasiAlbert(n, 3, master.Split())
 	seq := core.NewState(g.Clone(), master.Split())
 	ids := InitIDs(seq)
-	nw := New(g.Clone(), ids)
+	nw := NewKind(g.Clone(), ids, HealDASH)
 	defer nw.Close()
 
 	att := attack.NeighborOfMax{}
@@ -121,9 +119,7 @@ func TestLabelNotificationsMatchSequential(t *testing.T) {
 			break
 		}
 		seq.DeleteAndHeal(x, core.DASH{})
-		if err := nw.KillAsync(x).Wait(testTimeout); err != nil {
-			t.Fatal(err)
-		}
+		mustRun(t, nw, Op{Kind: OpKill, Victim: x})
 	}
 	snap := nw.Snapshot()
 	var distTotal, seqTotal int64

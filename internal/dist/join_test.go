@@ -20,7 +20,7 @@ func TestJoinMatchesSequential(t *testing.T) {
 	g := gen.BarabasiAlbert(n, 3, master.Split())
 	seq := core.NewState(g.Clone(), master.Split())
 	ids := InitIDs(seq)
-	nw := New(g.Clone(), ids)
+	nw := NewKind(g.Clone(), ids, HealDASH)
 	defer nw.Close()
 
 	att := attack.NeighborOfMax{}
@@ -49,11 +49,9 @@ func TestJoinMatchesSequential(t *testing.T) {
 			}
 			// Drive the sequential join with a dedicated generator so we
 			// can hand the distributed side the same initial ID.
+			// Issue fails unless the join lands in slot v.
 			v := seq.Join(attach, idR)
-			dv := nw.Join(attach, seq.InitID(v))
-			if dv != v {
-				t.Fatalf("join index mismatch: dist %d, sequential %d", dv, v)
-			}
+			mustRun(t, nw, Op{Kind: OpJoin, NewID: v, Attach: attach, InitID: seq.InitID(v)})
 			check("join")
 		} else {
 			x := att.Next(seq, attR)
@@ -61,7 +59,7 @@ func TestJoinMatchesSequential(t *testing.T) {
 				break
 			}
 			seq.DeleteAndHeal(x, core.DASH{})
-			nw.Kill(x)
+			mustRun(t, nw, Op{Kind: OpKill, Victim: x})
 			check("kill")
 		}
 	}
@@ -79,18 +77,15 @@ func TestJoinIsolatedAndDuplicates(t *testing.T) {
 	g := gen.Ring(n)
 	seq := core.NewState(g.Clone(), master.Split())
 	ids := InitIDs(seq)
-	nw := New(g.Clone(), ids)
+	nw := NewKind(g.Clone(), ids, HealDASH)
 	defer nw.Close()
 	idR := master.Split()
 
+	// Issue fails unless each join lands in the sequential slot.
 	v1 := seq.Join(nil, idR)
-	if dv := nw.Join(nil, seq.InitID(v1)); dv != v1 {
-		t.Fatalf("isolated join index %d, want %d", dv, v1)
-	}
+	mustRun(t, nw, Op{Kind: OpJoin, NewID: v1, InitID: seq.InitID(v1)})
 	v2 := seq.Join([]int{3, 3, 4}, idR)
-	if dv := nw.Join([]int{3, 3, 4}, seq.InitID(v2)); dv != v2 {
-		t.Fatalf("duplicate join index %d, want %d", dv, v2)
-	}
+	mustRun(t, nw, Op{Kind: OpJoin, NewID: v2, Attach: []int{3, 3, 4}, InitID: seq.InitID(v2)})
 	snap := nw.Snapshot()
 	if !snap.G.Equal(seq.G) || !snap.Gp.Equal(seq.Gp) {
 		t.Fatal("topology diverged after edge-case joins")

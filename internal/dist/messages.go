@@ -74,7 +74,7 @@ const (
 	// crashed black holes and batch zombies with it).
 	msgStop
 
-	// Batch-kill epoch vocabulary (Network.KillBatch): the footnote-1
+	// Batch-kill epoch vocabulary (an OpBatch epoch): the footnote-1
 	// generalization where a whole victim set dies between healing
 	// rounds. The supervisor stages the epoch on quiescence boundaries;
 	// these messages carry the per-stage protocol. See batch.go.

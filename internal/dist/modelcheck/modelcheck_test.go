@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/graph"
+	"repro/internal/rng"
 )
 
 // bridgedTriangles is the canonical small overlap topology: two
@@ -73,6 +74,57 @@ func TestTwoOverlappingKills(t *testing.T) {
 		if res.MaxDepth < 8 {
 			t.Fatalf("suspiciously shallow enumeration (maxDepth=%d): epochs did not overlap?", res.MaxDepth)
 		}
+	}
+}
+
+// starAfterLeafKills is a hub 0 with leaves 1–4, where node 1 also
+// holds leaves 5–7. Killing 5, 6 and 7 in turn heals node 1 alone, and
+// a one-member reconnection set gains no edge, so δ(1) falls to −3
+// while 2–4 stay at 0. Killing the hub then orphans all four, and that
+// δ spread, 3 = |RT| − 1, is what SDASH needs to surrogate: it wires
+// node 1 as a star to 2, 3 and 4, where DASH wires a binary tree. Every
+// kill's conflict region holds node 1, so the four epochs chain.
+func starAfterLeafKills() *graph.Graph {
+	g := graph.New(8)
+	for _, e := range [][2]int{{0, 1}, {0, 2}, {0, 3}, {0, 4}, {1, 5}, {1, 6}, {1, 7}} {
+		g.AddEdge(e[0], e[1])
+	}
+	return g
+}
+
+// TestSDASHSurrogateStar model-checks SDASH's surrogate star, which
+// TestTwoOverlappingKills never reaches: each of its kills orphans two
+// nodes, and a two-node star is DASH's one-edge tree, so its SDASH search
+// is its DASH search. Here the sequential SDASH heal of the last kill
+// must surrogate, and the SDASH search must differ from DASH's on the
+// same config, or the star is not what was checked. On a 2-vCPU machine
+// it takes ~3 s bare but ~37 s under the race detector, so the -short
+// race passes skip it.
+func TestSDASHSurrogateStar(t *testing.T) {
+	if testing.Short() {
+		t.Skip("deep enumeration; run without -short")
+	}
+	const seed = 3
+	ops := []dist.Op{
+		{Kind: dist.OpKill, Victim: 5},
+		{Kind: dist.OpKill, Victim: 6},
+		{Kind: dist.OpKill, Victim: 7},
+		{Kind: dist.OpKill, Victim: 0},
+	}
+	seq := core.NewState(starAfterLeafKills(), rng.New(seed))
+	var heal core.HealResult
+	for _, op := range ops {
+		heal = seq.DeleteAndHeal(op.Victim, core.SDASH{})
+	}
+	if !heal.Surrogated || heal.RTSize != 4 {
+		t.Fatalf("sequential SDASH heal of the hub: %+v, want a surrogate star over 4 nodes", heal)
+	}
+	cfg := Config{Graph: starAfterLeafKills, Seed: seed, Healer: dist.HealDASH, Ops: ops}
+	dash := run(t, cfg, counts{States: 5263, Terminals: 1, Oracles: 1})
+	cfg.Healer = dist.HealSDASH
+	sdash := run(t, cfg, counts{States: 4394, Terminals: 1, Oracles: 1})
+	if sdash.States == dash.States && sdash.Deliveries == dash.Deliveries {
+		t.Fatal("the SDASH search is the DASH search: the star was never explored")
 	}
 }
 

@@ -662,7 +662,7 @@ func (nd *node) onLabelFlood(victim int, label uint64, hops int) {
 	}
 }
 
-// --- Batch-kill epoch handlers (Network.KillBatch; see batch.go) ---
+// --- Batch-kill epoch handlers (OpBatch; see batch.go) ---
 
 // onBatchProbe starts the cluster probe: announce my current root guess
 // to every neighbor that is dying with me. The minimum victim index

@@ -56,26 +56,28 @@ func (op Op) String() string {
 }
 
 // Issue schedules op as a pipelined epoch and returns its handle at
-// once, as KillAsync, JoinAsync and KillBatchAsync do. Where those
-// panic, Issue refuses: it returns a nil Epoch and no error when a
+// once; Epoch.Wait blocks until the epoch completes. It is the one way
+// to change a network. A join's slot is allocated at issue, so slots
+// follow issue order, core's AddNode order, even while earlier epochs
+// drain. Issue refuses, returning a nil Epoch and no error, when a
 // victim or attach target is out of range, dead, crashed, or doomed by
 // a pending epoch. The check and the issue are atomic under the
 // scheduler lock, so a concurrent chaos crash cannot invalidate the
-// choice between them — the race a fault-schedule driver must be immune
-// to. Issue fails when a join lands in a slot other than op.NewID; that
-// join has been issued.
+// choice between them — the race a fault-schedule driver must be
+// immune to. Issue fails when a join lands in a slot other than
+// op.NewID; that join has been issued.
 func (nw *Network) Issue(op Op) (*Epoch, error) {
 	switch op.Kind {
 	case OpKill:
-		return nw.pipe.tryIssueKill(op.Victim), nil
+		return nw.pipe.issueKill(op.Victim), nil
 	case OpJoin:
-		v, ep := nw.pipe.tryIssueJoin(op.Attach, op.InitID)
+		v, ep := nw.pipe.issueJoin(op.Attach, op.InitID)
 		if ep != nil && v != op.NewID {
 			return ep, fmt.Errorf("dist: %v landed in slot %d", op, v)
 		}
 		return ep, nil
 	case OpBatch:
-		return nw.pipe.tryIssueBatch(op.Batch), nil
+		return nw.pipe.issueBatch(op.Batch), nil
 	}
 	return nil, fmt.Errorf("dist: cannot issue %v", op)
 }

@@ -24,24 +24,40 @@ func mustIssue(tb testing.TB, nw *Network, op Op) *Epoch {
 	return ep
 }
 
-// TestIssueRefusesDeadKill pins Issue's refusal of a kill: a dead or
-// out-of-range victim gets no epoch and no effective-log entry, where
-// KillAsync would panic.
+// mustRun issues op with mustIssue and fails the test unless its epoch
+// completes within testTimeout.
+func mustRun(tb testing.TB, nw *Network, op Op) {
+	tb.Helper()
+	if err := mustIssue(tb, nw, op).Wait(testTimeout); err != nil {
+		tb.Fatalf("%v: %v", op, err)
+	}
+}
+
+// TestIssueRefusesDeadKill pins Issue's refusal of an op naming a dead
+// or out-of-range node, where KillAsync and core.RemoveBatch panic: a
+// kill or a batch naming one gets no epoch and no effective-log entry,
+// and a batch is refused whole, so its live member stays killable.
 func TestIssueRefusesDeadKill(t *testing.T) {
 	g := gen.BarabasiAlbert(16, 3, rng.New(1))
-	nw := New(g.Clone(), InitIDs(core.NewState(g, rng.New(2))))
+	nw := NewKind(g.Clone(), InitIDs(core.NewState(g, rng.New(2))), HealDASH)
 	defer nw.Close()
-	if err := mustIssue(t, nw, Op{Kind: OpKill, Victim: 3}).Wait(testTimeout); err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range []int{3, -1, 16} {
-		if ep, err := nw.Issue(Op{Kind: OpKill, Victim: v}); ep != nil || err != nil {
-			t.Fatalf("Issue(kill(%d)) = (%v, %v), want a refusal", v, ep, err)
+	mustRun(t, nw, Op{Kind: OpKill, Victim: 3})
+	for _, op := range []Op{
+		{Kind: OpKill, Victim: 3},
+		{Kind: OpKill, Victim: -1},
+		{Kind: OpKill, Victim: 16},
+		{Kind: OpBatch, Batch: []int{5, 3}},
+		{Kind: OpBatch, Batch: []int{5, 16}},
+		{Kind: OpBatch, Batch: []int{-1, 5}},
+	} {
+		if ep, err := nw.Issue(op); ep != nil || err != nil {
+			t.Fatalf("Issue(%v) = (%v, %v), want a refusal", op, ep, err)
 		}
 	}
 	if ops := nw.EffectiveOps(); len(ops) != 1 {
 		t.Fatalf("EffectiveOps = %v, want the one accepted kill", ops)
 	}
+	mustRun(t, nw, Op{Kind: OpBatch, Batch: []int{5}})
 }
 
 // TestIssueRefusesBatchWithCrashedNode pins the batch refusal the old
@@ -55,9 +71,7 @@ func TestIssueRefusesBatchWithCrashedNode(t *testing.T) {
 	}
 	nw, seq := buildChaosPair(t, 24, 313, plan)
 	defer nw.Close()
-	if err := mustIssue(t, nw, Op{Kind: OpKill, Victim: seq.G.AliveNodes()[0]}).Wait(testTimeout); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, nw, Op{Kind: OpKill, Victim: seq.G.AliveNodes()[0]})
 	if err := nw.Drain(testTimeout); err != nil {
 		t.Fatal(err)
 	}
@@ -80,9 +94,7 @@ func TestIssueRefusesBatchWithCrashedNode(t *testing.T) {
 	if got := len(nw.EffectiveOps()); got != logged {
 		t.Fatalf("refused batch changed the effective log: %d entries, was %d", got, logged)
 	}
-	if err := mustIssue(t, nw, Op{Kind: OpKill, Victim: other}).Wait(testTimeout); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, nw, Op{Kind: OpKill, Victim: other})
 }
 
 // TestIssueReportsMisplacedJoin pins that Issue checks a join's slot: a
@@ -90,7 +102,7 @@ func TestIssueRefusesBatchWithCrashedNode(t *testing.T) {
 // network, and Issue says so while still returning its epoch.
 func TestIssueReportsMisplacedJoin(t *testing.T) {
 	g := gen.BarabasiAlbert(16, 3, rng.New(1))
-	nw := New(g.Clone(), InitIDs(core.NewState(g, rng.New(2))))
+	nw := NewKind(g.Clone(), InitIDs(core.NewState(g, rng.New(2))), HealDASH)
 	defer nw.Close()
 	ep, err := nw.Issue(Op{Kind: OpJoin, NewID: 17, Attach: []int{0, 1}, InitID: 7})
 	if err == nil || !strings.Contains(err.Error(), "slot 16") {

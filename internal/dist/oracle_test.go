@@ -23,7 +23,7 @@ func TestDivergesNamesTheField(t *testing.T) {
 	g := gen.BarabasiAlbert(n, 3, rng.New(seed))
 	seq := core.NewState(g.Clone(), rng.New(seed+1))
 	ids := InitIDs(seq)
-	nw := New(g.Clone(), ids)
+	nw := NewKind(g.Clone(), ids, HealDASH)
 	defer nw.Close()
 	if err := nw.Diverges(seq); err != nil {
 		t.Fatalf("fresh twin: %v", err)
@@ -33,9 +33,7 @@ func TestDivergesNamesTheField(t *testing.T) {
 		t.Errorf("other initial IDs: Diverges = %v, want an error naming the label", err)
 	}
 	seq.DeleteAndHeal(0, core.DASH{})
-	if err := nw.KillAsync(0).Wait(testTimeout); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, nw, Op{Kind: OpKill, Victim: 0})
 	if err := nw.Diverges(seq); err != nil {
 		t.Fatalf("twin after one kill: %v", err)
 	}

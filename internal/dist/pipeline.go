@@ -170,7 +170,7 @@ type epochState struct {
 	// the epoch's MINID wave has begun, the point of no return past
 	// which the crash machinery must defer rather than abort. adopts
 	// are the handles of aborted epochs a recovery epoch completes on
-	// behalf of (a Kill blocked on an aborted epoch returns when the
+	// behalf of (a Wait on an aborted kill epoch returns when the
 	// recovery that subsumed it finishes).
 	aborted      bool
 	floodStarted bool
@@ -393,18 +393,11 @@ func (pi *pipeline) flush() {
 
 // ---- issue paths ----
 
+// issueKill schedules the deletion of v, or returns nil for an invalid
+// victim: out of range, dead, crashed or doomed. Validity and issue are
+// atomic under pi.mu, so a chaos crash cannot invalidate the check
+// mid-issue.
 func (pi *pipeline) issueKill(v int) *Epoch {
-	ep := pi.tryIssueKill(v)
-	if ep == nil {
-		panic(fmt.Sprintf("dist: killing dead node %d", v))
-	}
-	return ep
-}
-
-// tryIssueKill is issueKill returning nil instead of panicking on an
-// invalid victim; validity and issue are atomic under pi.mu so chaos
-// crashes cannot invalidate the check mid-issue.
-func (pi *pipeline) tryIssueKill(v int) *Epoch {
 	pi.mu.Lock()
 	pi.nw.mu.Lock()
 	bad := v < 0 || v >= pi.nw.n || pi.nw.dead[v]
@@ -431,18 +424,10 @@ func (pi *pipeline) tryIssueKill(v int) *Epoch {
 	return es.handle
 }
 
+// issueJoin schedules a join and returns its slot, or (-1, nil) for an
+// attach target out of range, dead, crashed or doomed (atomic with the
+// issue, see issueKill).
 func (pi *pipeline) issueJoin(attachTo []int, id uint64) (int, *Epoch) {
-	v, ep := pi.tryIssueJoin(attachTo, id)
-	if ep == nil {
-		panic("dist: joining to dead node")
-	}
-	return v, ep
-}
-
-// tryIssueJoin is issueJoin returning (-1, nil) instead of panicking on
-// a dead, crashed, or doomed attach target (atomic with the issue, see
-// tryIssueKill).
-func (pi *pipeline) tryIssueJoin(attachTo []int, id uint64) (int, *Epoch) {
 	// Dedupe while preserving order (core.Join tolerates duplicates
 	// too: the second AddEdge is a no-op).
 	attach := make([]int, 0, len(attachTo))
@@ -520,18 +505,10 @@ func (pi *pipeline) tryIssueJoin(attachTo []int, id uint64) (int, *Epoch) {
 	return v, es.handle
 }
 
+// issueBatch schedules the deletion of every node in vs at once, or
+// returns nil when a victim is out of range, dead, crashed or doomed
+// (atomic with the issue, see issueKill). Duplicates are ignored.
 func (pi *pipeline) issueBatch(vs []int) *Epoch {
-	ep := pi.tryIssueBatch(vs)
-	if ep == nil {
-		panic(fmt.Sprintf("dist: batch-killing dead node in %v", vs))
-	}
-	return ep
-}
-
-// tryIssueBatch is issueBatch returning nil instead of panicking when a
-// victim is dead, crashed, or doomed (atomic with the issue, see
-// tryIssueKill). Duplicates are ignored.
-func (pi *pipeline) tryIssueBatch(vs []int) *Epoch {
 	set := make(map[int]struct{}, len(vs))
 	batch := make([]int, 0, len(vs))
 

@@ -38,9 +38,9 @@ func TestDisjointEpochsLaunchConcurrently(t *testing.T) {
 	ids := InitIDs(seq)
 	s := NewSim(twoTriangles(), ids, HealDASH)
 	nw := s.Network()
-	ep0 := nw.KillAsync(0)
-	ep5 := nw.KillAsync(5)
-	ep1 := nw.KillAsync(1) // region {0,1,2,...} intersects kill 0's
+	ep0 := mustIssue(t, nw, Op{Kind: OpKill, Victim: 0})
+	ep5 := mustIssue(t, nw, Op{Kind: OpKill, Victim: 5})
+	ep1 := mustIssue(t, nw, Op{Kind: OpKill, Victim: 1}) // region {0,1,2,...} intersects kill 0's
 
 	pi := nw.pipe
 	pi.mu.Lock()
@@ -97,8 +97,8 @@ func TestWatchdogAttributesStalledEpoch(t *testing.T) {
 		return msg.kind == msgHealReport && msg.victim == 0
 	}
 
-	epStalled := nw.KillAsync(0)
-	epOK := nw.KillAsync(5)
+	epStalled := mustIssue(t, nw, Op{Kind: OpKill, Victim: 0})
+	epOK := mustIssue(t, nw, Op{Kind: OpKill, Victim: 5})
 
 	if err := epOK.Wait(5 * time.Second); err != nil {
 		t.Fatalf("disjoint epoch should complete despite the stalled one: %v", err)
@@ -172,16 +172,14 @@ func TestAsyncChurnConverges(t *testing.T) {
 				if b != a {
 					attach = append(attach, b)
 				}
+				// Issue fails unless the join lands in slot v.
 				v := seq.Join(attach, joinR)
-				gotV, _ := nw.JoinAsync(attach, seq.InitID(v))
-				if gotV != v {
-					t.Fatalf("window %d: distributed join slot %d, sequential %d", window, gotV, v)
-				}
+				mustIssue(t, nw, Op{Kind: OpJoin, NewID: v, Attach: attach, InitID: seq.InitID(v)})
 				aliveMirror[v] = struct{}{}
 			} else {
 				x := pick()
 				seq.DeleteAndHeal(x, core.DASH{})
-				nw.KillAsync(x)
+				mustIssue(t, nw, Op{Kind: OpKill, Victim: x})
 				delete(aliveMirror, x)
 			}
 		}
@@ -212,7 +210,7 @@ func TestSerialModeMatchesPipelined(t *testing.T) {
 		alive := seq.G.AliveNodes()
 		x := alive[attR.Intn(len(alive))]
 		seq.DeleteAndHeal(x, core.DASH{})
-		nw.KillAsync(x)
+		mustIssue(t, nw, Op{Kind: OpKill, Victim: x})
 	}
 	if err := nw.Drain(testTimeout); err != nil {
 		t.Fatal(err)

@@ -155,9 +155,8 @@ func TestMailboxReusesItsArray(t *testing.T) {
 }
 
 // BenchmarkDistChurnReplay replays a recorded sustained-churn stream
-// (n = 2048, alternating random kills and joins) through Network.Issue,
-// which runs KillAsync's and JoinAsync's pipeline issue path, in
-// windows of 8, waiting on each window's epochs
+// (n = 2048, alternating random kills and joins) through Network.Issue
+// in windows of 8, waiting on each window's epochs
 // and draining at the end: the distributed runtime under the load the
 // dist-churn workload puts on it. One op is the whole replay; the
 // per-churn-op cost is reported alongside.

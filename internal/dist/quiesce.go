@@ -155,8 +155,7 @@ func renderEpochLoads(loads []epochLoad) string {
 // wait blocks until the whole network quiesces (global in-flight count
 // reaches zero) or the timeout elapses, reporting whether quiescence was
 // reached. Epoch-granular waiting goes through the pipeline's completion
-// channels; this global form backs Drain and the single-epoch blocking
-// wrappers' final barrier-equivalent semantics.
+// channels; this global form backs Drain's final barrier.
 func (t *tracker) wait(timeout time.Duration) bool {
 	t.mu.Lock()
 	// The total is re-read under the waiter lock: done()'s zero path

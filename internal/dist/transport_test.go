@@ -58,7 +58,7 @@ func TestChaosLossDifferential(t *testing.T) {
 			}
 		}
 		for _, v := range victims {
-			nw.KillAsync(v)
+			mustIssue(t, nw, Op{Kind: OpKill, Victim: v})
 		}
 		for _, v := range victims {
 			seq.DeleteAndHeal(v, core.DASH{})
@@ -115,7 +115,7 @@ func TestChaosReorderStressFIFO(t *testing.T) {
 			}
 		}
 		for _, v := range victims {
-			nw.KillAsync(v)
+			mustIssue(t, nw, Op{Kind: OpKill, Victim: v})
 		}
 		for _, v := range victims {
 			seq.DeleteAndHeal(v, core.DASH{})
@@ -178,7 +178,7 @@ func TestChaosFirstAttemptClaimedAtEnqueue(t *testing.T) {
 	}
 
 	for _, v := range []int{3, 11, 17} {
-		nw.KillAsync(v)
+		mustIssue(t, nw, Op{Kind: OpKill, Victim: v})
 		seq.DeleteAndHeal(v, core.DASH{})
 	}
 	if err := nw.Drain(testTimeout); err != nil {
@@ -201,9 +201,7 @@ func TestChaosPartitionHeals(t *testing.T) {
 	defer nw.Close()
 	for i, v := range []int{5, 9, 1} {
 		seq.DeleteAndHeal(v, core.DASH{})
-		if err := nw.KillAsync(v).Wait(testTimeout); err != nil {
-			t.Fatal(err)
-		}
+		mustRun(t, nw, Op{Kind: OpKill, Victim: v})
 		assertStateEqual(t, i, nw, seq)
 	}
 }
@@ -244,10 +242,7 @@ func TestChaosLeaderCrashRecovery(t *testing.T) {
 			victim, deg = v, d
 		}
 	}
-	ep := nw.KillAsync(victim)
-	if err := ep.Wait(testTimeout); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, nw, Op{Kind: OpKill, Victim: victim})
 	if err := nw.Drain(testTimeout); err != nil {
 		t.Fatal(err)
 	}
@@ -275,9 +270,7 @@ func TestChaosLeaderCrashRecovery(t *testing.T) {
 		}
 	}
 	oracle.DeleteAndHeal(next, core.DASH{})
-	if err := nw.KillAsync(next).Wait(testTimeout); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, nw, Op{Kind: OpKill, Victim: next})
 	assertStateEqual(t, 1, nw, oracle)
 }
 
@@ -295,10 +288,7 @@ func TestChaosStandaloneCrash(t *testing.T) {
 	defer nw.Close()
 
 	victim := seq.G.AliveNodes()[0]
-	ep := nw.KillAsync(victim)
-	if err := ep.Wait(testTimeout); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, nw, Op{Kind: OpKill, Victim: victim})
 	if err := nw.Drain(testTimeout); err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +343,7 @@ func TestStallErrorFields(t *testing.T) {
 			victim, deg = v, d
 		}
 	}
-	ep := nw.KillAsync(victim)
+	ep := mustIssue(t, nw, Op{Kind: OpKill, Victim: victim})
 	err := ep.Wait(2 * time.Second)
 	if err == nil {
 		t.Fatal("expected stalled epoch")

@@ -17,6 +17,16 @@ import (
 	"repro/internal/rng"
 )
 
+// CheckBarabasiAlbert reports whether BarabasiAlbert(n, m) is defined:
+// it needs n >= 2 and 1 <= m < n, so that the seed clique of m+1 nodes
+// fits. Commands call it to refuse a bad size before generating.
+func CheckBarabasiAlbert(n, m int) error {
+	if n < 2 || m < 1 || m >= n {
+		return fmt.Errorf("gen: invalid BarabasiAlbert(n=%d, m=%d): need n ≥ 2 and 1 ≤ m < n", n, m)
+	}
+	return nil
+}
+
 // BarabasiAlbert generates a preferential-attachment graph with n nodes in
 // which every node added after the seed clique attaches m edges to
 // existing nodes chosen with probability proportional to their degree
@@ -24,10 +34,10 @@ import (
 // degree distribution). The first m+1 nodes form a clique so every early
 // node starts with positive degree. The result is always connected.
 //
-// It panics unless n >= 2 and 1 <= m < n.
+// It panics unless CheckBarabasiAlbert(n, m) passes.
 func BarabasiAlbert(n, m int, r *rng.RNG) *graph.Graph {
-	if n < 2 || m < 1 || m >= n {
-		panic(fmt.Sprintf("gen: invalid BarabasiAlbert(n=%d, m=%d)", n, m))
+	if err := CheckBarabasiAlbert(n, m); err != nil {
+		panic(err.Error())
 	}
 	seed := m + 1
 	// edges lists every edge as two endpoints, so it holds each node once

@@ -68,13 +68,21 @@ type ChaosReport struct {
 	Stats   dist.ChaosStats
 }
 
+// Validate reports a config ReplayChaosDifferential cannot run.
+func (cfg ChaosConfig) Validate() error {
+	if cfg.N < 8 || cfg.Ops < 1 {
+		return fmt.Errorf("scenario: chaos config needs N ≥ 8 and Ops ≥ 1")
+	}
+	return nil
+}
+
 // ReplayChaosDifferential runs cfg's workload against a chaos-transport
 // network and verifies the drained state against the sequential replay
 // of the network's effective-operation log at every window flush.
 func ReplayChaosDifferential(cfg ChaosConfig) (ChaosReport, error) {
 	var rep ChaosReport
-	if cfg.N < 8 || cfg.Ops < 1 {
-		return rep, fmt.Errorf("scenario: chaos config needs N ≥ 8 and Ops ≥ 1")
+	if err := cfg.Validate(); err != nil {
+		return rep, err
 	}
 	window := cfg.Window
 	if window <= 0 {
