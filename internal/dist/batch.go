@@ -1,28 +1,30 @@
 package dist
 
-// The distributed batch-kill protocol: footnote 1 of the paper
-// generalized to an actual message-passing epoch. A whole victim set
-// dies "at once" (between healing rounds); the survivors must heal every
-// connected cluster of the dead set as one super-deletion, computing
-// bit-for-bit the state core.DeleteBatchAndHeal produces.
+// The batch heal: footnote 1 of the paper generalized to a distributed
+// epoch. A whole victim set W dies "at once" (between healing rounds);
+// the survivors must heal every connected cluster of the dead set as one
+// super-deletion, computing bit-for-bit the state core.DeleteBatchAndHeal
+// produces. Two epochs run it: an OpBatch epoch, and the crash-recovery
+// epoch (recovery.go), which heals a crashed node plus an aborted kill's
+// victim as one batch.
 //
-// The epoch pipeline stages the batch on its own per-epoch quiescence
-// boundaries — each stage's messages have all been processed before the
-// next stage's are sent, without the rest of the network going quiet:
+// The supervisor stages the front half itself, from its topology mirror,
+// on the epoch's own quiescence boundaries — each stage's messages have
+// all been processed before the next stage's are sent, without the rest
+// of the network going quiet:
 //
-//  1. Die. Every victim learns the victim set and enters dying mode.
-//  2. Cluster probe. Victims flood the minimum victim index through
-//     victim-victim edges; each connected dead cluster converges on one
-//     root (the distributed analogue of core.ClusterDeletions, and the
-//     same per-cluster ordering key the sequential healer uses).
-//  3. Collect. Each victim convergecasts its surviving neighbors — the
-//     cluster's healing candidates, with initial IDs — to its root.
-//  4. Commit. Victims broadcast batch tombstones to survivors (who
-//     update topology and NoN state but, unlike a single-kill round,
-//     neither elect nor report); each root appoints the cluster's
-//     surviving leader — the lowest-initial-ID candidate — and hands it
-//     the candidate set. Victims then turn zombie and are stopped.
-//  5. Heal, one child epoch per cluster. Per cluster: the leader orders
+//  1. Die (OpBatch only). Every victim archives its counters and turns
+//     zombie: a black hole that drains the NoN gossip still addressed to
+//     it until it is stopped. Crashed nodes already are black holes.
+//  2. Notice. The supervisor sends msgCrashNotice tombstones to W's
+//     surviving mirror neighbors, who drop their edges to W and gossip
+//     the loss but, unlike a single-kill round, neither elect nor report.
+//  3. Lead and stop. deadClusters derives the dead clusters and their
+//     healing candidates on the pre-removal mirror (the supervisor-side
+//     core.ClusterDeletions); the supervisor appoints each cluster's
+//     leader, the lowest-initial-ID candidate, and sends it the candidate
+//     set, then stops the black holes.
+//  4. Heal, one child epoch per cluster. Per cluster: the leader orders
 //     a G′ component probe (a min-candidate-initial-ID relaxation
 //     flood, the structural equivalent of Gp.ComponentLabels — stale
 //     labels cannot tell apart the fragments a multi-node deletion
@@ -33,24 +35,138 @@ package dist
 //     chain in ascending root order — the order core.DeleteBatchAndHeal
 //     processes them, which matters because each cluster's heal changes
 //     the δs, labels, and G′ components the next cluster's heal
-//     observes. See pipeline.go.
+//     observes.
 //
 // Lemma 9 accounting matches the sequential engine's: each cluster's
 // MINID wave contributes its own depth to the flood sums, and the whole
 // epoch counts as one round.
 
+import "sort"
+
 // batchCluster is one dead cluster's supervisor-side record: its root
-// (smallest member index) and the surviving leader the root appointed.
+// (smallest member index) and the surviving leader appointed for it.
 type batchCluster struct {
 	root, leader int
 }
 
-// recordBatchCluster notes a cluster's elected leader under its batch
-// epoch; called by dying roots during the commit stage (like
-// recordFloodDepth, supervisor-side bookkeeping written from node
-// handlers under the network mutex).
-func (nw *Network) recordBatchCluster(epoch uint64, root, leader int) {
-	nw.mu.Lock()
-	nw.batchClusters[epoch] = append(nw.batchClusters[epoch], batchCluster{root, leader})
-	nw.mu.Unlock()
+// advanceBatch is the stage machine of an OpBatch epoch and of a
+// recovery epoch, which launches straight into the notice stage.
+func (pi *pipeline) advanceBatch(es *epochState) {
+	switch es.stage {
+	case "die":
+		pi.sendNotices(es)
+	case "notice":
+		pi.leadClusters(es)
+	case "lead":
+		pi.scheduleClusters(es)
+	}
+}
+
+// sendNotices sends tombstones for every member of W to its surviving
+// pre-removal mirror neighbors. The stage drains when every survivor
+// has dropped its edges to W and finished the resulting NoN gossip.
+func (pi *pipeline) sendNotices(es *epochState) {
+	es.stage = "notice"
+	type notice struct{ to, of int }
+	var notices []notice
+	for _, w := range es.batch {
+		for _, u32 := range pi.mirG.Neighbors(w) {
+			u := int(u32)
+			if _, dead := es.batchSet[u]; !dead {
+				notices = append(notices, notice{to: u, of: w})
+			}
+		}
+	}
+	// Per recipient, order notices about exited members of W (an aborted
+	// kill's victim) before notices about crashed ones. Dropping an edge
+	// to w makes the survivor gossip NoNRemove(w) to its remaining
+	// G-neighbors, and those may still include other members of W: the
+	// aborted epoch's death notice was discarded by the abort guard, so
+	// the edge to the kill victim can outlive it. Gossip to a crashed
+	// member lands in its black hole and drains; gossip to the exited
+	// victim would queue forever (it has retired, with no black
+	// hole). Removing the exited members' edges first makes them
+	// unreachable before any gossip fires. Supervisor sends are
+	// per-recipient FIFO, so this order is the processing order. (Only
+	// a recovery mixes the two: a batch's victims are all zombies.)
+	sort.Slice(notices, func(i, j int) bool {
+		if notices[i].to != notices[j].to {
+			return notices[i].to < notices[j].to
+		}
+		ci, cj := pi.crashed[notices[i].of], pi.crashed[notices[j].of]
+		if ci != cj {
+			return cj
+		}
+		return notices[i].of < notices[j].of
+	})
+	pi.stageSend(es, func() {
+		for _, nt := range notices {
+			pi.nw.send(nt.to, message{kind: msgCrashNotice, from: srcSupervisor, epoch: es.id, victim: nt.of})
+		}
+	})
+}
+
+// leadClusters runs once the survivors have processed every tombstone.
+// It derives W's dead clusters, appoints each one's leader — the lowest
+// candidate initial ID — as a child epoch in ascending root order, marks
+// W dead, drops it from the mirror, and sends each leader its candidate
+// set and each black hole its stop.
+func (pi *pipeline) leadClusters(es *epochState) {
+	roots, cands := pi.deadClusters(es)
+	led := make([]batchCluster, 0, len(roots))
+	for i, r := range roots {
+		if len(cands[i]) == 0 {
+			continue // no surviving candidate: nothing to heal
+		}
+		candIDs := make(map[int]uint64, len(cands[i]))
+		leader := -1
+		var best uint64
+		for _, u := range cands[i] {
+			id := pi.nw.initIDs[u]
+			candIDs[u] = id
+			if leader < 0 || id < best {
+				leader, best = u, id
+			}
+		}
+		// Child IDs are drawn in ascending root order.
+		es.clusters = append(es.clusters, &epochState{
+			id:         pi.nextEpoch,
+			kind:       epCluster,
+			parent:     es,
+			root:       r,
+			leader:     leader,
+			attach:     cands[i], // candidate set doubles as the region seed
+			attachInfo: candIDs,  // msgBatchLead's payload
+		})
+		pi.nextEpoch++
+		led = append(led, batchCluster{r, leader})
+	}
+	es.clustersLeft = len(es.clusters)
+	pi.nw.mu.Lock()
+	pi.nw.lastClusters = led
+	for _, w := range es.batch {
+		pi.nw.dead[w] = true
+	}
+	pi.nw.mu.Unlock()
+	for _, w := range es.batch {
+		pi.mirG.RemoveNode(w)
+		pi.mirGp.RemoveNode(w)
+	}
+	es.stage = "lead"
+	pi.stageSend(es, func() {
+		for _, child := range es.clusters {
+			pi.nw.send(child.leader, message{
+				kind: msgBatchLead, from: srcSupervisor, epoch: es.id,
+				victim: child.root, nonNbrs: child.attachInfo,
+			})
+		}
+		// Every frame the black holes will ever have to consume has
+		// drained. An aborted kill's victim is not sent a stop: it
+		// already retired at its msgDie.
+		for _, w := range es.batch {
+			if es.kind == epBatch || pi.crashed[w] {
+				pi.nw.send(w, message{kind: msgStop, from: srcSupervisor, epoch: es.id})
+			}
+		}
+	})
 }

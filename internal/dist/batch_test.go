@@ -143,10 +143,13 @@ func runBatchEquivalence(t *testing.T, kind HealerKind, n int, seed uint64) {
 	}
 }
 
-// TestBatchKillClusterMatchesCore pins the message-built clustering
-// against core.ClusterDeletions on the identical batch: the union-find
-// over deletion snapshots and the distributed min-index relaxation must
-// partition the dead set identically.
+// TestBatchKillClusterMatchesCore pins the supervisor's clustering and
+// leader appointment against core.ClusterDeletions on the identical
+// batch: the union-find over deletion snapshots and the union-find over
+// the supervisor's mirror must partition the dead set identically, and
+// each cluster's leader must be its lowest-initial-ID candidate. The
+// healed state does not depend on which node leads, so no state
+// differential would catch a wrong election.
 func TestBatchKillClusterMatchesCore(t *testing.T) {
 	const n, seed = 128, 11
 	master := rng.New(seed)
@@ -161,17 +164,28 @@ func TestBatchKillClusterMatchesCore(t *testing.T) {
 		batch := pickBatch(seq.G, 3+opR.Intn(10), opR)
 		// Core-side clustering from the deletion snapshots, on a clone so
 		// the shared run stays in lockstep.
-		wantRoots := coreClusters(seq.G, batch)
+		wantClusters := coreClusters(seq.G, batch)
 
 		seq.DeleteBatchAndHeal(batch)
 		mustRun(t, nw, Op{Kind: OpBatch, Batch: batch})
-		if len(nw.lastClusters) != len(wantRoots) {
+		if len(nw.lastClusters) != len(wantClusters) {
 			t.Fatalf("trial %d: protocol healed %d clusters, core built %d",
-				trial, len(nw.lastClusters), len(wantRoots))
+				trial, len(nw.lastClusters), len(wantClusters))
 		}
 		for _, c := range nw.lastClusters {
-			if _, ok := wantRoots[c.root]; !ok {
-				t.Fatalf("trial %d: protocol root %d not a core cluster root %v", trial, c.root, wantRoots)
+			cands, ok := wantClusters[c.root]
+			if !ok {
+				t.Fatalf("trial %d: protocol root %d not a core cluster root %v", trial, c.root, wantClusters)
+			}
+			lowest := -1
+			for v := range cands {
+				if lowest < 0 || seq.InitID(v) < seq.InitID(lowest) {
+					lowest = v
+				}
+			}
+			if c.leader != lowest {
+				t.Fatalf("trial %d: cluster %d led by %d, want the lowest-initial-ID candidate %d",
+					trial, c.root, c.leader, lowest)
 			}
 		}
 		assertStateEqual(t, trial, nw, seq)

@@ -57,13 +57,14 @@
 // every schedule converges to the sequential core result.
 //
 // Batch kills: an OpBatch is footnote 1 as a protocol — a whole
-// victim set dies in one supervisor-staged epoch (cluster probes through
-// the dead set, candidate convergecast to cluster roots, tombstones plus
-// leader handoff, then zombie; per cluster the leader drives a G′
-// component-probe relaxation flood, collects heal reports, wires
-// representatives as the batch-DASH binary tree, and MINID-floods),
-// bit-identical to core.DeleteBatchAndHeal. Disjoint clusters heal
-// concurrently under their own child epochs. See batch.go and README.md.
+// victim set dies in one supervisor-staged epoch (victims turn zombie,
+// the supervisor sends their surviving neighbors tombstones and appoints
+// each dead cluster's leader from its topology mirror; per cluster the
+// leader drives a G′ component-probe relaxation flood, collects heal
+// reports, wires representatives as the batch-DASH binary tree, and
+// MINID-floods), bit-identical to core.DeleteBatchAndHeal. Disjoint
+// clusters heal concurrently under their own child epochs. Crash
+// recovery runs the same batch heal. See batch.go and README.md.
 //
 // Churn: an OpJoin is the arrival-side operation (the distributed
 // counterpart of core.State.Join). The supervisor creates the newcomer's
@@ -154,7 +155,7 @@ type Network struct {
 	n         int
 	initIDs   []uint64 // immutable per slot; the supervisor's ID ledger
 	dead      []bool   // epoch completed: the kill of this node succeeded
-	exited    []bool   // the node has died (set by the node itself; a batch zombie drains on until msgStop)
+	exited    []bool   // the node has died (set by the node itself at msgDie or msgBatchDie; a batch zombie drains on until msgStop)
 	deadStats []finalStats
 	epochHops map[uint64]map[int]int // per-epoch adopters -> min hop distance
 	floodSum  int64
@@ -162,12 +163,10 @@ type Network struct {
 	rounds    int
 	closed    bool
 
-	// batchClusters collects, per batch epoch during its commit stage,
-	// each dead cluster's root and elected surviving leader (see
-	// batch.go). lastClusters snapshots the most recent batch epoch's
-	// records for the protocol-vs-union-find cross-check tests.
-	batchClusters map[uint64][]batchCluster
-	lastClusters  []batchCluster
+	// lastClusters records each dead cluster's root and appointed leader
+	// for the most recent batch heal (batch.go), for the cluster
+	// cross-check tests.
+	lastClusters []batchCluster
 }
 
 // NewKind spawns a distributed network over g that heals by kind. ids
@@ -220,15 +219,14 @@ func assemble(g *graph.Graph, ids []uint64, kind HealerKind) *Network {
 		panic(fmt.Sprintf("dist: %d ids for %d nodes", len(ids), n))
 	}
 	nw := &Network{
-		kind:          kind,
-		n:             n,
-		initIDs:       append([]uint64(nil), ids...),
-		track:         &tracker{},
-		dead:          make([]bool, n),
-		exited:        make([]bool, n),
-		deadStats:     make([]finalStats, n),
-		epochHops:     make(map[uint64]map[int]int),
-		batchClusters: make(map[uint64][]batchCluster),
+		kind:      kind,
+		n:         n,
+		initIDs:   append([]uint64(nil), ids...),
+		track:     &tracker{},
+		dead:      make([]bool, n),
+		exited:    make([]bool, n),
+		deadStats: make([]finalStats, n),
+		epochHops: make(map[uint64]map[int]int),
 	}
 	nodes := make([]*node, n)
 	// Bootstrap each actor's local state straight from the overlay: its
@@ -395,7 +393,7 @@ func (nw *Network) foldFloodDepth(epoch uint64) {
 	nw.mu.Unlock()
 }
 
-// storeFinal archives a dying node's counters and records that it has
+// storeFinal archives a retiring node's counters and records that it has
 // died, so Snapshot never waits on it — even when
 // the epoch that killed it subsequently failed its watchdog.
 func (nw *Network) storeFinal(v int, fs finalStats) {

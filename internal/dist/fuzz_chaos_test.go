@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -90,10 +91,11 @@ func runChaosCase(t *testing.T, opsData, sched, faults []byte) (ChaosStats, bool
 			op.NewID, op.InitID = slot, joinIDs.Next()
 		}
 		ep, err := nw.Issue(op)
-		if err != nil {
+		switch {
+		case errors.Is(err, ErrRefused): // a fault got to a target first
+		case err != nil:
 			t.Fatal(err)
-		}
-		if ep != nil {
+		default:
 			eps = append(eps, ep)
 			if op.Kind == OpJoin {
 				joinIDs.Use()

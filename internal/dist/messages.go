@@ -11,8 +11,8 @@ const (
 	// the supervisor originates during a healing round.
 	msgDie msgKind = iota
 
-	// msgDeathNotice is the dying node's tombstone, sent to each of its
-	// G neighbors. It carries no payload beyond the victim's identity:
+	// msgDeathNotice is a single-kill victim's tombstone, sent to each
+	// of its G neighbors. It carries no payload beyond the victim's identity:
 	// the survivors already hold the victim's neighborhood (with initial
 	// IDs) and its component label in their neighbor-of-neighbor tables,
 	// which is exactly the locality assumption of the paper's model.
@@ -70,52 +70,34 @@ const (
 	// channel. Instrumentation only; not counted as protocol traffic.
 	msgSnapshot
 
-	// msgStop retires a node actor for good (the recovery epoch stops
+	// msgStop retires a node actor for good (a batch heal stops
 	// crashed black holes and batch zombies with it).
 	msgStop
 
-	// Batch-kill epoch vocabulary (an OpBatch epoch): the footnote-1
-	// generalization where a whole victim set dies between healing
-	// rounds. The supervisor stages the epoch on quiescence boundaries;
-	// these messages carry the per-stage protocol. See batch.go.
+	// Batch-heal vocabulary (an OpBatch epoch, and the recovery epoch's
+	// shared tail). The supervisor stages the front half itself from
+	// its topology mirror: it orders the victims to die, sends the
+	// survivors msgCrashNotice tombstones, and appoints each dead
+	// cluster's leader with msgBatchLead. The per-cluster heal that
+	// follows is node-driven. See batch.go.
 
-	// msgBatchDie is the failure detector's batch order: enter dying
-	// mode. It carries the (shared, read-only) victim set so each victim
-	// can tell which neighbors are dying with it.
+	// msgBatchDie is the failure detector's batch order: archive your
+	// counters and turn zombie, a black hole that drains late NoN
+	// gossip until the supervisor's msgStop.
 	msgBatchDie
 
-	// msgBatchProbe starts the cluster probe: each victim announces its
-	// cluster-root guess (initially itself) to its dying neighbors.
-	msgBatchProbe
+	// msgCrashNotice (supervisor → a batch or crash victim's surviving
+	// neighbors) is the failure detector's tombstone for a node removed
+	// by a batch heal: like a death notice, but lenient (after a crash
+	// the neighbor may already have dropped the edge) and with no
+	// election or report — the supervisor appoints the cluster leaders
+	// itself from its topology mirror.
+	msgCrashNotice
 
-	// msgClusterProbe is the dead-set relaxation wave: victims flood the
-	// minimum victim index through victim-victim edges, so every member
-	// of a connected dead cluster converges on the same root — the
-	// distributed analogue of core.ClusterDeletions' union-find.
-	msgClusterProbe
-
-	// msgBatchCollect orders each victim to report its surviving
-	// neighbors (the cluster's healing candidates) to its cluster root.
-	msgBatchCollect
-
-	// msgClusterJoin is one victim's candidate contribution, convergecast
-	// to the cluster root, which accumulates the union.
-	msgClusterJoin
-
-	// msgBatchCommit is the final victim stage: broadcast batch
-	// tombstones to surviving neighbors, and (roots only) hand the
-	// accumulated candidate set to the elected surviving leader — the
-	// lowest-initial-ID candidate — then turn zombie.
-	msgBatchCommit
-
-	// msgBatchNotice is the batch tombstone: like msgDeathNotice, but the
-	// survivor neither elects a leader nor reports — the cluster root has
-	// already appointed the leader, which will solicit reports later.
-	msgBatchNotice
-
-	// msgBatchLead is the dying root's handoff to the surviving leader:
-	// the cluster's candidate set with initial IDs. The leader parks it
-	// until the supervisor starts the cluster's heal.
+	// msgBatchLead (supervisor → leader) appoints a dead cluster's
+	// surviving leader, the lowest-initial-ID candidate, and hands it the
+	// cluster's candidate set with initial IDs. The leader parks it until
+	// the supervisor starts the cluster's heal.
 	msgBatchLead
 
 	// msgBatchHealStart (supervisor → leader) opens one cluster's heal:
@@ -147,21 +129,14 @@ const (
 
 	// Crash-recovery vocabulary (recovery.go): when the chaos transport
 	// fail-stops a node mid-epoch, the supervisor — playing the failure
-	// detector — aborts the torn epoch and runs a recovery epoch over
-	// the crashed node plus the aborted epoch's victim.
+	// detector — aborts the torn epoch and runs a recovery epoch, a
+	// batch heal of the crashed node plus the aborted epoch's victim.
 
 	// msgEpochAbort (supervisor → aborted epoch's region) tears down one
 	// epoch's partial work: the receiver unwinds any healing edges it
 	// wired for the epoch's victim, discards leader scratch state, and
 	// ignores the epoch's remaining coordination traffic.
 	msgEpochAbort
-
-	// msgCrashNotice (supervisor → a crash victim's neighbors) is the
-	// failure detector's tombstone for a crashed node: like a death
-	// notice, but lenient (the neighbor may already have dropped the
-	// edge) and with no election or report — the supervisor appoints the
-	// recovery leaders itself from its topology mirror.
-	msgCrashNotice
 
 	// msgKindCount sizes per-kind counter arrays; keep it last.
 	msgKindCount
@@ -228,17 +203,11 @@ type message struct {
 	hops  int
 
 	// msgNoNAdd / msgNoNRemove payload: the neighbor the sender
-	// gained/lost. msgNoNFull uses nonNbrs instead. msgClusterJoin and
-	// msgBatchLead reuse nonNbrs for candidate sets.
+	// gained/lost. msgNoNFull uses nonNbrs instead; msgBatchLead reuses
+	// it for the candidate set.
 	nonPeer       int
 	nonPeerInitID uint64
 	nonNbrs       map[int]uint64
-
-	// msgBatchDie payload: the shared, read-only victim set.
-	batch map[int]struct{}
-
-	// msgClusterProbe payload: the sender's cluster-root guess.
-	root int
 
 	// msgSnapshot reply channel.
 	reply chan nodeSnap
@@ -276,18 +245,6 @@ func (k msgKind) String() string {
 		return "stop"
 	case msgBatchDie:
 		return "batch-die"
-	case msgBatchProbe:
-		return "batch-probe"
-	case msgClusterProbe:
-		return "cluster-probe"
-	case msgBatchCollect:
-		return "batch-collect"
-	case msgClusterJoin:
-		return "cluster-join"
-	case msgBatchCommit:
-		return "batch-commit"
-	case msgBatchNotice:
-		return "batch-notice"
 	case msgBatchLead:
 		return "batch-lead"
 	case msgBatchHealStart:

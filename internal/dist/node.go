@@ -18,11 +18,12 @@ type nbrInfo struct {
 }
 
 // healState is the leader's per-round scratchpad while it collects the
-// orphans' heal reports and, later, the attach acks. Batch-kill cluster
-// heals (keyed by the cluster root, a dead node index, so the keys never
+// orphans' heal reports and, later, the attach acks. Batch cluster heals
+// (keyed by the cluster root, a dead node index, so the keys never
 // collide with single-kill victims) reuse the same scratchpad: cands is
-// the candidate set handed over by the dying root, and compMin records
-// each candidate's G′ component minimum from the probe phase.
+// the candidate set the supervisor's msgBatchLead handed over, and
+// compMin records each candidate's G′ component minimum from the probe
+// phase.
 type healState struct {
 	victimCurID uint64
 	expect      map[int]struct{} // orphans that must report; nil until the
@@ -74,17 +75,11 @@ type node struct {
 	floodRound int
 	floodHops  int
 
-	// Batch-kill epoch state (victim side). A dying node stays live as a
-	// protocol participant through the staged epoch — cluster probe,
-	// candidate convergecast, commit — and then turns zombie: it keeps
-	// draining its mailbox (so late NoN gossip from survivors that had
-	// not yet processed every tombstone cannot wedge quiescence) but
-	// drops everything until the supervisor's msgStop.
-	dying     bool
-	zombie    bool
-	batchSet  map[int]struct{} // the epoch's victim set (shared, read-only)
-	batchRoot int              // smallest victim index in my dead cluster so far
-	batchCand map[int]uint64   // roots only: accumulated surviving candidates
+	// zombie marks a batch victim after msgBatchDie: it keeps draining
+	// its mailbox (so NoN gossip from survivors processing their
+	// tombstones cannot wedge quiescence) but drops everything until the
+	// supervisor's msgStop.
+	zombie bool
 
 	// G′ component-probe state (survivor side, one cluster at a time):
 	// the cluster root the probe belongs to and the smallest candidate
@@ -184,10 +179,10 @@ func (nd *node) handle(msg message) bool {
 		}
 	}
 	if nd.zombie {
-		// A committed batch victim: only late NoN gossip from survivors
-		// that had not yet processed every tombstone can still arrive
-		// (and the supervisor's msgStop). Anything else is a protocol
-		// bug worth failing loudly on.
+		// A batch victim: only NoN gossip from survivors processing
+		// their tombstones can still arrive (and the supervisor's
+		// msgStop). Anything else is a protocol bug worth failing
+		// loudly on.
 		switch msg.kind {
 		case msgStop:
 			return true
@@ -254,25 +249,12 @@ func (nd *node) handle(msg message) bool {
 	case msgSnapshot:
 		msg.reply <- nd.snapshot()
 	case msgBatchDie:
-		nd.dying = true
-		nd.batchSet = msg.batch
-		nd.batchRoot = nd.id
-	case msgBatchProbe:
-		nd.onBatchProbe()
-	case msgClusterProbe:
-		nd.onClusterProbe(msg.root)
-	case msgBatchCollect:
-		nd.onBatchCollect()
-	case msgClusterJoin:
-		nd.onClusterJoin(msg.nonNbrs)
-	case msgBatchCommit:
-		nd.onBatchCommit()
-	case msgBatchNotice:
-		nd.onBatchNotice(msg.victim)
+		nd.zombie = true
+		nd.nw.storeFinal(nd.id, finalStats{nd.msgSent, nd.coordMsgs, nd.nonMsgs})
 	case msgBatchLead:
 		hs := nd.healFor(msg.victim)
 		hs.batch = true
-		hs.cands = msg.nonNbrs // built by the dying root; never mutated again
+		hs.cands = msg.nonNbrs // built by the supervisor; never mutated again
 	case msgBatchHealStart:
 		nd.onBatchHealStart(msg.victim)
 	case msgCompProbeStart:
@@ -662,117 +644,23 @@ func (nd *node) onLabelFlood(victim int, label uint64, hops int) {
 	}
 }
 
-// --- Batch-kill epoch handlers (OpBatch; see batch.go) ---
+// --- Batch cluster-heal handlers (OpBatch and crash recovery; see batch.go) ---
 
-// onBatchProbe starts the cluster probe: announce my current root guess
-// to every neighbor that is dying with me. The minimum victim index
-// relaxes through the dead set exactly like core.ClusterDeletions'
-// union-find, so each connected dead cluster converges on one root.
-func (nd *node) onBatchProbe() {
-	if !nd.dying {
-		panic(fmt.Sprintf("dist: node %d got batch probe order without dying", nd.id))
-	}
-	for w := range nd.gNbrs {
-		if _, dead := nd.batchSet[w]; dead {
-			nd.coordMsgs++
-			nd.send(w, message{kind: msgClusterProbe, from: nd.id, root: nd.batchRoot})
-		}
-	}
-}
-
-// onClusterProbe relaxes the cluster-root guess and re-forwards on
-// improvement; the flood terminates because roots only ever shrink.
-func (nd *node) onClusterProbe(root int) {
-	if !nd.dying {
-		panic(fmt.Sprintf("dist: survivor %d got a cluster probe", nd.id))
-	}
-	if root >= nd.batchRoot {
+// onCrashNotice is the survivor side of a batch heal's tombstone: drop
+// the victim from the local topology and gossip the loss. Unlike
+// onDeathNotice it is lenient (after a crash the edge may already be
+// gone — the aborted epoch's death notice, when processed, removed it)
+// and there is no election or report: the supervisor appoints the
+// cluster leader, which solicits reports once the cluster's heal opens.
+func (nd *node) onCrashNotice(w int) {
+	if _, ok := nd.gNbrs[w]; !ok {
 		return
 	}
-	nd.batchRoot = root
-	for w := range nd.gNbrs {
-		if _, dead := nd.batchSet[w]; dead {
-			nd.coordMsgs++
-			nd.send(w, message{kind: msgClusterProbe, from: nd.id, root: root})
-		}
-	}
-}
-
-// onBatchCollect convergecasts this victim's surviving neighbors — the
-// cluster's healing candidates, with initial IDs from the local
-// adjacency — to the cluster root (possibly itself).
-func (nd *node) onBatchCollect() {
-	if !nd.dying {
-		panic(fmt.Sprintf("dist: node %d got batch collect without dying", nd.id))
-	}
-	cands := make(map[int]uint64)
-	for w, info := range nd.gNbrs {
-		if _, dead := nd.batchSet[w]; !dead {
-			cands[w] = info.initID
-		}
-	}
-	nd.coordMsgs++
-	nd.send(nd.batchRoot, message{kind: msgClusterJoin, from: nd.id, nonNbrs: cands})
-}
-
-// onClusterJoin (roots only) accumulates the cluster's candidate union.
-func (nd *node) onClusterJoin(cands map[int]uint64) {
-	if nd.batchCand == nil {
-		nd.batchCand = make(map[int]uint64)
-	}
-	for v, id := range cands {
-		nd.batchCand[v] = id
-	}
-}
-
-// onBatchCommit is the victim's last act: tombstones to every surviving
-// neighbor, and — when this victim is a cluster root with at least one
-// candidate — the leader handoff: the lowest-initial-ID candidate gets
-// the candidate set and will run the cluster's heal. Clusters whose
-// members have no survivors are simply not healed, matching the
-// sequential engine's empty-candidate skip. The node then turns zombie
-// and archives its counters.
-func (nd *node) onBatchCommit() {
-	if !nd.dying {
-		panic(fmt.Sprintf("dist: node %d got batch commit without dying", nd.id))
-	}
-	for w := range nd.gNbrs {
-		if _, dead := nd.batchSet[w]; dead {
-			continue
-		}
-		nd.coordMsgs++
-		nd.send(w, message{kind: msgBatchNotice, from: nd.id, victim: nd.id})
-	}
-	if nd.batchRoot == nd.id && len(nd.batchCand) > 0 {
-		leader := -1
-		var best uint64
-		for v, id := range nd.batchCand {
-			if leader < 0 || id < best {
-				leader, best = v, id
-			}
-		}
-		nd.nw.recordBatchCluster(nd.curEpoch, nd.id, leader)
-		nd.coordMsgs++
-		nd.send(leader, message{kind: msgBatchLead, from: nd.id, victim: nd.id, nonNbrs: nd.batchCand})
-	}
-	nd.zombie = true
-	nd.nw.storeFinal(nd.id, finalStats{nd.msgSent, nd.coordMsgs, nd.nonMsgs})
-}
-
-// onBatchNotice is the survivor side of a batch tombstone: drop the
-// victim from the local topology and gossip the loss. Unlike
-// onDeathNotice there is no election and no report — the dying root has
-// already appointed the cluster leader, which solicits reports once the
-// supervisor opens the cluster's heal.
-func (nd *node) onBatchNotice(x int) {
-	if _, ok := nd.gNbrs[x]; !ok {
-		panic(fmt.Sprintf("dist: node %d got batch notice for non-neighbor %d", nd.id, x))
-	}
-	delete(nd.gNbrs, x)
-	delete(nd.gpNbrs, x)
-	for w := range nd.gNbrs {
+	delete(nd.gNbrs, w)
+	delete(nd.gpNbrs, w)
+	for u := range nd.gNbrs {
 		nd.nonMsgs++
-		nd.send(w, message{kind: msgNoNRemove, from: nd.id, nonPeer: x})
+		nd.send(u, message{kind: msgNoNRemove, from: nd.id, nonPeer: w})
 	}
 }
 
@@ -900,23 +788,6 @@ func (nd *node) onEpochAbort(msg message) {
 	delete(nd.heals, x)
 	if len(nd.pendingHello) > 0 {
 		nd.pendingHello = make(map[int]map[int]uint64)
-	}
-}
-
-// onCrashNotice is the survivor side of a crashed node's tombstone:
-// like onDeathNotice but lenient (the edge may already be gone — the
-// aborted epoch's death notice, when processed, removed it) and with no
-// election or report, since the supervisor appoints the recovery
-// leaders itself.
-func (nd *node) onCrashNotice(w int) {
-	if _, ok := nd.gNbrs[w]; !ok {
-		return
-	}
-	delete(nd.gNbrs, w)
-	delete(nd.gpNbrs, w)
-	for u := range nd.gNbrs {
-		nd.nonMsgs++
-		nd.send(u, message{kind: msgNoNRemove, from: nd.id, nonPeer: w})
 	}
 }
 

@@ -9,6 +9,7 @@ package dist
 // Apply, not every driver.
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/rng"
@@ -55,31 +56,43 @@ func (op Op) String() string {
 	return fmt.Sprintf("op(%d)", uint8(op.Kind))
 }
 
+// ErrRefused is wrapped by the error Issue returns for an op naming a
+// victim or attach target that is out of range, dead, crashed, or doomed
+// by a pending epoch. A driver whose targets a fault may take first
+// skips such an op with errors.Is(err, ErrRefused).
+var ErrRefused = errors.New("refused")
+
 // Issue schedules op as a pipelined epoch and returns its handle at
 // once; Epoch.Wait blocks until the epoch completes. It is the one way
 // to change a network. A join's slot is allocated at issue, so slots
 // follow issue order, core's AddNode order, even while earlier epochs
-// drain. Issue refuses, returning a nil Epoch and no error, when a
-// victim or attach target is out of range, dead, crashed, or doomed by
-// a pending epoch. The check and the issue are atomic under the
-// scheduler lock, so a concurrent chaos crash cannot invalidate the
+// drain. Issue refuses an op naming a node that is out of range, dead,
+// crashed, or doomed by a pending epoch, returning a nil Epoch and an
+// error wrapping ErrRefused. The check and the issue are atomic under
+// the scheduler lock, so a concurrent chaos crash cannot invalidate the
 // choice between them — the race a fault-schedule driver must be
-// immune to. Issue fails when a join lands in a slot other than
-// op.NewID; that join has been issued.
+// immune to. Issue also fails when a join lands in a slot other than
+// op.NewID; that join has been issued, and its Epoch is returned.
 func (nw *Network) Issue(op Op) (*Epoch, error) {
+	var ep *Epoch
 	switch op.Kind {
 	case OpKill:
-		return nw.pipe.issueKill(op.Victim), nil
+		ep = nw.pipe.issueKill(op.Victim)
 	case OpJoin:
-		v, ep := nw.pipe.issueJoin(op.Attach, op.InitID)
+		var v int
+		v, ep = nw.pipe.issueJoin(op.Attach, op.InitID)
 		if ep != nil && v != op.NewID {
 			return ep, fmt.Errorf("dist: %v landed in slot %d", op, v)
 		}
-		return ep, nil
 	case OpBatch:
-		return nw.pipe.issueBatch(op.Batch), nil
+		ep = nw.pipe.issueBatch(op.Batch)
+	default:
+		return nil, fmt.Errorf("dist: cannot issue %v", op)
 	}
-	return nil, fmt.Errorf("dist: cannot issue %v", op)
+	if ep == nil {
+		return nil, fmt.Errorf("dist: %v: %w", op, ErrRefused)
+	}
+	return ep, nil
 }
 
 // JoinIDs hands out joiners' initial IDs in the order core.Join draws

@@ -53,12 +53,12 @@ package dist
 // ever into a dependency's region, so the frozen closure is a sound
 // over-approximation for every later conflict check.
 //
-// Batch epochs stage exactly as before (die → cluster probe → collect →
-// commit → stop), but each dead cluster's heal then runs under its own
-// child epoch: cluster regions (candidates plus their post-deletion G′
-// components, computed on the mirror) let disjoint clusters heal
-// concurrently, while intersecting clusters chain in ascending root
-// order — the sequential engine's order.
+// A batch epoch's front half is staged by the supervisor (die → notice →
+// lead and stop, batch.go), and each dead cluster's heal then runs under
+// its own child epoch: cluster regions (candidates plus their
+// post-deletion G′ components, computed on the mirror) let disjoint
+// clusters heal concurrently, while intersecting clusters chain in
+// ascending root order — the sequential engine's order.
 
 import (
 	"fmt"
@@ -588,24 +588,20 @@ func (pi *pipeline) launch(es *epochState) {
 			}
 		})
 	case epBatch:
-		// The die stage is separate from the probe stage so that no
-		// victim can receive a cluster probe before it has learned the
-		// victim set.
 		es.stage = "die"
-		pi.stageSend(es, func() { pi.broadcastBatch(es, msgBatchDie) })
+		pi.stageSend(es, func() {
+			for _, v := range es.batch {
+				pi.nw.send(v, message{kind: msgBatchDie, from: srcSupervisor, epoch: es.id})
+			}
+		})
 	case epCluster:
 		es.stage = fmt.Sprintf("probe[%d]", es.root)
 		pi.stageSend(es, func() {
 			pi.nw.send(es.leader, message{kind: msgBatchHealStart, from: srcSupervisor, epoch: es.id, victim: es.root})
 		})
 	case epRecover:
-		pi.launchRecover(es)
-	}
-}
-
-func (pi *pipeline) broadcastBatch(es *epochState, kind msgKind) {
-	for _, v := range es.batch {
-		pi.nw.send(v, message{kind: kind, from: srcSupervisor, epoch: es.id, batch: es.batchSet})
+		// The crashed black holes need no die order.
+		pi.sendNotices(es)
 	}
 }
 
@@ -637,12 +633,10 @@ func (pi *pipeline) advance(es *epochState) {
 		pi.completeKill(es)
 	case epJoin:
 		pi.completeJoin(es)
-	case epBatch:
+	case epBatch, epRecover:
 		pi.advanceBatch(es)
 	case epCluster:
 		pi.advanceCluster(es)
-	case epRecover:
-		pi.advanceRecover(es)
 	}
 }
 
@@ -681,38 +675,6 @@ func (pi *pipeline) applyAttach(epoch uint64) {
 		if !pi.mirGp.HasEdge(a, b) {
 			pi.mirGp.AddEdge(a, b)
 		}
-	}
-}
-
-func (pi *pipeline) advanceBatch(es *epochState) {
-	switch es.stage {
-	case "die":
-		es.stage = "cluster-probe"
-		pi.stageSend(es, func() { pi.broadcastBatch(es, msgBatchProbe) })
-	case "cluster-probe":
-		es.stage = "collect"
-		pi.stageSend(es, func() { pi.broadcastBatch(es, msgBatchCollect) })
-	case "collect":
-		es.stage = "commit"
-		pi.stageSend(es, func() { pi.broadcastBatch(es, msgBatchCommit) })
-	case "commit":
-		// Survivors have processed every tombstone. Mark the victims
-		// dead, derive the clusters (which needs the pre-removal
-		// mirror), drop the victims from the mirror, and reap zombies.
-		pi.prepareClusters(es)
-		pi.nw.mu.Lock()
-		for _, v := range es.batch {
-			pi.nw.dead[v] = true
-		}
-		pi.nw.mu.Unlock()
-		for _, v := range es.batch {
-			pi.mirG.RemoveNode(v)
-			pi.mirGp.RemoveNode(v)
-		}
-		es.stage = "stop"
-		pi.stageSend(es, func() { pi.broadcastBatch(es, msgStop) })
-	case "stop":
-		pi.scheduleClusters(es)
 	}
 }
 
@@ -781,45 +743,7 @@ func (pi *pipeline) deadClusters(es *epochState) (roots []int, cands [][]int) {
 	return roots, cands
 }
 
-// addCluster appends a child epoch that heals one dead cluster of es.
-// Child IDs are drawn in call order, so callers add clusters in
-// ascending root order.
-func (pi *pipeline) addCluster(es *epochState, root, leader int, cands []int, candIDs map[int]uint64) {
-	es.clusters = append(es.clusters, &epochState{
-		id:         pi.nextEpoch,
-		kind:       epCluster,
-		parent:     es,
-		root:       root,
-		leader:     leader,
-		attach:     cands,   // candidate set doubles as the region seed
-		attachInfo: candIDs, // payload for a supervisor-sent msgBatchLead
-	})
-	pi.nextEpoch++
-}
-
-// prepareClusters pairs each of the batch's dead clusters with the
-// surviving leader the protocol elected during the commit stage.
-func (pi *pipeline) prepareClusters(es *epochState) {
-	roots, cands := pi.deadClusters(es)
-	// Leaders recorded by the dying roots during commit.
-	pi.nw.mu.Lock()
-	recorded := pi.nw.batchClusters[es.id]
-	delete(pi.nw.batchClusters, es.id)
-	pi.nw.lastClusters = recorded
-	pi.nw.mu.Unlock()
-	leaders := make(map[int]int, len(recorded))
-	for _, c := range recorded {
-		leaders[c.root] = c.leader
-	}
-	for i, r := range roots {
-		if leader, ok := leaders[r]; ok { // none: no surviving candidate
-			pi.addCluster(es, r, leader, cands[i], nil)
-		}
-	}
-	es.clustersLeft = len(es.clusters)
-}
-
-// scheduleClusters runs after the zombies are reaped: compute each
+// scheduleClusters runs after the black holes are stopped: compute each
 // cluster's heal region on the post-removal mirror, chain intersecting
 // clusters in ascending root order (the sequential engine's order), and
 // launch every cluster with no unmet dependency — concurrently.

@@ -35,14 +35,15 @@ package dist
 //
 // # The recovery epoch R
 //
-// R is a supervisor-driven batch heal of W = {v} ∪ {E.victim if E was
-// aborted}: crash notices (lenient tombstones) to W's surviving mirror
-// neighbors, then cluster derivation on the pre-removal mirror with
-// supervisor-appointed leaders (lowest candidate initial ID — the same
-// rule the batch protocol's dying roots apply), then the existing
-// epCluster child machinery: component probe, report collection,
-// batch-DASH tree wiring, MINID flood. The sequential oracle for R is
-// exactly core.DeleteBatchAndHeal(W).
+// R is the batch heal of batch.go applied to W = {v} ∪ {E.victim if E
+// was aborted}, entered at its notice stage (the crashed node already is
+// a black hole, and the aborted kill's victim already retired): crash
+// notices (lenient tombstones) to W's surviving mirror neighbors, then
+// cluster derivation on the pre-removal mirror with supervisor-appointed
+// leaders (lowest candidate initial ID), then the epCluster child
+// machinery: component probe, report collection, batch-DASH tree
+// wiring, MINID flood. The sequential oracle for R is exactly
+// core.DeleteBatchAndHeal(W).
 //
 // # Why the effective-op log stays an oracle
 //
@@ -360,116 +361,4 @@ func (pi *pipeline) abortFinish(es *epochState) {
 			pi.launch(waiting)
 		}
 	}
-}
-
-// launchRecover opens the recovery epoch: lenient tombstones for every
-// member of W to its surviving pre-removal mirror neighbors. The stage
-// drains when every survivor has dropped its edges to W and finished
-// the resulting NoN gossip.
-func (pi *pipeline) launchRecover(es *epochState) {
-	es.stage = "notice"
-	type notice struct{ to, of int }
-	var notices []notice
-	for _, w := range es.batch {
-		for _, u32 := range pi.mirG.Neighbors(w) {
-			u := int(u32)
-			if _, dead := es.batchSet[u]; !dead {
-				notices = append(notices, notice{to: u, of: w})
-			}
-		}
-	}
-	// Per recipient, order notices about exited members of W (an aborted
-	// kill's victim) before notices about crashed ones. Dropping an edge
-	// to w makes the survivor gossip NoNRemove(w) to its remaining
-	// G-neighbors, and those may still include other members of W: the
-	// aborted epoch's death notice was discarded by the abort guard, so
-	// the edge to the kill victim can outlive it. Gossip to a crashed
-	// member lands in its black hole and drains; gossip to the exited
-	// victim would queue forever (it has retired, with no black
-	// hole). Removing the exited members' edges first makes them
-	// unreachable before any gossip fires. Supervisor sends are
-	// per-recipient FIFO, so this order is the processing order.
-	sort.Slice(notices, func(i, j int) bool {
-		if notices[i].to != notices[j].to {
-			return notices[i].to < notices[j].to
-		}
-		ci, cj := pi.crashed[notices[i].of], pi.crashed[notices[j].of]
-		if ci != cj {
-			return cj
-		}
-		return notices[i].of < notices[j].of
-	})
-	pi.stageSend(es, func() {
-		for _, nt := range notices {
-			pi.nw.send(nt.to, message{kind: msgCrashNotice, from: srcSupervisor, epoch: es.id, victim: nt.of})
-		}
-	})
-}
-
-// advanceRecover is the recovery epoch's stage machine.
-func (pi *pipeline) advanceRecover(es *epochState) {
-	switch es.stage {
-	case "notice":
-		// Survivors are consistent. Derive the dead clusters and their
-		// candidates from the pre-removal mirror (the supervisor-side
-		// analogue of core.ClusterDeletions), appoint each cluster's
-		// leader, then mark W dead and drop it from the mirror.
-		pi.prepareRecoveryClusters(es)
-		pi.nw.mu.Lock()
-		for _, w := range es.batch {
-			pi.nw.dead[w] = true
-		}
-		pi.nw.mu.Unlock()
-		for _, w := range es.batch {
-			pi.mirG.RemoveNode(w)
-			pi.mirGp.RemoveNode(w)
-		}
-		es.stage = "lead"
-		pi.stageSend(es, func() {
-			for _, child := range es.clusters {
-				// The supervisor plays the dying root: hand the leader
-				// its cluster's candidate set.
-				pi.nw.send(child.leader, message{
-					kind: msgBatchLead, from: srcSupervisor, epoch: es.id,
-					victim: child.root, nonNbrs: child.attachInfo,
-				})
-			}
-			// Stop the crashed black holes: every frame they will ever
-			// have to consume has drained. (An aborted kill's victim is
-			// not sent a stop — it already retired in die.)
-			for _, w := range es.batch {
-				if pi.crashed[w] {
-					pi.nw.send(w, message{kind: msgStop, from: srcSupervisor, epoch: es.id})
-				}
-			}
-		})
-	case "lead":
-		// Leaders are primed and zombie mailboxes drained: run each
-		// cluster's heal under the usual child-epoch machinery.
-		pi.scheduleClusters(es)
-	}
-}
-
-// prepareRecoveryClusters derives W's dead clusters and appoints each
-// one's leader: the lowest candidate initial ID, the batch protocol's
-// own election rule.
-func (pi *pipeline) prepareRecoveryClusters(es *epochState) {
-	roots, cands := pi.deadClusters(es)
-	for i, r := range roots {
-		if len(cands[i]) == 0 {
-			continue // no surviving candidate: nothing to heal
-		}
-		candIDs := make(map[int]uint64, len(cands[i]))
-		leader := -1
-		var best uint64
-		for _, u := range cands[i] {
-			id := pi.nw.initIDs[u]
-			candIDs[u] = id
-			if leader < 0 || id < best {
-				leader, best = u, id
-			}
-		}
-		pi.addCluster(es, r, leader, cands[i], candIDs)
-	}
-	es.clustersLeft = len(es.clusters)
 }

@@ -30,7 +30,6 @@ package dist
 // merges schedules that differ only in accounting.
 
 import (
-	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
@@ -230,13 +229,8 @@ func (e *stateEnc) message(m message) {
 	e.int(m.hops)
 	e.int(m.nonPeer)
 	e.u64(m.nonPeerInitID)
-	e.int(m.root)
 	e.report(m.report)
 	e.optIDMap(m.nonNbrs)
-	e.bool(m.batch != nil)
-	if m.batch != nil {
-		keys(e, m.batch)
-	}
 }
 
 // graph writes g's slot count, then per slot whether it is alive and,
@@ -281,10 +275,8 @@ func (nd *node) encodeState(e *stateEnc) {
 	e.int(nd.initDeg)
 	e.int(nd.floodRound)
 	e.int(nd.floodHops)
-	e.bool(nd.dying)
 	e.bool(nd.zombie)
 	e.bool(nd.crashed.Load())
-	e.int(nd.batchRoot)
 	e.int(nd.probeRoot)
 	e.u64(nd.probeBest)
 	e.u64s(sortedKeysU64(nd.abortedEpochs))
@@ -312,11 +304,6 @@ func (nd *node) encodeState(e *stateEnc) {
 		e.int(u)
 		e.idMap(nd.pendingHello[u])
 	}
-	e.bool(nd.batchSet != nil)
-	if nd.batchSet != nil {
-		keys(e, nd.batchSet)
-	}
-	e.optIDMap(nd.batchCand)
 	e.int(len(nd.heals))
 	for _, victim := range sortedKeys(nd.heals) {
 		hs := nd.heals[victim]
@@ -437,17 +424,6 @@ func (s *Sim) encodeState(e *stateEnc) {
 		for _, v := range sortedKeys(hops) {
 			e.int(v)
 			e.int(hops[v])
-		}
-	}
-	e.int(len(nw.batchClusters))
-	for _, ep := range sortedKeysU64(nw.batchClusters) {
-		cs := slices.Clone(nw.batchClusters[ep])
-		slices.SortFunc(cs, func(a, b batchCluster) int { return cmp.Compare(a.root, b.root) })
-		e.u64(ep)
-		e.int(len(cs))
-		for _, c := range cs {
-			e.int(c.root)
-			e.int(c.leader)
 		}
 	}
 	nw.mu.Unlock()

@@ -23,6 +23,7 @@ package scenario
 // concurrent runtime.
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -162,11 +163,12 @@ func ReplayChaosDifferential(cfg ChaosConfig) (ChaosReport, error) {
 			op = dist.Op{Kind: dist.OpKill, Victim: alive[vi]}
 		}
 		ep, err := nw.Issue(op)
-		if err != nil {
+		refused := errors.Is(err, dist.ErrRefused)
+		if err != nil && !refused {
 			return rep, fmt.Errorf("scenario: chaos op %d: %w", i+1, err)
 		}
 		switch {
-		case ep == nil:
+		case refused:
 			// A fault got to the target first.
 			rep.Skipped++
 		case join:

@@ -168,11 +168,7 @@ func replayDifferential(cfg Config, kind dist.HealerKind, window int, timeout ti
 	for {
 		more := run.step()
 		for _, op := range ops {
-			ep, err := nw.Issue(op)
-			if err == nil && ep == nil {
-				err = fmt.Errorf("network refused %v", op)
-			}
-			if err != nil {
+			if _, err := nw.Issue(op); err != nil {
 				return rep, fmt.Errorf("event %d: %w", run.res.Events, err)
 			}
 			inFlight++
