@@ -231,19 +231,20 @@ func runRounds(w io.Writer, seq *core.State, nw *dist.Network, healer core.Heale
 		fSum, fMax, rounds := nw.FloodStats()
 		flood := fmt.Sprintf("flood depth amortized=%s worst=%d",
 			stats.FormatFloat(float64(fSum)/float64(max(rounds, 1))), fMax)
-		if batch > 0 {
-			fmt.Fprintf(w, "epoch %4d: killed %3d (ball around %5d) alive=%5d connected=%v match=%v | %s\n",
-				round, len(op.Batch), x, snap.G.NumAlive(), snap.G.Connected(), match, flood)
-			continue
-		}
 		var label, coord, non int64
 		for v := range snap.MsgSent {
 			label += snap.MsgSent[v]
 			coord += snap.CoordMsgs[v]
 			non += snap.NoNMsgs[v]
 		}
-		fmt.Fprintf(w, "round %4d: alive=%4d connected=%v match=%v | label msgs=%d coord=%d NoN=%d | %s\n",
-			round, snap.G.NumAlive(), snap.G.Connected(), match, label, coord, non, flood)
+		msgs := fmt.Sprintf("label msgs=%d coord=%d NoN=%d", label, coord, non)
+		if batch > 0 {
+			fmt.Fprintf(w, "epoch %4d: killed %3d (ball around %5d) alive=%5d connected=%v match=%v | %s | %s\n",
+				round, len(op.Batch), x, snap.G.NumAlive(), snap.G.Connected(), match, msgs, flood)
+			continue
+		}
+		fmt.Fprintf(w, "round %4d: alive=%4d connected=%v match=%v | %s | %s\n",
+			round, snap.G.NumAlive(), snap.G.Connected(), match, msgs, flood)
 	}
 	return diverged, nil
 }

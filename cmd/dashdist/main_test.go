@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"flag"
 	"os"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -44,7 +45,9 @@ func newRoundsNet(t *testing.T, n int, seed uint64, kind dist.HealerKind) (*core
 
 // TestRunBatchMode drives the round loop in disaster mode end to end
 // on a small network: the distributed batch epochs must match the
-// sequential batch-DASH rule every round, all the way to an empty graph.
+// sequential batch-DASH rule every round, all the way to an empty graph,
+// and every status line must carry the message counters, coordination
+// traffic included.
 func TestRunBatchMode(t *testing.T) {
 	seq, nw, attR := newRoundsNet(t, 160, 9, dist.HealDASH)
 	var buf bytes.Buffer
@@ -54,8 +57,15 @@ func TestRunBatchMode(t *testing.T) {
 	if seq.G.NumAlive() != 0 {
 		t.Fatalf("MaxNode disaster loop should empty the graph, %d alive", seq.G.NumAlive())
 	}
-	if out := buf.String(); !strings.Contains(out, "epoch    4: killed  12") || strings.Contains(out, "label msgs") {
+	out := buf.String()
+	if !strings.Contains(out, "epoch    4: killed  12") {
 		t.Fatalf("expected disaster status lines, got:\n%s", out)
+	}
+	counts := regexp.MustCompile(`\| label msgs=\d+ coord=[1-9]\d* NoN=\d+ \|`)
+	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
+		if !counts.MatchString(line) {
+			t.Fatalf("status line without message counts: %q", line)
+		}
 	}
 }
 

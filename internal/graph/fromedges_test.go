@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"errors"
 	"slices"
 	"testing"
 
@@ -104,6 +105,43 @@ func TestFromEdgesPanics(t *testing.T) {
 			}()
 			FromEdges(c.n, c.edges)
 		}()
+	}
+}
+
+// TestTryFromEdgesNamesTheOffender pins which edge TryFromEdges blames:
+// the first edge failing the first check that fails, and for duplicates
+// the first edge repeating an earlier one, as AddEdge in list order
+// would find it.
+func TestTryFromEdgesNamesTheOffender(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		n      int
+		edges  []int32
+		edge   int
+		reason string
+	}{
+		{"endpoint past n", 4, []int32{0, 1, 1, 1, 2, 4}, 2, "node out of range"},
+		{"negative endpoint", 4, []int32{0, 1, -1, 2}, 1, "node out of range"},
+		{"self-loop", 4, []int32{0, 1, 2, 2, 3, 3}, 1, "self-loop"},
+		{"duplicate", 5, []int32{0, 1, 3, 4, 1, 2, 4, 3, 0, 1}, 3, "duplicate edge"},
+		{"reversed duplicate", 4, []int32{3, 1, 0, 2, 1, 3}, 2, "duplicate edge"},
+	} {
+		g, err := TryFromEdges(c.n, c.edges)
+		var ee *EdgeError
+		if g != nil || !errors.As(err, &ee) {
+			t.Errorf("%s: TryFromEdges = %v, %v; want an *EdgeError", c.name, g, err)
+			continue
+		}
+		if ee.Edge != c.edge || ee.Reason != c.reason ||
+			ee.U != c.edges[2*c.edge] || ee.V != c.edges[2*c.edge+1] {
+			t.Errorf("%s: %+v, want edge %d (%s)", c.name, *ee, c.edge, c.reason)
+		}
+	}
+	if _, err := TryFromEdges(4, []int32{0, 1, 2}); err == nil {
+		t.Error("odd-length list accepted")
+	}
+	if g, err := TryFromEdges(4, []int32{0, 1, 2, 3}); err != nil || g.NumEdges() != 2 {
+		t.Errorf("valid list: %v, %v", g, err)
 	}
 }
 

@@ -64,19 +64,49 @@ func New(n int) *Graph {
 // the rows in edge order and sorts only the rows that arrived unsorted,
 // so a list whose rows arrive ascending (as a BA graph's do) costs
 // no sort. It panics, as AddEdge does, on a self-loop, and also on an
-// out-of-range endpoint, an odd-length list or a duplicate edge.
+// out-of-range endpoint, an odd-length list or a duplicate edge:
+// wherever TryFromEdges returns an error.
 func FromEdges(n int, edges []int32) *Graph {
-	if len(edges)%2 != 0 {
-		panic(fmt.Sprintf("graph: FromEdges with %d endpoints, want pairs", len(edges)))
+	g, err := TryFromEdges(n, edges)
+	if err != nil {
+		panic(err.Error())
 	}
-	g := New(n)
+	return g
+}
+
+// EdgeError is TryFromEdges' error for a list it cannot build: edge
+// Edge, whose endpoints are U and V, is out of range, a self-loop or a
+// repeat of an earlier edge.
+type EdgeError struct {
+	Edge   int   // index of the offending edge in the list
+	U, V   int32 // its endpoints, in list order
+	Reason string
+}
+
+func (e *EdgeError) Error() string {
+	return fmt.Sprintf("graph: edge %d (%d-%d): %s", e.Edge, e.U, e.V, e.Reason)
+}
+
+// TryFromEdges is FromEdges returning an error where FromEdges panics,
+// for callers that build from untrusted lists. An odd-length list is a
+// plain error; any other fault is an *EdgeError naming one offending
+// edge. The checks run in three passes over the list, each reporting its
+// first offender: endpoints out of [0, n), then self-loops, then
+// duplicates, where the offender is the first edge that repeats an
+// earlier one (in either orientation), as the AddEdge that returns false
+// would be.
+func TryFromEdges(n int, edges []int32) (*Graph, error) {
+	if len(edges)%2 != 0 {
+		return nil, fmt.Errorf("graph: FromEdges with %d endpoints, want pairs", len(edges))
+	}
 	deg := make([]int32, n)
-	for _, x := range edges {
+	for i, x := range edges {
 		if x < 0 || int(x) >= n {
-			panic(fmt.Sprintf("graph: node %d is not alive", x))
+			return nil, edgeError(edges, i/2, "node out of range")
 		}
 		deg[x]++
 	}
+	g := New(n)
 	total := 0
 	for _, d := range deg {
 		total += rowCap(int(d))
@@ -88,21 +118,39 @@ func FromEdges(n int, edges []int32) *Graph {
 	for i := 0; i < len(edges); i += 2 {
 		u, v := edges[i], edges[i+1]
 		if u == v {
-			panic(fmt.Sprintf("graph: self-loop at %d", u))
+			return nil, edgeError(edges, i/2, "self-loop")
 		}
 		g.adj[u] = append(g.adj[u], v)
 		g.adj[v] = append(g.adj[v], u)
 	}
-	for v, row := range g.adj {
+	for _, row := range g.adj {
 		if !ascending(row) {
 			slices.Sort(row)
 			if !ascending(row) {
-				panic(fmt.Sprintf("graph: duplicate edge at node %d", v))
+				return nil, edgeError(edges, firstRepeat(edges), "duplicate edge")
 			}
 		}
 	}
 	g.nEdge = len(edges) / 2
-	return g
+	return g, nil
+}
+
+func edgeError(edges []int32, i int, reason string) *EdgeError {
+	return &EdgeError{Edge: i, U: edges[2*i], V: edges[2*i+1], Reason: reason}
+}
+
+// firstRepeat returns the index of the first edge in the list equal to
+// an earlier one, or -1. It is the slow path of a failed build only.
+func firstRepeat(edges []int32) int {
+	seen := make(map[[2]int32]bool, len(edges)/2)
+	for i := 0; i < len(edges); i += 2 {
+		e := [2]int32{min(edges[i], edges[i+1]), max(edges[i], edges[i+1])}
+		if seen[e] {
+			return i / 2
+		}
+		seen[e] = true
+	}
+	return -1
 }
 
 // window cuts the room for a packed row of degree d off the front of

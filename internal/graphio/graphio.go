@@ -8,6 +8,8 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"slices"
+	"strconv"
 	"strings"
 
 	"repro/internal/graph"
@@ -57,56 +59,80 @@ func sanitizeID(name string) string {
 // line per edge (u < v, sorted). Dead nodes are recorded as "dead <v>"
 // lines so the full alive/dead state round-trips.
 func WriteEdgeList(w io.Writer, g *graph.Graph) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "n %d\n", g.N())
+	lw := newLineWriter(w)
+	lw.putStr("n ")
+	lw.putInt(g.N())
+	lw.end()
 	for v := 0; v < g.N(); v++ {
 		if !g.Alive(v) {
-			fmt.Fprintf(bw, "dead %d\n", v)
+			lw.putStr("dead ")
+			lw.putInt(v)
+			lw.end()
 		}
 	}
-	for _, e := range g.Edges() {
-		fmt.Fprintf(bw, "%d %d\n", e[0], e[1])
-	}
-	return bw.Flush()
+	writeEdges(lw, "", g)
+	return lw.close()
 }
+
+// writeEdges writes one "<prefix>u v" record per edge of g, u < v, in
+// lexicographic order: each sorted row's neighbours above its own node.
+func writeEdges(lw *lineWriter, prefix string, g *graph.Graph) {
+	var head []byte
+	for u := 0; u < g.N(); u++ {
+		row := g.Neighbors(u)
+		i, _ := slices.BinarySearch(row, int32(u))
+		if i == len(row) {
+			continue
+		}
+		head = strconv.AppendInt(append(head[:0], prefix...), int64(u), 10)
+		head = append(head, ' ')
+		for _, v := range row[i:] {
+			lw.buf = append(lw.buf, head...)
+			lw.putInt(int(v))
+			lw.end()
+		}
+	}
+}
+
+// maxEdgeListNodes caps the node count an edge-list header may declare.
+const maxEdgeListNodes = 1 << 20
 
 // ReadEdgeList parses the format written by WriteEdgeList. The input is
 // treated as untrusted: every structural inconsistency — out-of-range or
 // self or duplicate edges, edges incident to a node declared dead,
 // duplicate dead declarations — is a line-numbered error rather than a
 // panic or a silent normalization, because a daemon restore endpoint must
-// be able to feed this parser adversarial bytes and stay up.
+// be able to feed this parser adversarial bytes and stay up. Every number
+// is a whole field, read as strconv.Atoi reads it. The header may declare
+// at most maxEdgeListNodes nodes, so a one-line "n 99999999999" cannot
+// exhaust memory.
 func ReadEdgeList(r io.Reader) (*graph.Graph, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<16), 1<<24)
+	lr := newLineReader(r)
 	var g *graph.Graph
-	line := 0
-	var dead map[int]bool
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
-		}
-		fields := strings.Fields(text)
-		switch {
-		case fields[0] == "n":
+	var dead []bool
+	for lr.next() {
+		line := lr.line
+		switch string(lr.f(0)) {
+		case "n":
 			if g != nil {
 				return nil, fmt.Errorf("graphio: line %d: duplicate header", line)
 			}
-			var n int
-			if _, err := fmt.Sscanf(text, "n %d", &n); err != nil || n < 0 || len(fields) != 2 {
-				return nil, fmt.Errorf("graphio: line %d: bad header %q", line, text)
+			n, ok := lr.atoi(1)
+			if !ok || n < 0 || lr.nf != 2 {
+				return nil, fmt.Errorf("graphio: line %d: bad header %q", line, lr.text())
+			}
+			if n > maxEdgeListNodes {
+				return nil, fmt.Errorf("graphio: line %d: header declares %d nodes, above the %d-node limit", line, n, maxEdgeListNodes)
 			}
 			g = graph.New(n)
-			dead = make(map[int]bool)
-		case fields[0] == "dead":
+			dead = make([]bool, n)
+		case "dead":
 			if g == nil {
 				return nil, fmt.Errorf("graphio: line %d: dead before header", line)
 			}
-			var v int
-			if _, err := fmt.Sscanf(text, "dead %d", &v); err != nil || len(fields) != 2 {
-				return nil, fmt.Errorf("graphio: line %d: bad dead line %q", line, text)
+			v, ok := lr.atoi(1)
+			if !ok || lr.nf != 2 {
+				return nil, fmt.Errorf("graphio: line %d: bad dead line %q", line, lr.text())
 			}
 			if v < 0 || v >= g.N() {
 				return nil, fmt.Errorf("graphio: line %d: dead node %d out of range [0,%d)", line, v, g.N())
@@ -123,9 +149,10 @@ func ReadEdgeList(r io.Reader) (*graph.Graph, error) {
 			if g == nil {
 				return nil, fmt.Errorf("graphio: line %d: edge before header", line)
 			}
-			var u, v int
-			if _, err := fmt.Sscanf(text, "%d %d", &u, &v); err != nil || len(fields) != 2 {
-				return nil, fmt.Errorf("graphio: line %d: bad edge %q", line, text)
+			u, ok1 := lr.atoi(0)
+			v, ok2 := lr.atoi(1)
+			if !ok1 || !ok2 || lr.nf != 2 {
+				return nil, fmt.Errorf("graphio: line %d: bad edge %q", line, lr.text())
 			}
 			if u < 0 || v < 0 || u >= g.N() || v >= g.N() || u == v {
 				return nil, fmt.Errorf("graphio: line %d: edge %d-%d out of range", line, u, v)
@@ -138,7 +165,7 @@ func ReadEdgeList(r io.Reader) (*graph.Graph, error) {
 			}
 		}
 	}
-	if err := sc.Err(); err != nil {
+	if err := lr.err(); err != nil {
 		return nil, fmt.Errorf("graphio: %w", err)
 	}
 	if g == nil {

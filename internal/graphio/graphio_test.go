@@ -1,6 +1,7 @@
 package graphio
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -91,11 +92,33 @@ func TestReadEdgeListErrors(t *testing.T) {
 		"n 3\ndead 9",       // dead out of range
 		"n -1",              // bad size
 		"n 3\nbad edge foo", // unparseable
+		"n 3x",              // numbers are whole fields: no trailing bytes,
+		"n 3\n0 2x",         // no hex, no underscores, no fractions
+		"n 3\n0x1 2",
+		"n 3\n0 1_0",
+		"n 3\n0 1.0",
+		"n 3\n+ 1",
 	}
 	for _, c := range cases {
 		if _, err := ReadEdgeList(strings.NewReader(c)); err == nil {
 			t.Errorf("input %q should fail", c)
 		}
+	}
+}
+
+func TestReadEdgeListNodeCap(t *testing.T) {
+	if _, err := ReadEdgeList(strings.NewReader("n 21999999900\n")); err == nil {
+		t.Fatal("allocation-bomb header accepted")
+	}
+	if _, err := ReadEdgeList(strings.NewReader(fmt.Sprintf("n %d\n", maxEdgeListNodes+1))); err == nil {
+		t.Fatal("header above the cap accepted")
+	}
+}
+
+func TestReadEdgeListSignedFields(t *testing.T) {
+	g, err := ReadEdgeList(strings.NewReader("n +3\n+0 2\n1 -0\n"))
+	if err != nil || g.N() != 3 || g.NumEdges() != 2 {
+		t.Fatalf("signed fields: %v, %v", g, err)
 	}
 }
 
