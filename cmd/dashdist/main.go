@@ -12,10 +12,10 @@
 // Without -batch a round's victim is the target alone, healed by a
 // single-kill epoch. With -batch k, each round is a correlated disaster
 // instead: a BFS ball of up to k alive nodes around the target dies at
-// once, healed by the distributed batch-kill epoch (tombstones and
-// per-cluster leaders from the supervisor, then per-cluster component
-// probe and wiring) and cross-checked against the sequential batch-DASH
-// rule (core.DeleteBatchAndHeal).
+// once, healed by the distributed batch-kill epoch (tombstones,
+// per-cluster leaders and representatives from the supervisor, then
+// per-cluster reports, wiring and flood) and cross-checked against the
+// sequential batch-DASH rule (core.DeleteBatchAndHeal).
 //
 // With -chaos, the transport turns hostile: frames are dropped,
 // duplicated, and delayed at the given rates, and nodes fail-stop at

@@ -46,39 +46,18 @@ func (s *State) DeleteBatchAndHeal(xs []int) HealResult {
 	var res HealResult
 	for _, cluster := range ClusterDeletions(dels) {
 		// Candidates: all surviving G neighbors of the cluster.
-		candSet := make(map[int]struct{})
+		var cands []int
 		for _, d := range cluster {
 			for _, v := range d.GNbrs {
 				if s.G.Alive(v) {
-					candSet[v] = struct{}{}
+					cands = append(cands, v)
 				}
 			}
 		}
-		if len(candSet) == 0 {
+		if len(cands) == 0 {
 			continue
 		}
-		cands := make([]int, 0, len(candSet))
-		for v := range candSet {
-			cands = append(cands, v)
-		}
-		slices.Sort(cands)
-		// One representative per current (post-deletion) G′ component,
-		// lowest initial ID first. Component identity must be computed
-		// structurally here: the stale labels cannot distinguish the
-		// fragments a multi-node deletion splits a tree into.
-		labels := s.Gp.ComponentLabels()
-		rep := make(map[int]int)
-		for _, v := range cands {
-			l := labels[v]
-			if cur, ok := rep[l]; !ok || s.initID[v] < s.initID[cur] {
-				rep[l] = v
-			}
-		}
-		rt := make([]int, 0, len(rep))
-		for _, v := range rep {
-			rt = append(rt, v)
-		}
-		slices.Sort(rt)
+		rt := s.comps.Representatives(s.Gp, cands, s.initID)
 		s.SortByDelta(rt)
 		added := s.WireBinaryTree(rt)
 		s.PropagateMinID(rt)
@@ -94,8 +73,9 @@ func (s *State) DeleteBatchAndHeal(xs []int) HealResult {
 // x and y are in one cluster when y ∈ N(x,G) at the moment the batch was
 // removed). Healing treats each cluster as one "super-deletion"; the
 // clusters come back ordered by smallest member index, which is also the
-// order the distributed batch-kill epoch heals them in (internal/dist
-// cross-checks its message-built clusters against this function).
+// order the distributed batch-kill epoch heals them in (internal/dist's
+// supervisor derives the same clusters from its topology mirror, and its
+// tests cross-check them against this function).
 func ClusterDeletions(dels []Deletion) [][]Deletion {
 	index := make(map[int]int, len(dels)) // node -> position in dels
 	for i, d := range dels {

@@ -39,28 +39,20 @@ func (OracleDASH) Heal(s *State, d Deletion) HealResult {
 // the deleted node is included (their components were just split apart by
 // the deletion, exactly as in Algorithm 1).
 func (s *State) OracleReconnectSet(d Deletion) []int {
-	labels := s.Gp.ComponentLabels()
-	gpSet := make(map[int]struct{}, len(d.GpNbrs))
-	for _, v := range d.GpNbrs {
-		gpSet[v] = struct{}{}
-	}
+	// Seeds: the G′ neighbors first, then every G neighbor; a G′
+	// neighbor's component index is its own position.
+	seeds := append(append([]int(nil), d.GpNbrs...), d.GNbrs...)
+	comp := s.comps.Components(s.Gp, seeds)
 	// Components already represented by a G′ neighbor must not get a
 	// second representative.
-	taken := make(map[int]struct{}, len(d.GpNbrs))
-	for _, v := range d.GpNbrs {
-		taken[labels[v]] = struct{}{}
-	}
-	rep := make(map[int]int)
-	for _, v := range d.GNbrs {
-		if _, isGp := gpSet[v]; isGp {
+	rep := make(map[int32]int)
+	for i, v := range seeds[len(d.GpNbrs):] {
+		c := comp[len(d.GpNbrs)+i]
+		if int(c) < len(d.GpNbrs) {
 			continue
 		}
-		l := labels[v]
-		if _, ok := taken[l]; ok {
-			continue
-		}
-		if cur, ok := rep[l]; !ok || s.initID[v] < s.initID[cur] {
-			rep[l] = v
+		if cur, ok := rep[c]; !ok || s.initID[v] < s.initID[cur] {
+			rep[c] = v
 		}
 	}
 	rt := make([]int, 0, len(rep)+len(d.GpNbrs))

@@ -44,14 +44,16 @@ func (SDASHFull) Heal(s *State, d Deletion) HealResult {
 		// An edge enters the healing forest G′ only when it merges two
 		// G′ components that are still separate; the rest are shortcuts
 		// recorded in G alone, so G′ stays a forest.
-		labels := s.Gp.ComponentLabels()
-		merged := map[int]struct{}{labels[w]: {}}
-		for _, u := range d.GNbrs {
+		seeds := append([]int{w}, d.GNbrs...)
+		comp := s.comps.Components(s.Gp, seeds)
+		merged := make([]bool, len(seeds)) // by component index
+		merged[0] = true
+		for i, u := range d.GNbrs {
 			if u == w {
 				continue
 			}
-			if _, same := merged[labels[u]]; !same {
-				merged[labels[u]] = struct{}{}
+			if c := comp[i+1]; !merged[c] {
+				merged[c] = true
 				if s.AddHealingEdge(w, u) {
 					res.Added = append(res.Added, [2]int{w, u})
 				}
@@ -64,7 +66,7 @@ func (SDASHFull) Heal(s *State, d Deletion) HealResult {
 		res.Surrogated = true
 		// Every neighbor now borders the merged component; flood from
 		// the full neighbor set so labels stay exact.
-		s.PropagateMinID(append([]int{w}, d.GNbrs...))
+		s.PropagateMinID(seeds)
 		return res
 	}
 	res.Added = s.WireBinaryTree(rt)

@@ -65,6 +65,12 @@ type State struct {
 	// reconnection-set member to a node that adopted the label.
 	floodDepthSum int64
 	maxFloodDepth int
+
+	// comps is the scratch of the structural component searches (the
+	// batch rule, OracleReconnectSet, SDASHFull's surrogate). A
+	// ShardedState's per-commit views share it, which is safe only
+	// because they run RegionLocal healers, and those never search.
+	comps graph.Region
 }
 
 // NewState wraps g (taking ownership) and assigns each node a distinct

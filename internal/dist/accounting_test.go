@@ -8,27 +8,28 @@ import (
 	"repro/internal/rng"
 )
 
-// TestBatchProbeMessageAccounting quantifies the batch epoch's G′
-// component-probe cost, the Lemma-8-style bound left open when the
-// batch protocol landed: per cluster, the probe is O(|G′ component|).
+// TestBatchMessageAccounting gates a batch epoch's node-sent traffic,
+// per message kind, against the cluster heals' reconnection sets: the
+// epoch's message bound beside Lemma 8's. The supervisor picks each
+// cluster's representatives from its mirror, so the node-driven part of
+// a cluster heal costs what a single kill's does, with RT the
+// cluster's representative set:
 //
-// The argument mirrors Lemma 8's charging scheme. Each candidate seeds
-// one msgCompProbeStart. A node forwards the relaxation wave only when
-// its known component minimum improves, which can happen at most once
-// per candidate in its component — so each node forwards at most k_c
-// times, and a forward costs its G′ degree in messages. Summing degree
-// over a component gives 2·E(component), hence per cluster:
+//	report requests = reports = |RT|
+//	attach orders = attach acks = 2·(|RT| − 1)
+//	flood messages ≤ |RT| · (1 + 2·E(U))
+//	label notifications ≤ Σ deg_G (one drop per adopter per wave)
 //
-//	probe messages ≤ k_c + k_c · 2·E(U_c)
-//
-// where k_c is the cluster's candidate count and U_c the union of the
-// G′ components its candidates occupy. The test measures the actual
-// per-kind message counters for one large batch epoch against that
-// bound computed from the sequential engine's final state (final G′
-// contains every intermediate topology the probes ran on, since heals
-// only add edges), and records the measured constants: in practice the
-// wave converges in near-sorted order and lands well under the bound.
-func TestBatchProbeMessageAccounting(t *testing.T) {
+// summed over the clusters with candidates. U is the G′ tree a cluster's
+// wave runs on; later waves only add edges, so the test bounds E(U) by
+// the most edges of any G′ component after the batch. The flood bound
+// is Lemma 8's charging: a hop tag is the G′ distance from the RT member
+// that started the path, so a node forwards at most once per RT member,
+// and a forward costs its G′ degree; the leader's opening sends add
+// |RT|. The notification bound is TestSingleKillNotifyAccounting's, once
+// per cluster wave. Anything else a node sends during a batch is NoN
+// gossip.
+func TestBatchMessageAccounting(t *testing.T) {
 	const n = 400
 	master := rng.New(77)
 	g := gen.BarabasiAlbert(n, 3, master.Split())
@@ -37,8 +38,8 @@ func TestBatchProbeMessageAccounting(t *testing.T) {
 	nw := NewKind(g.Clone(), ids, HealDASH)
 	defer nw.Close()
 
-	// Warm up with single kills so G′ grows real components for the
-	// probes to traverse.
+	// Warm up with single kills so G′ grows real components: candidates
+	// that share one must get one representative between them.
 	attR := master.Split()
 	for i := 0; i < 60; i++ {
 		alive := seq.G.AliveNodes()
@@ -47,65 +48,72 @@ func TestBatchProbeMessageAccounting(t *testing.T) {
 		mustRun(t, nw, Op{Kind: OpKill, Victim: x})
 	}
 
-	batch := pickBatch(seq.G, 16, attR)
-	// Per-cluster candidate sets from the pre-deletion state.
-	clusterCands := coreClusters(seq.G, batch)
+	counts := func() (c [msgKindCount]int64) {
+		for k := range c {
+			c[k] = nw.msgKindTotal(msgKind(k))
+		}
+		return c
+	}
+	var cands, reps int
+	for round := 0; round < 6; round++ {
+		batch := pickBatch(seq.G, 16, attR)
+		for _, cs := range coreClusters(seq.G, batch) {
+			cands += len(cs)
+		}
+		before := counts()
+		res := seq.DeleteBatchAndHeal(batch)
+		reps += res.RTSize
+		mustRun(t, nw, Op{Kind: OpBatch, Batch: batch})
+		after := counts()
+		sent := func(k msgKind) int64 { return after[k] - before[k] }
 
-	startBefore := nw.msgKindTotal(msgCompProbeStart)
-	probeBefore := nw.msgKindTotal(msgCompProbe)
-	seq.DeleteBatchAndHeal(batch)
-	mustRun(t, nw, Op{Kind: OpBatch, Batch: batch})
-	starts := nw.msgKindTotal(msgCompProbeStart) - startBefore
-	probes := nw.msgKindTotal(msgCompProbe) - probeBefore
-
-	assertStateEqual(t, 0, nw, seq)
-
-	// The bound, from the sequential engine's final G′ (a superset of
-	// every topology the probes actually ran on).
-	comp := seq.Gp.ComponentLabels()
-	compSize := make(map[int]int)
-	compEdges := make(map[int]int)
-	for _, v := range seq.Gp.AliveNodes() {
-		compSize[comp[v]]++
-		for _, u := range seq.Gp.Neighbors(v) {
-			if int(u) > v {
-				compEdges[comp[v]]++
+		rt, clusters := int64(res.RTSize), int64(len(nw.lastClusters))
+		if req, rep := sent(msgBatchReportReq), sent(msgBatchReport); req != rt || rep != rt {
+			t.Fatalf("round %d: %d report requests and %d reports, want |RT| = %d each", round, req, rep, rt)
+		}
+		wantWires := 2 * (rt - clusters)
+		if at, ack := sent(msgAttach), sent(msgAttachAck); at != wantWires || ack != wantWires {
+			t.Fatalf("round %d: %d attach orders and %d acks, want 2·(|RT| − clusters) = %d each", round, at, ack, wantWires)
+		}
+		var eMax, degSum int64
+		comp := seq.Gp.ComponentLabels()
+		compEdges := make(map[int]int64)
+		for _, v := range seq.G.AliveNodes() {
+			degSum += int64(seq.G.Degree(v))
+			for _, u := range seq.Gp.Neighbors(v) {
+				if int(u) > v {
+					compEdges[comp[v]]++
+				}
 			}
 		}
-	}
-	var bound, totalCands, totalCompNodes int64
-	for _, cands := range clusterCands {
-		touched := make(map[int]struct{})
-		for u := range cands {
-			if seq.Gp.Alive(u) {
-				touched[comp[u]] = struct{}{}
+		for _, e := range compEdges {
+			eMax = max(eMax, e)
+		}
+		if fl := sent(msgLabelFlood); fl > rt*(1+2*eMax) {
+			t.Fatalf("round %d: %d flood messages exceed |RT|·(1 + 2·E(U)) = %d", round, fl, rt*(1+2*eMax))
+		}
+		if nt := sent(msgLabelNotify); nt > clusters*degSum {
+			t.Fatalf("round %d: %d label notifications exceed clusters·Σdeg = %d", round, nt, clusters*degSum)
+		}
+		for k := msgKind(0); k < msgKindCount; k++ {
+			switch k {
+			case msgBatchReportReq, msgBatchReport, msgAttach, msgAttachAck,
+				msgLabelFlood, msgLabelNotify, msgNoNFull, msgNoNAdd, msgNoNRemove:
+			default:
+				if !supervisorOnlyKind(k) && sent(k) != 0 {
+					t.Fatalf("round %d: nodes sent %d %v messages in a batch epoch", round, sent(k), k)
+				}
 			}
 		}
-		k := int64(len(cands))
-		var uSize, uEdges int64
-		for c := range touched {
-			uSize += int64(compSize[c])
-			uEdges += int64(compEdges[c])
-		}
-		bound += k + k*2*uEdges
-		totalCands += k
-		totalCompNodes += uSize
+		assertStateEqual(t, round, nw, seq)
+		t.Logf("batch %d: %d clusters, |RT| %d: reports %d+%d, attach %d+%d, flood %d, notify %d, NoN %d",
+			round, clusters, rt, sent(msgBatchReportReq), sent(msgBatchReport), sent(msgAttach),
+			sent(msgAttachAck), sent(msgLabelFlood), sent(msgLabelNotify),
+			sent(msgNoNFull)+sent(msgNoNAdd)+sent(msgNoNRemove))
 	}
-
-	if starts+probes > bound {
-		t.Fatalf("probe traffic %d (starts=%d, forwards=%d) exceeds the O(k·|component|) bound %d",
-			starts+probes, starts, probes, bound)
+	if reps >= cands {
+		t.Fatalf("degenerate batches: %d representatives of %d candidates, so no two candidates shared a G′ component", reps, cands)
 	}
-	if totalCands == 0 || totalCompNodes == 0 {
-		t.Fatal("degenerate batch: no candidates or empty components; pick a different seed")
-	}
-	// Measured constants for the record: messages per candidate per
-	// component node, against the worst-case constant 2.
-	measured := float64(starts+probes) / float64(totalCands*totalCompNodes)
-	t.Logf("batch of %d victims, %d clusters: %d probe messages (%d starts + %d forwards)",
-		len(batch), len(clusterCands), starts+probes, starts, probes)
-	t.Logf("Σk=%d, Σ|U|=%d, bound=%d; measured constant %.3f msgs/(candidate·component-node) vs 2.0 worst case",
-		totalCands, totalCompNodes, bound, measured)
 }
 
 // TestSingleKillNotifyAccounting pins the original Lemma 8 quantity on

@@ -21,27 +21,51 @@ package dist
 //     the loss but, unlike a single-kill round, neither elect nor report.
 //  3. Lead and stop. deadClusters derives the dead clusters and their
 //     healing candidates on the pre-removal mirror (the supervisor-side
-//     core.ClusterDeletions); the supervisor appoints each cluster's
-//     leader, the lowest-initial-ID candidate, and sends it the candidate
-//     set, then stops the black holes.
-//  4. Heal, one child epoch per cluster. Per cluster: the leader orders
-//     a G′ component probe (a min-candidate-initial-ID relaxation
-//     flood, the structural equivalent of Gp.ComponentLabels — stale
-//     labels cannot tell apart the fragments a multi-node deletion
-//     splits a G′ tree into), then collects heal reports, wires one
-//     representative per component as DASH's complete binary tree, and
-//     floods MINID exactly as a single-kill round does. Clusters whose
-//     heal regions are disjoint run concurrently; intersecting clusters
-//     chain in ascending root order — the order core.DeleteBatchAndHeal
-//     processes them, which matters because each cluster's heal changes
-//     the δs, labels, and G′ components the next cluster's heal
-//     observes.
+//     core.ClusterDeletions) and appoints each cluster's leader, the
+//     lowest-initial-ID candidate; the supervisor then drops W from the
+//     mirror and stops the black holes.
+//  4. Heal, one child epoch per cluster. At the cluster's launch the
+//     supervisor picks its representatives on the mirror's G′ with
+//     graph.Region.Representatives, the rule core.DeleteBatchAndHeal
+//     calls (one lowest-initial-ID candidate per G′ component), and
+//     hands them to the leader with msgBatchHealStart. The leader
+//     collects their heal reports, wires them as DASH's complete binary
+//     tree, and floods MINID exactly as a single-kill round does.
+//     Clusters whose heal regions are disjoint run concurrently;
+//     intersecting clusters chain in ascending root order — the order
+//     core.DeleteBatchAndHeal processes them, which matters because each
+//     cluster's heal changes the δs, labels, and G′ components the next
+//     cluster's heal observes.
+//
+// Why the mirror's G′ is exact where the representatives are read. At a
+// cluster's launch the mirror holds every completed epoch (each applies
+// its attach orders as it completes) and no member of W: stage 3 removed
+// them after stage 2's tombstones, which made every survivor drop its G′
+// edges to W, had drained. An aborted kill's healing edges never reach
+// the mirror, and its abort unwinds them at the nodes before the
+// recovery epoch launches. So the mirror lacks only the edges of epochs
+// still running, and each of those is disjoint from the cluster's effective
+// region. A running sibling is, or the cluster would have chained behind
+// it. A running top-level epoch is disjoint from the batch's effective
+// region, or one of the two would wait for the other, and the batch's
+// region holds every cluster's (pipeline.go's frozen effective regions).
+// A running epoch wires only members of its own region, whose G′
+// components lie in that region, while the candidates' components at
+// launch — their components after the removal, merged by the siblings
+// the cluster chained behind — lie in the cluster's. So no running
+// epoch's edge touches a candidate's component, and the mirror's
+// components of the candidates are the nodes'. Picking at
+// scheduleClusters would miss the merges of those siblings, and picking
+// before stage 3's removal would join fragments through dead nodes.
 //
 // Lemma 9 accounting matches the sequential engine's: each cluster's
 // MINID wave contributes its own depth to the flood sums, and the whole
 // epoch counts as one round.
 
-import "sort"
+import (
+	"fmt"
+	"sort"
+)
 
 // batchCluster is one dead cluster's supervisor-side record: its root
 // (smallest member index) and the surviving leader appointed for it.
@@ -109,8 +133,7 @@ func (pi *pipeline) sendNotices(es *epochState) {
 // leadClusters runs once the survivors have processed every tombstone.
 // It derives W's dead clusters, appoints each one's leader — the lowest
 // candidate initial ID — as a child epoch in ascending root order, marks
-// W dead, drops it from the mirror, and sends each leader its candidate
-// set and each black hole its stop.
+// W dead, drops it from the mirror, and sends each black hole its stop.
 func (pi *pipeline) leadClusters(es *epochState) {
 	roots, cands := pi.deadClusters(es)
 	led := make([]batchCluster, 0, len(roots))
@@ -118,25 +141,20 @@ func (pi *pipeline) leadClusters(es *epochState) {
 		if len(cands[i]) == 0 {
 			continue // no surviving candidate: nothing to heal
 		}
-		candIDs := make(map[int]uint64, len(cands[i]))
-		leader := -1
-		var best uint64
-		for _, u := range cands[i] {
-			id := pi.nw.initIDs[u]
-			candIDs[u] = id
-			if leader < 0 || id < best {
-				leader, best = u, id
+		leader := cands[i][0]
+		for _, u := range cands[i][1:] {
+			if pi.nw.initIDs[u] < pi.nw.initIDs[leader] {
+				leader = u
 			}
 		}
 		// Child IDs are drawn in ascending root order.
 		es.clusters = append(es.clusters, &epochState{
-			id:         pi.nextEpoch,
-			kind:       epCluster,
-			parent:     es,
-			root:       r,
-			leader:     leader,
-			attach:     cands[i], // candidate set doubles as the region seed
-			attachInfo: candIDs,  // msgBatchLead's payload
+			id:     pi.nextEpoch,
+			kind:   epCluster,
+			parent: es,
+			root:   r,
+			leader: leader,
+			attach: cands[i], // candidate set doubles as the region seed
 		})
 		pi.nextEpoch++
 		led = append(led, batchCluster{r, leader})
@@ -154,12 +172,6 @@ func (pi *pipeline) leadClusters(es *epochState) {
 	}
 	es.stage = "lead"
 	pi.stageSend(es, func() {
-		for _, child := range es.clusters {
-			pi.nw.send(child.leader, message{
-				kind: msgBatchLead, from: srcSupervisor, epoch: es.id,
-				victim: child.root, nonNbrs: child.attachInfo,
-			})
-		}
 		// Every frame the black holes will ever have to consume has
 		// drained. An aborted kill's victim is not sent a stop: it
 		// already retired at its msgDie.
@@ -168,5 +180,22 @@ func (pi *pipeline) leadClusters(es *epochState) {
 				pi.nw.send(w, message{kind: msgStop, from: srcSupervisor, epoch: es.id})
 			}
 		}
+	})
+}
+
+// launchCluster opens one cluster's heal: it picks the representatives
+// on the mirror (see the header for why the mirror is exact here) and
+// hands them, with their initial IDs, to the cluster's leader.
+func (pi *pipeline) launchCluster(es *epochState) {
+	es.stage = fmt.Sprintf("heal[%d]", es.root)
+	reps := make(map[int]uint64)
+	for _, v := range pi.regionBuf.Representatives(pi.mirGp, es.attach, pi.nw.initIDs) {
+		reps[v] = pi.nw.initIDs[v]
+	}
+	pi.stageSend(es, func() {
+		pi.nw.send(es.leader, message{
+			kind: msgBatchHealStart, from: srcSupervisor, epoch: es.id,
+			victim: es.root, nonNbrs: reps,
+		})
 	})
 }

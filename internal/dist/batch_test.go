@@ -237,3 +237,86 @@ func TestBatchKillEdgeCases(t *testing.T) {
 		t.Fatalf("distributed rounds = %d, want 3", rounds)
 	}
 }
+
+// TestBatchChainedClusterRepresentatives runs one batch of two dead
+// clusters whose heals chain: the first cluster's wiring merges G′
+// components that the second cluster's candidates sit in, so the second
+// cluster has fewer representatives at its launch than right after the
+// removal. It also needs the victims' own G′ edges, so that the
+// pre-removal G′ gives the first cluster fewer representatives than the
+// post-removal one. Both preconditions are checked on the sequential
+// engine before the batch runs; the network must then send exactly one
+// report per representative core wires, and reach core's state. A
+// supervisor that picked the representatives when it scheduled the
+// clusters, or on a mirror still holding the victims, fails here.
+func TestBatchChainedClusterRepresentatives(t *testing.T) {
+	// setup draws a 20-node graph, five DASH kills and a pair of
+	// distinct, non-adjacent batch victims from seed.
+	setup := func(seed uint64) (g *graph.Graph, seq *core.State, kills, batch []int) {
+		master := rng.New(seed)
+		g = gen.BarabasiAlbert(20, 2, master.Split())
+		seq = core.NewState(g.Clone(), master.Split())
+		r := master.Split()
+		for i := 0; i < 5; i++ {
+			alive := seq.G.AliveNodes()
+			x := alive[r.Intn(len(alive))]
+			seq.DeleteAndHeal(x, core.DASH{})
+			kills = append(kills, x)
+		}
+		alive := seq.G.AliveNodes()
+		batch = []int{alive[r.Intn(len(alive))], alive[r.Intn(len(alive))]}
+		return g, seq, kills, batch
+	}
+	// repCounts gives, per dead cluster in core's order, the number of
+	// representatives on the G′ right after the removal and on the G′
+	// before it. It consumes seq.
+	repCounts := func(seq *core.State, batch []int) (post, pre []int) {
+		ids := InitIDs(seq)
+		before := seq.Gp.Clone()
+		var reg graph.Region
+		for _, cl := range core.ClusterDeletions(seq.RemoveBatch(batch)) {
+			var cands []int
+			for _, d := range cl {
+				for _, v := range d.GNbrs {
+					if seq.G.Alive(v) {
+						cands = append(cands, v)
+					}
+				}
+			}
+			post = append(post, len(reg.Representatives(seq.Gp, cands, ids)))
+			pre = append(pre, len(reg.Representatives(before, cands, ids)))
+		}
+		return post, pre
+	}
+
+	for seed := uint64(1); ; seed++ {
+		if seed > 5000 {
+			t.Fatal("no seed gives two chained clusters with both preconditions")
+		}
+		_, probe, _, batch := setup(seed)
+		if batch[0] == batch[1] || probe.G.HasEdge(batch[0], batch[1]) {
+			continue
+		}
+		post, pre := repCounts(probe, batch)
+		g, seq, kills, _ := setup(seed)
+		rt := seq.DeleteBatchAndHeal(batch).RTSize
+		if len(post) != 2 || post[0]+post[1] == rt || pre[0] == post[0] {
+			continue
+		}
+
+		nw := NewKind(g.Clone(), InitIDs(seq), HealDASH)
+		defer nw.Close()
+		for _, x := range kills {
+			mustRun(t, nw, Op{Kind: OpKill, Victim: x})
+		}
+		before := nw.msgKindTotal(msgBatchReport)
+		mustRun(t, nw, Op{Kind: OpBatch, Batch: batch})
+		if got := nw.msgKindTotal(msgBatchReport) - before; got != int64(rt) {
+			t.Fatalf("seed %d, batch %v: %d reports, want core's %d representatives (right after the removal: %v, before it: %v)",
+				seed, batch, got, rt, post, pre)
+		}
+		assertStateEqual(t, 0, nw, seq)
+		t.Logf("seed %d, batch %v: %d representatives; %v right after the removal, %v before it", seed, batch, rt, post, pre)
+		return
+	}
+}

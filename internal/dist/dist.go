@@ -58,11 +58,13 @@
 //
 // Batch kills: an OpBatch is footnote 1 as a protocol — a whole
 // victim set dies in one supervisor-staged epoch (victims turn zombie,
-// the supervisor sends their surviving neighbors tombstones and appoints
-// each dead cluster's leader from its topology mirror; per cluster the
-// leader drives a G′ component-probe relaxation flood, collects heal
-// reports, wires representatives as the batch-DASH binary tree, and
-// MINID-floods), bit-identical to core.DeleteBatchAndHeal. Disjoint
+// the supervisor sends their surviving neighbors tombstones and, from
+// its topology mirror, appoints each dead cluster's leader and picks its
+// representatives with graph.Region.Representatives, the rule
+// core.DeleteBatchAndHeal calls; per cluster the leader
+// collects the representatives' heal reports, wires them as the
+// batch-DASH binary tree, and MINID-floods), bit-identical to
+// core.DeleteBatchAndHeal. Disjoint
 // clusters heal concurrently under their own child epochs. Crash
 // recovery runs the same batch heal. See batch.go and README.md.
 //
@@ -148,7 +150,7 @@ type Network struct {
 	transport Transport
 
 	// msgKindSent counts sends per message kind (atomic), the
-	// instrumentation behind the Lemma-8-style probe accounting tests.
+	// instrumentation behind the Lemma-8-style accounting tests.
 	msgKindSent [msgKindCount]int64
 
 	mu        sync.Mutex
@@ -296,8 +298,8 @@ func (nw *Network) send(to int, msg message) {
 	nw.transport.deliver(to, msg)
 }
 
-// MsgKindSent reports how many messages of one kind the whole network
-// has sent so far (protocol instrumentation; used by the probe
+// msgKindTotal reports how many messages of one kind the whole network
+// has sent so far (protocol instrumentation; used by the message
 // accounting tests).
 func (nw *Network) msgKindTotal(kind msgKind) int64 {
 	return atomic.LoadInt64(&nw.msgKindSent[kind])

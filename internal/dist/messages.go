@@ -76,10 +76,11 @@ const (
 
 	// Batch-heal vocabulary (an OpBatch epoch, and the recovery epoch's
 	// shared tail). The supervisor stages the front half itself from
-	// its topology mirror: it orders the victims to die, sends the
-	// survivors msgCrashNotice tombstones, and appoints each dead
-	// cluster's leader with msgBatchLead. The per-cluster heal that
-	// follows is node-driven. See batch.go.
+	// its topology mirror: it orders the victims to die and sends the
+	// survivors msgCrashNotice tombstones. At each dead cluster's heal it
+	// picks the representatives from the mirror and hands them to the
+	// cluster's leader with msgBatchHealStart; the reports, wiring and
+	// flood that follow are node-driven. See batch.go.
 
 	// msgBatchDie is the failure detector's batch order: archive your
 	// counters and turn zombie, a black hole that drains late NoN
@@ -94,37 +95,18 @@ const (
 	// itself from its topology mirror.
 	msgCrashNotice
 
-	// msgBatchLead (supervisor → leader) appoints a dead cluster's
-	// surviving leader, the lowest-initial-ID candidate, and hands it the
-	// cluster's candidate set with initial IDs. The leader parks it until
-	// the supervisor starts the cluster's heal.
-	msgBatchLead
-
-	// msgBatchHealStart (supervisor → leader) opens one cluster's heal:
-	// the leader orders every candidate to probe its G′ component.
+	// msgBatchHealStart (supervisor → leader) opens one cluster's heal.
+	// It carries the cluster's representatives with their initial IDs
+	// (in nonNbrs): per G′ component of the candidates, the one with the
+	// lowest initial ID. The leader solicits their heal reports, then
+	// wires them as DASH's complete binary tree and floods MINID.
 	msgBatchHealStart
 
-	// msgCompProbeStart (leader → candidate) seeds the G′ component
-	// probe: the candidate floods its own initial ID through G′.
-	msgCompProbeStart
-
-	// msgCompProbe is the G′ relaxation wave: nodes forward the smallest
-	// candidate initial ID seen, so after quiescence every candidate
-	// knows the minimum candidate ID of its (post-deletion, structural)
-	// G′ component — exactly the representative rule that
-	// core.DeleteBatchAndHeal computes from Gp.ComponentLabels().
-	msgCompProbe
-
-	// msgBatchHealWire (supervisor → leader) follows probe quiescence:
-	// the leader solicits heal reports, then wires the representatives as
-	// DASH's complete binary tree and floods MINID.
-	msgBatchHealWire
-
-	// msgBatchReportReq (leader → candidate) solicits one heal report.
+	// msgBatchReportReq (leader → representative) solicits one heal
+	// report.
 	msgBatchReportReq
 
-	// msgBatchReport is a candidate's answer: its healReport plus the
-	// component minimum its probe converged on (in the label field).
+	// msgBatchReport is a representative's answer: its healReport.
 	msgBatchReport
 
 	// Crash-recovery vocabulary (recovery.go): when the chaos transport
@@ -203,8 +185,8 @@ type message struct {
 	hops  int
 
 	// msgNoNAdd / msgNoNRemove payload: the neighbor the sender
-	// gained/lost. msgNoNFull uses nonNbrs instead; msgBatchLead reuses
-	// it for the candidate set.
+	// gained/lost. msgNoNFull uses nonNbrs instead; msgBatchHealStart
+	// reuses it for the representatives.
 	nonPeer       int
 	nonPeerInitID uint64
 	nonNbrs       map[int]uint64
@@ -245,16 +227,8 @@ func (k msgKind) String() string {
 		return "stop"
 	case msgBatchDie:
 		return "batch-die"
-	case msgBatchLead:
-		return "batch-lead"
 	case msgBatchHealStart:
 		return "batch-heal-start"
-	case msgCompProbeStart:
-		return "comp-probe-start"
-	case msgCompProbe:
-		return "comp-probe"
-	case msgBatchHealWire:
-		return "batch-heal-wire"
 	case msgBatchReportReq:
 		return "batch-report-req"
 	case msgBatchReport:

@@ -66,7 +66,7 @@ func TestLeaderCrashExhaustive(t *testing.T) {
 		Crashes:      1,
 		CrashTargets: []int{1, 2}, // victim 0's orphans: leader + reporter
 	}
-	res := run(t, cfg, counts{States: 1251, Terminals: 18, CrashedTerminals: 17, Oracles: 3})
+	res := run(t, cfg, counts{States: 1173, Terminals: 18, CrashedTerminals: 17, Oracles: 3})
 	if res.CrashedTerminals == 0 {
 		t.Fatal("no terminal state crashed: the schedule space never exercised recovery")
 	}
@@ -94,7 +94,7 @@ func TestStandaloneCrashExhaustive(t *testing.T) {
 		Crashes:      1,
 		CrashTargets: []int{1}, // not in kill(5)'s region
 	}
-	res := run(t, cfg, counts{States: 167, Terminals: 2, CrashedTerminals: 1, Oracles: 2})
+	res := run(t, cfg, counts{States: 161, Terminals: 2, CrashedTerminals: 1, Oracles: 2})
 	if res.CrashedTerminals == 0 {
 		t.Fatal("no terminal state crashed")
 	}
@@ -122,7 +122,7 @@ func TestCrashNoticeOrderExhaustive(t *testing.T) {
 		Crashes:      1,
 		CrashTargets: []int{4}, // victim 5's orphan, with a smaller index
 	}
-	res := run(t, cfg, counts{States: 345, Terminals: 6, CrashedTerminals: 5, Oracles: 2})
+	res := run(t, cfg, counts{States: 325, Terminals: 6, CrashedTerminals: 5, Oracles: 2})
 	if res.CrashedTerminals == 0 {
 		t.Fatal("no terminal state crashed: the schedule space never exercised recovery")
 	}

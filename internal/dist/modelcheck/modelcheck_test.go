@@ -131,8 +131,9 @@ func TestSDASHSurrogateStar(t *testing.T) {
 // TestBatchKillOverlappingJoin is the second acceptance configuration:
 // one batch kill (a connected two-victim cluster) overlapping one join
 // attached to the far triangle. The batch epoch's stages — die,
-// tombstones, leader appointment and zombie stop, cluster heal —
-// interleave freely with the join's request/ack exchange. Every
+// tombstones, leader appointment and zombie stop, and the cluster heal
+// (representative reports, wiring, flood) — interleave freely with the
+// join's request/ack exchange. Every
 // schedule ends in one state: the victims turn zombie before any
 // tombstone goes out, so no NoN gossip reaches their state.
 func TestBatchKillOverlappingJoin(t *testing.T) {
@@ -145,7 +146,7 @@ func TestBatchKillOverlappingJoin(t *testing.T) {
 			{Kind: dist.OpJoin, Attach: []int{4, 5}},
 		},
 	}
-	run(t, cfg, counts{States: 2106, Terminals: 1, Oracles: 1})
+	run(t, cfg, counts{States: 1620, Terminals: 1, Oracles: 1})
 }
 
 // TestConflictingKillsSerialize kills both bridge endpoints: their

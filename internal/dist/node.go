@@ -20,10 +20,8 @@ type nbrInfo struct {
 // healState is the leader's per-round scratchpad while it collects the
 // orphans' heal reports and, later, the attach acks. Batch cluster heals
 // (keyed by the cluster root, a dead node index, so the keys never
-// collide with single-kill victims) reuse the same scratchpad: cands is
-// the candidate set the supervisor's msgBatchLead handed over, and
-// compMin records each candidate's G′ component minimum from the probe
-// phase.
+// collide with single-kill victims) reuse the same scratchpad: reps is
+// the representative set the supervisor's msgBatchHealStart handed over.
 type healState struct {
 	victimCurID uint64
 	expect      map[int]struct{} // orphans that must report; nil until the
@@ -33,9 +31,7 @@ type healState struct {
 	rt       []healReport // the sorted reconnection set, kept for the flood
 	wired    bool
 
-	batch   bool           // this round heals a batch cluster
-	cands   map[int]uint64 // batch: cluster candidates -> initial IDs
-	compMin map[int]uint64 // batch: candidate -> its component's min candidate initID
+	reps map[int]uint64 // batch: the cluster's representatives -> initial IDs
 }
 
 // node is one network participant: an actor owning all of its state,
@@ -81,12 +77,6 @@ type node struct {
 	// supervisor's msgStop.
 	zombie bool
 
-	// G′ component-probe state (survivor side, one cluster at a time):
-	// the cluster root the probe belongs to and the smallest candidate
-	// initial ID that has reached this node through G′.
-	probeRoot int
-	probeBest uint64
-
 	// Crash-fault state (recovery.go). crashed is set by the supervisor
 	// (from the chaos transport's delivery path, hence atomic): the node
 	// becomes a black hole that consumes messages — ticking the epoch
@@ -130,7 +120,6 @@ func newNode(nw *Network, v int, id uint64, deg int) *node {
 		pendingHello: make(map[int]map[int]uint64),
 		heals:        make(map[int]*healState),
 		floodRound:   -1,
-		probeRoot:    -1,
 	}
 }
 
@@ -251,22 +240,12 @@ func (nd *node) handle(msg message) bool {
 	case msgBatchDie:
 		nd.zombie = true
 		nd.nw.storeFinal(nd.id, finalStats{nd.msgSent, nd.coordMsgs, nd.nonMsgs})
-	case msgBatchLead:
-		hs := nd.healFor(msg.victim)
-		hs.batch = true
-		hs.cands = msg.nonNbrs // built by the supervisor; never mutated again
 	case msgBatchHealStart:
-		nd.onBatchHealStart(msg.victim)
-	case msgCompProbeStart:
-		nd.probeRelax(msg.victim, nd.initID)
-	case msgCompProbe:
-		nd.probeRelax(msg.victim, msg.label)
-	case msgBatchHealWire:
-		nd.onBatchHealWire(msg.victim)
+		nd.onBatchHealStart(msg.victim, msg.nonNbrs)
 	case msgBatchReportReq:
 		nd.onBatchReportReq(msg.victim, msg.from)
 	case msgBatchReport:
-		nd.onBatchReport(msg.victim, msg.report, msg.label)
+		nd.onBatchReport(msg.victim, msg.report)
 	case msgEpochAbort:
 		nd.onEpochAbort(msg)
 	case msgCrashNotice:
@@ -664,81 +643,42 @@ func (nd *node) onCrashNotice(w int) {
 	}
 }
 
-// onBatchHealStart opens this cluster's heal: order every candidate to
-// probe its G′ component with its own initial ID.
-func (nd *node) onBatchHealStart(root int) {
-	hs, ok := nd.heals[root]
-	if !ok || !hs.batch {
-		panic(fmt.Sprintf("dist: node %d asked to lead unknown batch cluster %d", nd.id, root))
-	}
-	for v := range hs.cands {
-		nd.coordMsgs++
-		nd.send(v, message{kind: msgCompProbeStart, from: nd.id, victim: root})
-	}
-}
-
-// probeRelax is the G′ component probe: keep (and re-forward) the
-// smallest candidate initial ID seen for the cluster's round. After
-// quiescence every candidate's probeBest is the minimum candidate ID of
-// its structural G′ component — candidates whose own ID equals it are
-// exactly the per-component representatives core.DeleteBatchAndHeal
-// picks from Gp.ComponentLabels().
-func (nd *node) probeRelax(root int, id uint64) {
-	if nd.probeRoot != root {
-		nd.probeRoot, nd.probeBest = root, id
-	} else if id < nd.probeBest {
-		nd.probeBest = id
-	} else {
-		return
-	}
-	for w := range nd.gpNbrs {
-		nd.coordMsgs++
-		nd.send(w, message{kind: msgCompProbe, from: nd.id, victim: root, label: nd.probeBest})
-	}
-}
-
-// onBatchHealWire solicits every candidate's heal report now that the
-// component probes have quiesced.
-func (nd *node) onBatchHealWire(root int) {
-	hs := nd.heals[root]
-	hs.compMin = make(map[int]uint64, len(hs.cands))
-	for v := range hs.cands {
+// onBatchHealStart opens this cluster's heal: solicit a heal report
+// from every representative the supervisor picked.
+func (nd *node) onBatchHealStart(root int, reps map[int]uint64) {
+	hs := nd.healFor(root)
+	hs.reps = reps // built by the supervisor; never mutated again
+	for v := range reps {
 		nd.coordMsgs++
 		nd.send(v, message{kind: msgBatchReportReq, from: nd.id, victim: root})
 	}
 }
 
-// onBatchReportReq answers the leader with this candidate's heal report
-// and the component minimum its probe converged on.
+// onBatchReportReq answers the leader with this representative's heal
+// report.
 func (nd *node) onBatchReportReq(root, leader int) {
-	if nd.probeRoot != root {
-		panic(fmt.Sprintf("dist: node %d reporting for cluster %d but probed %d", nd.id, root, nd.probeRoot))
-	}
 	nd.coordMsgs++
 	nd.send(leader, message{
-		kind: msgBatchReport, from: nd.id, victim: root, label: nd.probeBest,
+		kind: msgBatchReport, from: nd.id, victim: root,
 		report: healReport{from: nd.id, initID: nd.initID, curID: nd.curID, delta: nd.delta()},
 	})
 }
 
-// onBatchReport collects one candidate report; once all are in, the
-// leader wires the representatives. Batch clusters always use DASH's
-// complete binary tree — core.DeleteBatchAndHeal applies the batch-DASH
-// rule regardless of which healer handles single deletions — so this
-// path ignores the network's HealerKind.
-func (nd *node) onBatchReport(root int, rep healReport, compMin uint64) {
+// onBatchReport collects one representative's report; once all are in,
+// the leader wires them. Batch clusters always use DASH's complete
+// binary tree — core.DeleteBatchAndHeal applies the batch-DASH rule
+// regardless of which healer handles single deletions — so this path
+// ignores the network's HealerKind.
+func (nd *node) onBatchReport(root int, rep healReport) {
 	hs := nd.heals[root]
 	hs.reports[rep.from] = rep
-	hs.compMin[rep.from] = compMin
-	if hs.wired || len(hs.reports) < len(hs.cands) {
+	if hs.wired || len(hs.reports) < len(hs.reps) {
 		return
 	}
 	hs.wired = true
-	var rt []healReport
-	for v, r := range hs.reports {
-		if hs.compMin[v] == r.initID {
-			rt = append(rt, r)
-		}
+	rt := make([]healReport, 0, len(hs.reports))
+	for _, r := range hs.reports {
+		rt = append(rt, r)
 	}
 	sortByDeltaID(rt)
 	hs.rt = rt

@@ -218,7 +218,7 @@ type pipeline struct {
 	// exactly the sequential engine's state at the same prefix of the
 	// issue order, which is what makes region computations sound.
 	mirG, mirGp *graph.Graph
-	regionBuf   graph.Region // growRegion's scratch
+	regionBuf   graph.Region // growRegion's and launchCluster's scratch
 
 	// releases holds supervisor counter holds to drop once the current
 	// caller leaves the lock; flushing marks a flush loop in progress.
@@ -595,10 +595,7 @@ func (pi *pipeline) launch(es *epochState) {
 			}
 		})
 	case epCluster:
-		es.stage = fmt.Sprintf("probe[%d]", es.root)
-		pi.stageSend(es, func() {
-			pi.nw.send(es.leader, message{kind: msgBatchHealStart, from: srcSupervisor, epoch: es.id, victim: es.root})
-		})
+		pi.launchCluster(es)
 	case epRecover:
 		// The crashed black holes need no die order.
 		pi.sendNotices(es)
@@ -768,35 +765,28 @@ func (pi *pipeline) scheduleClusters(es *epochState) {
 	}
 }
 
+// advanceCluster completes a cluster once its heal has drained.
 func (pi *pipeline) advanceCluster(es *epochState) {
-	switch {
-	case strings.HasPrefix(es.stage, "probe"):
-		es.stage = fmt.Sprintf("wire[%d]", es.root)
-		pi.stageSend(es, func() {
-			pi.nw.send(es.leader, message{kind: msgBatchHealWire, from: srcSupervisor, epoch: es.id, victim: es.root})
-		})
-	default: // wire stage drained: the cluster is healed
-		// Per-cluster Lemma 9 accounting, mirroring the sequential
-		// engine's one PropagateMinID call per cluster.
-		pi.nw.foldFloodDepth(es.id)
-		pi.applyAttach(es.id)
-		es.completed = true
-		delete(pi.epochs, es.id)
-		pi.nw.track.release(es.id)
-		parent := es.parent
-		parent.clustersLeft--
-		for _, sib := range parent.clusters {
-			if sib.launched || sib.completed {
-				continue
-			}
-			delete(sib.deps, es.id)
-			if len(sib.deps) == 0 {
-				pi.launch(sib)
-			}
+	// Per-cluster Lemma 9 accounting, mirroring the sequential engine's
+	// one PropagateMinID call per cluster.
+	pi.nw.foldFloodDepth(es.id)
+	pi.applyAttach(es.id)
+	es.completed = true
+	delete(pi.epochs, es.id)
+	pi.nw.track.release(es.id)
+	parent := es.parent
+	parent.clustersLeft--
+	for _, sib := range parent.clusters {
+		if sib.launched || sib.completed {
+			continue
 		}
-		if parent.clustersLeft == 0 {
-			pi.completeBatch(parent)
+		delete(sib.deps, es.id)
+		if len(sib.deps) == 0 {
+			pi.launch(sib)
 		}
+	}
+	if parent.clustersLeft == 0 {
+		pi.completeBatch(parent)
 	}
 }
 

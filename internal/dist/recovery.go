@@ -41,8 +41,8 @@ package dist
 // notices (lenient tombstones) to W's surviving mirror neighbors, then
 // cluster derivation on the pre-removal mirror with supervisor-appointed
 // leaders (lowest candidate initial ID), then the epCluster child
-// machinery: component probe, report collection, batch-DASH tree
-// wiring, MINID flood. The sequential oracle for R is exactly
+// machinery: supervisor-picked representatives, report collection,
+// batch-DASH tree wiring, MINID flood. The sequential oracle for R is exactly
 // core.DeleteBatchAndHeal(W).
 //
 // # Why the effective-op log stays an oracle

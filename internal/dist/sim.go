@@ -277,8 +277,6 @@ func (nd *node) encodeState(e *stateEnc) {
 	e.int(nd.floodHops)
 	e.bool(nd.zombie)
 	e.bool(nd.crashed.Load())
-	e.int(nd.probeRoot)
-	e.u64(nd.probeBest)
 	e.u64s(sortedKeysU64(nd.abortedEpochs))
 	e.int(len(nd.roundWires))
 	for _, victim := range sortedKeys(nd.roundWires) {
@@ -311,7 +309,6 @@ func (nd *node) encodeState(e *stateEnc) {
 		e.u64(hs.victimCurID)
 		e.int(hs.acksLeft)
 		e.bool(hs.wired)
-		e.bool(hs.batch)
 		e.bool(hs.expect != nil)
 		if hs.expect != nil {
 			keys(e, hs.expect)
@@ -324,8 +321,7 @@ func (nd *node) encodeState(e *stateEnc) {
 		for _, r := range hs.rt {
 			e.report(r)
 		}
-		e.optIDMap(hs.cands)
-		e.optIDMap(hs.compMin)
+		e.optIDMap(hs.reps)
 	}
 	// Mailbox as channels: per sender in FIFO order. The cross-sender
 	// arrival order in the backing queue is scheduling noise (handlers

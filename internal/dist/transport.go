@@ -85,8 +85,7 @@ func outOfBand(msg message) bool {
 func supervisorOnlyKind(k msgKind) bool {
 	switch k {
 	case msgDie, msgStop, msgSnapshot, msgJoinReq,
-		msgBatchDie, msgBatchLead, msgBatchHealStart, msgBatchHealWire,
-		msgEpochAbort, msgCrashNotice:
+		msgBatchDie, msgBatchHealStart, msgEpochAbort, msgCrashNotice:
 		return true
 	}
 	return false

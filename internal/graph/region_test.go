@@ -1,8 +1,12 @@
 package graph
 
 import (
+	"maps"
+	"math"
 	"slices"
 	"testing"
+
+	"repro/internal/rng"
 )
 
 // healedRing returns G and G′ for a 12-ring after DASH healed the kill
@@ -98,4 +102,126 @@ func TestRegionGrow(t *testing.T) {
 			t.Fatalf("region %v, want [12]: stale marks or nodes leaked", got)
 		}
 	})
+}
+
+// TestComponentsMatchesLabels holds Region.Components to ComponentLabels
+// on random forests with dead nodes, dead seeds and duplicate seeds:
+// each seed must get the index of the first seed in its component, and
+// the search must visit exactly the union of the seeds' components.
+func TestComponentsMatchesLabels(t *testing.T) {
+	r := rng.New(5)
+	var reg Region
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + r.Intn(80)
+		gp := New(n)
+		for v := 1; v < n; v++ {
+			if r.Intn(4) != 0 {
+				gp.AddEdge(v, r.Intn(v))
+			}
+		}
+		for k := r.Intn(n/4 + 1); k > 0; k-- {
+			if v := r.Intn(n); gp.Alive(v) {
+				gp.RemoveNode(v)
+			}
+		}
+		seeds := make([]int, r.Intn(12))
+		for i := range seeds {
+			seeds[i] = r.Intn(n)
+		}
+		if len(seeds) > 1 && r.Intn(2) == 0 {
+			seeds[len(seeds)-1] = seeds[r.Intn(len(seeds)-1)]
+		}
+		if trial%50 == 0 {
+			reg.epoch = math.MaxUint32 - uint32(r.Intn(len(seeds)+1)) // force the stamp wrap
+		}
+
+		comp := reg.Components(gp, seeds)
+		labels := gp.ComponentLabels()
+		same := func(a, b int) bool {
+			if !gp.Alive(a) || !gp.Alive(b) {
+				return a == b
+			}
+			return labels[a] == labels[b]
+		}
+		want := make(map[int]bool)
+		for i, s := range seeds {
+			first := i
+			for j := 0; j < i; j++ {
+				if same(seeds[j], s) {
+					first = j
+					break
+				}
+			}
+			if int(comp[i]) != first {
+				t.Fatalf("trial %d: seed %d (node %d) in component %d, want %d (seeds %v)", trial, i, s, comp[i], first, seeds)
+			}
+			for v := 0; v < n; v++ {
+				if v == s || same(v, s) && gp.Alive(s) {
+					want[v] = true
+				}
+			}
+		}
+		got := make(map[int]bool, len(reg.Nodes))
+		for _, v := range reg.Nodes {
+			if got[int(v)] {
+				t.Fatalf("trial %d: node %d visited twice", trial, v)
+			}
+			got[int(v)] = true
+		}
+		if !maps.Equal(got, want) {
+			t.Fatalf("trial %d: visited %v, want the seeds' components %v", trial, sortedNodes(&reg), slices.Sorted(maps.Keys(want)))
+		}
+	}
+}
+
+// labelsRule is the batch rule as core.DeleteBatchAndHeal applied it
+// before Representatives: label all of gp, then keep the lowest initial
+// ID per label.
+func labelsRule(gp *Graph, cands []int, initID []uint64) []int {
+	labels := gp.ComponentLabels()
+	rep := make(map[int]int)
+	for _, v := range cands {
+		l := labels[v]
+		if cur, ok := rep[l]; !ok || initID[v] < initID[cur] {
+			rep[l] = v
+		}
+	}
+	return slices.Sorted(maps.Values(rep))
+}
+
+// TestRepresentativesMatchesLabelsRule holds Representatives to the
+// labels-and-map rule it replaced, on random forests with dead nodes,
+// candidate sets of every size and duplicate candidates.
+func TestRepresentativesMatchesLabelsRule(t *testing.T) {
+	r := rng.New(11)
+	var reg Region
+	for trial := 0; trial < 200; trial++ {
+		n := 2 + r.Intn(120)
+		gp := New(n)
+		initID := make([]uint64, n)
+		for v := range initID {
+			initID[v] = r.Uint64()
+			if v > 0 && r.Intn(3) != 0 {
+				gp.AddEdge(v, r.Intn(v))
+			}
+		}
+		for k := r.Intn(n/4 + 1); k > 0; k-- {
+			if v := r.Intn(n); gp.Alive(v) {
+				gp.RemoveNode(v)
+			}
+		}
+		alive := gp.AliveNodes()
+		if len(alive) == 0 {
+			continue
+		}
+		cands := make([]int, r.Intn(2*len(alive)))
+		for i := range cands {
+			cands[i] = alive[r.Intn(len(alive))]
+		}
+		got := reg.Representatives(gp, cands, initID)
+		slices.Sort(got)
+		if want := labelsRule(gp, cands, initID); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: representatives %v, labels rule %v (cands %v)", trial, got, want, cands)
+		}
+	}
 }

@@ -7,43 +7,6 @@ import (
 	"testing"
 )
 
-// FuzzReadEdgeList asserts the parser never panics and that any input it
-// accepts round-trips: write(read(x)) parses back to an equal graph.
-func FuzzReadEdgeList(f *testing.F) {
-	f.Add("n 3\n0 1\n1 2\n")
-	f.Add("n 0\n")
-	f.Add("# comment\nn 5\ndead 2\n0 1\n3 4\n")
-	f.Add("n 2\n\n\n0 1")
-	f.Add("garbage")
-	f.Add("n 3\ndead 0\ndead 1\ndead 2\n")
-	f.Add("n 3\n0 1\n0 1\n")        // duplicate edge: must error, not silently dedup
-	f.Add("n 3\n0 1\ndead 0\n")     // dead after its edges: must error, not drop them
-	f.Add("n 3\ndead 1\n0 1\n")     // edge to a declared-dead node
-	f.Add("n 2\ndead 0\ndead 0\n")  // duplicate dead declaration
-	f.Add("n 2\n1 1\n")             // self edge
-	f.Add("n 21999999900\n")        // allocation bomb: above the cap
-	f.Add("n +3\n+0 2\n\t1 -0\r\n") // signs, tabs, CRLF
-	f.Add("n 3\n0\u00a01\n")        // a Unicode space between fields
-	f.Add("n 3\n0 1x\n")            // trailing bytes in a number
-	f.Fuzz(func(t *testing.T, input string) {
-		g, err := ReadEdgeList(strings.NewReader(input))
-		if err != nil {
-			return // rejected inputs are fine; panics are not
-		}
-		var b strings.Builder
-		if err := WriteEdgeList(&b, g); err != nil {
-			t.Fatalf("write after successful read: %v", err)
-		}
-		back, err := ReadEdgeList(strings.NewReader(b.String()))
-		if err != nil {
-			t.Fatalf("round-trip re-read failed: %v\noriginal input: %q\nwritten: %q", err, input, b.String())
-		}
-		if !g.Equal(back) {
-			t.Fatalf("round-trip changed the graph\ninput: %q", input)
-		}
-	})
-}
-
 // snapshotSeeds are FuzzReadSnapshot's seeds and the corpus
 // TestReadSnapshotMatchesReference checks: valid snapshots, each
 // structural fault, and the lexical corners where a hand-written

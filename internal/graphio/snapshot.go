@@ -18,9 +18,8 @@ package graphio
 //	g <u> <v>                         (one per G edge, u < v)
 //	gp <u> <v>                        (one per G′ edge, u < v)
 //
-// Like the edge-list format, blank lines and #-comments are skipped, and
-// every complete line is a self-contained record. Unlike the edge-list
-// reader, ReadSnapshot is explicitly a trust boundary: the daemon's
+// Blank lines and #-comments are skipped, and every complete line is a
+// self-contained record. ReadSnapshot is a trust boundary: the daemon's
 // restore endpoint feeds it bytes from the network, so every structural
 // inconsistency — IDs out of range, duplicate or self edges, a G′ edge
 // absent from G, labels above their own initial ID, section-order
@@ -42,6 +41,7 @@ import (
 	"fmt"
 	"io"
 	"slices"
+	"strconv"
 
 	"repro/internal/graph"
 )
@@ -449,4 +449,24 @@ func (p *snapReader) build(list int, kind string) (*graph.Graph, error) {
 		}
 	}
 	return g, nil
+}
+
+// writeEdges writes one "<prefix>u v" record per edge of g, u < v, in
+// lexicographic order: each sorted row's neighbours above its own node.
+func writeEdges(lw *lineWriter, prefix string, g *graph.Graph) {
+	var head []byte
+	for u := 0; u < g.N(); u++ {
+		row := g.Neighbors(u)
+		i, _ := slices.BinarySearch(row, int32(u))
+		if i == len(row) {
+			continue
+		}
+		head = strconv.AppendInt(append(head[:0], prefix...), int64(u), 10)
+		head = append(head, ' ')
+		for _, v := range row[i:] {
+			lw.buf = append(lw.buf, head...)
+			lw.putInt(int(v))
+			lw.end()
+		}
+	}
 }

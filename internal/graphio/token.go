@@ -1,8 +1,7 @@
 package graphio
 
-// The one tokenizer and the one encoder under the edge-list and snapshot
-// formats. Both formats are lines of whitespace-separated fields, most
-// of them decimal integers. The reader splits each line in place, as
+// The tokenizer and the encoder under the snapshot format: lines of
+// whitespace-separated fields, most of them decimal integers. The reader splits each line in place, as
 // strings.Fields(strings.TrimSpace(line)) would, and parses integers
 // straight from the bytes, as strconv would; the writer appends digits
 // to one buffer and hands it to the io.Writer in large pieces.
@@ -15,7 +14,7 @@ import (
 	"unicode/utf8"
 )
 
-// maxFields is the most fields any record of either format has.
+// maxFields is the most fields any snapshot record has.
 const maxFields = 5
 
 // maxLine is the longest line the readers accept (bufio.ErrTooLong

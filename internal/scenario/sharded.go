@@ -90,9 +90,9 @@ func runTrialSharded(cfg Config, events []Event, victim VictimPolicy, trial int,
 			t.alive.Add(v)
 			t.res.Inserts++
 		case OpBatchKill:
-			// Batch heals are a global operation (cluster leaders probe
-			// whole G′ components); run them at a barrier through the
-			// unchanged sequential engine.
+			// Batch heals are a global operation (a cluster's
+			// representatives are read from whole G′ components); run
+			// them at a barrier through the unchanged sequential engine.
 			sched.Barrier()
 			t.doBatchKill(t.res.Events, ev.Size)
 		}
