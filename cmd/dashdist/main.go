@@ -192,7 +192,7 @@ func runRounds(w io.Writer, seq *core.State, nw *dist.Network, healer core.Heale
 		unit = "epoch"
 	}
 	diverged := false
-	var marks graph.Marks
+	var ball graph.Region
 	for round := 1; seq.G.NumAlive() > 0; round++ {
 		x := att.Next(seq, attR)
 		if x == attack.NoTarget {
@@ -200,7 +200,7 @@ func runRounds(w io.Writer, seq *core.State, nw *dist.Network, healer core.Heale
 		}
 		op := dist.Op{Kind: dist.OpKill, Victim: x}
 		if batch > 0 {
-			op = dist.Op{Kind: dist.OpBatch, Batch: seq.G.BFSBall(&marks, x, batch)}
+			op = dist.Op{Kind: dist.OpBatch, Batch: seq.G.BFSBall(&ball, x, batch)}
 		}
 		if err := op.Apply(seq, healer, nil); err != nil {
 			return diverged, err

@@ -33,7 +33,7 @@ func pickBatch(g *graph.Graph, size int, r *rng.RNG) []int {
 		return perm[:size]
 	}
 	// BFS ball.
-	return g.BFSBall(new(graph.Marks), alive[r.Intn(len(alive))], size)
+	return g.BFSBall(new(graph.Region), alive[r.Intn(len(alive))], size)
 }
 
 // coreClusters is the sequential reference for a batch's dead clusters:

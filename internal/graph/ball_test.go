@@ -34,7 +34,7 @@ func mapBall(g *graph.Graph, center, size int) []int {
 
 func TestBFSBall(t *testing.T) {
 	g := gen.BarabasiAlbert(64, 3, rng.New(3))
-	ball := g.BFSBall(new(graph.Marks), 0, 10)
+	ball := g.BFSBall(new(graph.Region), 0, 10)
 	if len(ball) != 10 || ball[0] != 0 {
 		t.Fatalf("ball = %v, want 10 nodes around 0", ball)
 	}
@@ -60,20 +60,20 @@ func TestBFSBall(t *testing.T) {
 	}
 
 	// The whole component when size exceeds it; nil for dead centers.
-	if got := g.BFSBall(new(graph.Marks), 0, 10_000); len(got) != g.NumAlive() {
+	if got := g.BFSBall(new(graph.Region), 0, 10_000); len(got) != g.NumAlive() {
 		t.Fatalf("oversized ball has %d nodes, want the whole component (%d)", len(got), g.NumAlive())
 	}
 	g.RemoveNode(5)
-	if got := g.BFSBall(new(graph.Marks), 5, 3); got != nil {
+	if got := g.BFSBall(new(graph.Region), 5, 3); got != nil {
 		t.Fatalf("ball around dead center = %v, want nil", got)
 	}
-	if got := g.BFSBall(new(graph.Marks), 0, 0); got != nil {
+	if got := g.BFSBall(new(graph.Region), 0, 0); got != nil {
 		t.Fatalf("zero-size ball = %v, want nil", got)
 	}
 }
 
-// TestBFSBallMatchesMapWalk holds the epoch-stamped walk, with one
-// Marks set reused across every draw, to the map-based reference: for
+// TestBFSBallMatchesMapWalk holds the capped Region.Grow walk, with one
+// Region reused across every draw, to the map-based reference: for
 // random epicenters and sizes it must return the same nodes in the same
 // order. The graphs cover dead slots left by healed deletions,
 // components smaller than the requested size, and sizes past the alive
@@ -87,7 +87,7 @@ func TestBFSBallMatchesMapWalk(t *testing.T) {
 	for name, newGraph := range graphs {
 		t.Run(name, func(t *testing.T) {
 			s := core.NewState(newGraph(rng.New(5)), rng.New(6))
-			var marks graph.Marks
+			var reg graph.Region
 			r := rng.New(9)
 			for i := 0; i < 300 && s.G.NumAlive() > 1; i++ {
 				if i%7 == 3 {
@@ -97,25 +97,11 @@ func TestBFSBallMatchesMapWalk(t *testing.T) {
 				alive := s.G.AliveNodes()
 				size := r.Intn(len(alive) + 8)
 				center := alive[r.Intn(len(alive))]
-				got := s.G.BFSBall(&marks, center, size)
+				got := s.G.BFSBall(&reg, center, size)
 				if want := mapBall(s.G, center, size); !slices.Equal(got, want) {
 					t.Fatalf("draw %d: BFSBall(%d) around %d = %v, map walk = %v", i, size, center, got, want)
 				}
 			}
 		})
-	}
-}
-
-// TestMarksReset checks that a Reset forgets earlier marks and grows the
-// set to new node IDs.
-func TestMarksReset(t *testing.T) {
-	var m graph.Marks
-	m.Reset(4)
-	if !m.Mark(2) || m.Mark(2) {
-		t.Fatal("first Mark must report unmarked, the second marked")
-	}
-	m.Reset(8)
-	if !m.Mark(2) || !m.Mark(7) {
-		t.Fatal("Reset must forget marks and cover the grown range")
 	}
 }

@@ -211,3 +211,48 @@ var (
 	sink      int
 	sinkGraph *graph.Graph
 )
+
+// BenchmarkRegionComponents times one Region.Components search, the
+// kernel under the batch rule, OracleReconnectSet, SDASHFull and the
+// scenario connectivity check:
+//   - split: a deep random tree of 10⁵ nodes (each node hangs off one
+//     of the four before it) loses its first node from 1000 on with
+//     three or more neighbours, and the seeds are those neighbours, one
+//     per fragment: the search should cost the small fragments, not the
+//     giant one;
+//   - hub: the unhealed neighbours of BA n=8192's removed max-degree
+//     node, all in one component, so a few hundred searches meet and
+//     merge.
+func BenchmarkRegionComponents(b *testing.B) {
+	bench := func(b *testing.B, g *graph.Graph, seeds []int) {
+		var reg graph.Region
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			reg.Components(g, seeds)
+		}
+		b.ReportMetric(float64(len(reg.Nodes)), "reached")
+	}
+	b.Run("split", func(b *testing.B) {
+		const n = 100_000
+		g := graph.New(n)
+		r := rng.New(3)
+		for v := 1; v < n; v++ {
+			g.AddEdge(v, max(0, v-1-r.Intn(4)))
+		}
+		x := 1000
+		for g.Degree(x) < 3 {
+			x++
+		}
+		seeds := g.AppendNeighbors(nil, x)
+		g.RemoveNode(x)
+		bench(b, g, seeds)
+	})
+	b.Run("hub", func(b *testing.B) {
+		g := ba(8192).Clone()
+		hub := g.MaxDegreeNode()
+		seeds := g.AppendNeighbors(nil, hub)
+		g.RemoveNode(hub)
+		bench(b, g, seeds)
+	})
+}

@@ -24,7 +24,6 @@ package graph
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 	"runtime"
 	"slices"
@@ -458,58 +457,20 @@ func (g *Graph) BFSInto(src int, dist []int32, queue []int32) []int32 {
 	return queue
 }
 
-// Marks is an epoch-stamped visited set over node IDs with reusable
-// storage: Reset forgets every mark in O(1) (amortized), so a walk per
-// event on a 10⁶-node graph costs only the nodes it touches.
-type Marks struct {
-	stamp []int32
-	epoch int32
-}
-
-// Reset clears every mark and sizes the set for node IDs below n.
-func (m *Marks) Reset(n int) {
-	for len(m.stamp) < n {
-		m.stamp = append(m.stamp, 0)
-	}
-	if m.epoch == math.MaxInt32 {
-		clear(m.stamp)
-		m.epoch = 0
-	}
-	m.epoch++
-}
-
-// Mark marks v and reports whether it was unmarked.
-func (m *Marks) Mark(v int) bool {
-	if m.stamp[v] == m.epoch {
-		return false
-	}
-	m.stamp[v] = m.epoch
-	return true
-}
-
 // BFSBall returns up to size alive nodes forming a breadth-first ball
 // around center, center first — the correlated-failure shape of a rack
 // or region going down. If center's component is smaller than size the
 // whole component is returned; a dead or out-of-range center gives nil.
-// m is the caller's reusable visited set; every ball in the repository
-// comes from this walk, so the ball semantics cannot drift apart.
-func (g *Graph) BFSBall(m *Marks, center, size int) []int {
+// The walk is Region.Grow capped at size nodes, run on the caller's
+// reusable r, so every ball in the repository comes from one search.
+func (g *Graph) BFSBall(r *Region, center, size int) []int {
 	if size <= 0 || !g.Alive(center) {
 		return nil
 	}
-	m.Reset(g.N())
-	m.Mark(center)
-	ball := make([]int, 1, min(size, g.NumAlive()))
-	ball[0] = center
-	for head := 0; head < len(ball) && len(ball) < size; head++ {
-		for _, u := range g.adj[ball[head]] {
-			if m.Mark(int(u)) {
-				ball = append(ball, int(u))
-				if len(ball) == size {
-					break
-				}
-			}
-		}
+	r.Grow(g, []int{center}, size-1, nil)
+	ball := make([]int, len(r.Nodes))
+	for i, v := range r.Nodes {
+		ball[i] = int(v)
 	}
 	return ball
 }

@@ -1,6 +1,9 @@
 package graph
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // Region is the one definition of a heal's conflict region, shared by
 // the sharded commit scheduler (internal/core) and the distributed
@@ -16,16 +19,21 @@ import "math"
 //
 // A Region value is reusable scratch: visit marks are epoch-stamped, so
 // growing a region costs O(|region|), not O(n). It is not safe for
-// concurrent use. The same scratch answers Components, the search under
-// footnote 1's batch rule (Representatives).
+// concurrent use. The same scratch runs every other bounded search over
+// a graph: Components (footnote 1's batch rule through Representatives,
+// OracleReconnectSet, SDASHFull's surrogate and the scenario
+// connectivity tracker) and Graph.BFSBall. The slice Components returns
+// is this scratch too, valid until the next call on the Region, so a
+// caller that searches once per event allocates nothing.
 type Region struct {
 	// Nodes is the last grown region in discovery order (seeds first),
-	// or the union of the seeds' components after Components. After a
+	// or, after Components, the nodes its search reached. After a
 	// failed Grow it holds the partial region.
 	Nodes []int32
 
 	mark  []uint32
 	epoch uint32
+	comp  []int32 // Components' union-find, then its result
 }
 
 // Grow sets r.Nodes to seeds closed under gp adjacency and reports
@@ -67,36 +75,116 @@ func (r *Region) Grow(gp *Graph, seeds []int, limit int, owner []int32) (blocker
 }
 
 // Components gives each seed the index, into seeds, of the first seed in
-// its gp component, and sets r.Nodes to the union of the seeds'
-// components in discovery order. It searches those components only, one
-// after another, so it costs O(their size), not O(n). Duplicate seeds
-// share their first occurrence's index; a dead seed is a component of
-// its own.
+// its gp component. Duplicate seeds share their first occurrence's
+// index; a dead seed is a component of its own. The returned slice is
+// r's scratch, valid until the next call on r.
+//
+// It is one multi-source search: every distinct seed starts its own
+// search in one FIFO queue, a union-find over seed indices merges two
+// searches when they meet, and each merged search counts the nodes it
+// has reached but not yet scanned. A search whose count drops to zero
+// has swept a whole component, so the search stops, mid-adjacency-list
+// if need be, as soon as at most one merged search is still growing:
+// the nodes it has not reached lie in that last one's component. A
+// split therefore ends once every fragment but the largest has run dry,
+// not after a full traversal; until then the largest grows in lockstep,
+// one BFS level per level of theirs. r.Nodes holds the nodes reached,
+// in discovery order, seeds first.
 func (r *Region) Components(gp *Graph, seeds []int) []int32 {
-	// Seed i's component is stamped base+i, so a mark also names the
-	// component it belongs to.
+	// Each mark is base plus the index of the seed whose search reached
+	// the node. r.comp is the union-find over those indices, linked to
+	// the smaller index, so a root is the first seed of its set; a root
+	// holds -1 minus the number of nodes its set has reached but not yet
+	// scanned, any other entry its parent.
 	base := r.stamps(gp.N(), len(seeds))
-	comp := make([]int32, len(seeds))
-	for i, s := range seeds {
-		if r.mark[s] >= base {
-			comp[i] = int32(r.mark[s] - base)
-			continue
-		}
-		comp[i] = int32(i)
-		stamp := base + uint32(i)
-		head := len(r.Nodes)
-		r.mark[s] = stamp
-		r.Nodes = append(r.Nodes, int32(s))
-		for ; head < len(r.Nodes); head++ {
-			for _, u := range gp.Neighbors(int(r.Nodes[head])) {
-				if r.mark[u] < base {
-					r.mark[u] = stamp
-					r.Nodes = append(r.Nodes, u)
+	growing := r.seed(seeds, base)
+	for head := 0; growing > 1; head++ {
+		v := r.Nodes[head]
+		own := r.find(int32(r.mark[v] - base))
+		tail := len(r.Nodes)
+		for _, u := range gp.Neighbors(int(v)) {
+			m := r.mark[u]
+			if m < base {
+				r.mark[u] = base + uint32(own)
+				r.Nodes = append(r.Nodes, u)
+				continue
+			}
+			o := int32(m - base)
+			if o == own {
+				continue
+			}
+			// Reached by another search: point u at its root to shorten
+			// later finds, and merge the two sets if they differ. o is
+			// still growing, since a set that ran dry swept its whole
+			// component and no other search can meet it.
+			o = r.find(o)
+			r.mark[u] = base + uint32(o)
+			if o != own {
+				own = r.union(own, o)
+				if growing--; growing == 1 {
+					break
 				}
 			}
 		}
+		// v is scanned, and what it reached is not.
+		if r.comp[own] -= int32(len(r.Nodes)-tail) - 1; r.comp[own] == -1 {
+			growing--
+		}
+	}
+	comp := r.comp
+	for i, p := range comp { // parents precede children: one pass flattens
+		if p < 0 {
+			comp[i] = int32(i)
+		} else {
+			comp[i] = comp[p]
+		}
 	}
 	return comp
+}
+
+// seed starts Components' searches: each distinct seed s gets the stamp
+// base+i of its first index i in seeds and a set of its own, with one
+// node reached and not scanned (s itself); a repeat gets its first
+// occurrence as parent. It returns the number of searches started.
+func (r *Region) seed(seeds []int, base uint32) (searches int) {
+	r.comp = slices.Grow(r.comp[:0], len(seeds))[:len(seeds)]
+	mark, comp, nodes := r.mark, r.comp, r.Nodes
+	for i, s := range seeds {
+		if m := mark[s]; m >= base {
+			comp[i] = int32(m - base)
+			continue
+		}
+		comp[i] = -2
+		mark[s] = base + uint32(i)
+		nodes = append(nodes, int32(s))
+		searches++
+	}
+	r.Nodes = nodes
+	return searches
+}
+
+// find returns the root of Components' set a, halving the path.
+func (r *Region) find(a int32) int32 {
+	p := r.comp
+	for p[a] >= 0 {
+		if p[p[a]] >= 0 {
+			p[a] = p[p[a]]
+		}
+		a = p[a]
+	}
+	return a
+}
+
+// union merges Components' sets with roots a and b under the smaller
+// index and returns it.
+func (r *Region) union(a, b int32) int32 {
+	p := r.comp
+	if b < a {
+		a, b = b, a
+	}
+	p[a] += p[b] + 1
+	p[b] = a
+	return a
 }
 
 // Representatives is footnote 1's batch rule, the one definition

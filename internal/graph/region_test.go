@@ -106,11 +106,15 @@ func TestRegionGrow(t *testing.T) {
 
 // TestComponentsMatchesLabels holds Region.Components to ComponentLabels
 // on random forests with dead nodes, dead seeds and duplicate seeds:
-// each seed must get the index of the first seed in its component, and
-// the search must visit exactly the union of the seeds' components.
+// each seed must get the index of the first seed in its component. The
+// search may stop before it has swept every seed's component, but only
+// once at most one of them is still growing: every node it reached lies
+// in a seed's component, none is reached twice, and at most one seed
+// component is left partly searched.
 func TestComponentsMatchesLabels(t *testing.T) {
 	r := rng.New(5)
 	var reg Region
+	partial := 0
 	for trial := 0; trial < 300; trial++ {
 		n := 1 + r.Intn(80)
 		gp := New(n)
@@ -143,7 +147,9 @@ func TestComponentsMatchesLabels(t *testing.T) {
 			}
 			return labels[a] == labels[b]
 		}
-		want := make(map[int]bool)
+		// want maps every node of a seed's component to that
+		// component's first seed.
+		want := make(map[int]int)
 		for i, s := range seeds {
 			first := i
 			for j := 0; j < i; j++ {
@@ -156,21 +162,65 @@ func TestComponentsMatchesLabels(t *testing.T) {
 				t.Fatalf("trial %d: seed %d (node %d) in component %d, want %d (seeds %v)", trial, i, s, comp[i], first, seeds)
 			}
 			for v := 0; v < n; v++ {
-				if v == s || same(v, s) && gp.Alive(s) {
-					want[v] = true
+				if _, ok := want[v]; !ok && same(v, s) {
+					want[v] = first
 				}
 			}
 		}
 		got := make(map[int]bool, len(reg.Nodes))
+		reached := make(map[int]int) // first seed -> nodes of its component reached
 		for _, v := range reg.Nodes {
 			if got[int(v)] {
 				t.Fatalf("trial %d: node %d visited twice", trial, v)
 			}
 			got[int(v)] = true
+			first, ok := want[int(v)]
+			if !ok {
+				t.Fatalf("trial %d: reached node %d, outside every seed's component (seeds %v)", trial, v, seeds)
+			}
+			reached[first]++
 		}
-		if !maps.Equal(got, want) {
-			t.Fatalf("trial %d: visited %v, want the seeds' components %v", trial, sortedNodes(&reg), slices.Sorted(maps.Keys(want)))
+		size := make(map[int]int)
+		for _, first := range want {
+			size[first]++
 		}
+		var short []int
+		for first, k := range size {
+			if reached[first] < k {
+				short = append(short, seeds[first])
+			}
+		}
+		if len(short) > 1 {
+			t.Fatalf("trial %d: the components of seeds %v are each left partly searched (reached %v, seeds %v)", trial, short, sortedNodes(&reg), seeds)
+		}
+		partial += len(short)
+	}
+	if partial == 0 {
+		t.Fatal("no trial stopped before the last component's end")
+	}
+}
+
+// TestComponentsStopsAtLastFragment pins the search's locality: a
+// 10⁴-node G′ path with two nodes deleted a few hops from one end
+// splits into a 3-node, a 4-node and a giant fragment, and finding the
+// components of the deleted nodes' neighbours must reach the two small
+// fragments, not walk the giant one.
+func TestComponentsStopsAtLastFragment(t *testing.T) {
+	const n = 10_000
+	gp := New(n)
+	for v := 1; v < n; v++ {
+		gp.AddEdge(v-1, v)
+	}
+	gp.RemoveNode(3)
+	gp.RemoveNode(8)
+	var reg Region
+	seeds := []int{9, 2, 7, 4}
+	comp := reg.Components(gp, seeds)
+	if want := []int32{0, 1, 2, 2}; !slices.Equal(comp, want) {
+		t.Fatalf("components %v, want %v", comp, want)
+	}
+	if len(reg.Nodes) > 20 {
+		t.Fatalf("search reached %d nodes of a %d-node path; the small fragments hold 7", len(reg.Nodes), n)
 	}
 }
 

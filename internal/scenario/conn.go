@@ -13,19 +13,18 @@ import "repro/internal/graph"
 // graph and the empty remainder is trivially connected). The tracker
 // therefore checks only the mutual reachability of B.
 //
-// It does so with a multi-source search: every distinct alive witness
-// seeds its own search in one FIFO queue, so the searches grow level by
-// level in lockstep. Each node records the search that reached it first
-// (owner); an arc between nodes of two different searches unions their
-// witnesses in a small union-find, and the check stops as soon as every
-// witness is in one set. A self-healer reconnects the boundary with
-// edges among (a subset of) B itself, so in the healthy case the sets
-// merge while the searches are still scanning the witnesses' own
-// adjacency lists — even when B is the few hundred neighbors of a hub,
-// where a single-source search would have had to sweep most of the
-// graph to meet the last witness. Only an actual partition empties the
-// queue, after a full traversal of the witnesses' components, and that
-// is the event worth paying for.
+// It does so with graph.Region.Components over G: every distinct alive
+// witness seeds its own search in one FIFO queue, searches that meet are
+// merged in Region's union-find, and the check stops as soon as at most
+// one merged search is still growing. A self-healer reconnects the
+// boundary with edges among (a subset of) B itself, so in the healthy
+// case the searches merge while they are still scanning the witnesses'
+// own adjacency lists — even when B is the few hundred neighbors of a
+// hub, where a single-source search would have had to sweep most of the
+// graph to meet the last witness. An actual partition ends the check
+// once every side but the largest has run dry, rather than after a full
+// traversal; the largest side's search has grown as many BFS levels by
+// then.
 //
 // For long schedules with very many deletions, even a local search per
 // event adds up, so the tracker supports a check cadence: witnesses
@@ -53,24 +52,11 @@ type ConnTracker struct {
 	firstBreak int // event index of the first observed disconnection, -1
 	every      int // check cadence; <= 1 checks at every observation
 
-	pending    []int32 // accumulated boundary witnesses (may repeat, may die)
+	pending    []int // accumulated boundary witnesses (may repeat, may die)
 	sinceCheck int
 
-	// Epoch-stamped scratch: seen[v].epoch==epoch means v was reached
-	// this check, by the search of witness set seen[v].owner. Stamps make
-	// per-check resets O(1) instead of O(n).
-	epoch int32
-	seen  []visit
-	queue []int32
-	// parent is the union-find over this check's witness indices: a
-	// root holds minus its set's size, any other entry its parent.
-	parent []int32
+	region graph.Region // the search's scratch
 }
-
-// visit is one node's scratch: the owner is only meaningful while the
-// epoch is current. Both fields share a cache line, so the search's
-// per-arc test costs one random load.
-type visit struct{ epoch, owner int32 }
 
 // NewConnTracker starts tracking g, paying one full connectivity check
 // to anchor the induction. every is the check cadence: 1 (or less)
@@ -89,21 +75,15 @@ func (t *ConnTracker) StillConnected() bool { return t.ok }
 // flush) that first found the graph disconnected, or -1.
 func (t *ConnTracker) FirstBreak() int { return t.firstBreak }
 
-// grow resizes the scratch to the graph's current slot count.
-func (t *ConnTracker) grow(n int) {
-	if len(t.seen) < n {
-		t.seen = append(t.seen, make([]visit, n-len(t.seen))...)
-	}
-}
-
 // AfterDelete observes a healed single deletion: survivors is the dead
 // node's surviving G neighborhood (the Deletion snapshot's GNbrs).
 func (t *ConnTracker) AfterDelete(g *graph.Graph, survivors []int, event int) {
 	t.observe(g, survivors, event)
 }
 
-// AfterBatch observes a healed batch kill: boundary is the union of the
-// dead set's surviving G neighbors.
+// AfterBatch observes a healed batch kill: boundary holds the dead
+// set's G neighbors as they were before the kill. Members of the dead
+// set and repeats may be left in; the check skips them.
 func (t *ConnTracker) AfterBatch(g *graph.Graph, boundary []int, event int) {
 	t.observe(g, boundary, event)
 }
@@ -124,9 +104,7 @@ func (t *ConnTracker) observe(g *graph.Graph, witnesses []int, event int) {
 	if !t.ok {
 		return
 	}
-	for _, w := range witnesses {
-		t.pending = append(t.pending, int32(w))
-	}
+	t.pending = append(t.pending, witnesses...)
 	t.sinceCheck++
 	if t.every <= 1 || t.sinceCheck >= t.every {
 		t.Flush(g, event)
@@ -142,79 +120,24 @@ func (t *ConnTracker) Flush(g *graph.Graph, event int) {
 		t.sinceCheck = 0
 		return
 	}
-	t.grow(g.N())
-	t.epoch++
-	t.queue = t.queue[:0]
-	t.parent = t.parent[:0]
+	// Witnesses that died later in the window contributed their own
+	// deletion-time boundary to pending; skipping them is what the
+	// rerouting argument above licenses. Components skips repeats.
+	alive := t.pending[:0]
 	for _, w := range t.pending {
-		// Witnesses that died later in the window contributed their own
-		// deletion-time boundary to pending; skipping them is what the
-		// rerouting argument above licenses.
-		if !g.Alive(int(w)) || t.seen[w].epoch == t.epoch {
-			continue
+		if g.Alive(w) {
+			alive = append(alive, w)
 		}
-		t.seen[w] = visit{t.epoch, int32(len(t.parent))}
-		t.parent = append(t.parent, -1)
-		t.queue = append(t.queue, w)
 	}
 	t.pending = t.pending[:0]
 	t.sinceCheck = 0
-	// The queue holds every witness before any other node, so the
-	// searches advance level by level together.
-	sets := len(t.parent)
-	for head := 0; head < len(t.queue) && sets > 1; head++ {
-		v := t.queue[head]
-		own := t.find(t.seen[v].owner)
-		for _, u := range g.Neighbors(int(v)) {
-			m := &t.seen[u]
-			if m.epoch != t.epoch {
-				*m = visit{t.epoch, own}
-				t.queue = append(t.queue, u)
-				continue
-			}
-			if m.owner == own {
-				continue
-			}
-			// u was reached from another witness: merge the two sets if
-			// they differ, and point u at its root to shorten later finds.
-			r := t.find(m.owner)
-			m.owner = r
-			if r != own {
-				own = t.union(own, r)
-				if sets--; sets == 1 {
-					break
-				}
-			}
+	// No alive witness means nothing to connect: an entire component
+	// died with the window's victims.
+	for _, c := range t.region.Components(g, alive) {
+		if c != 0 {
+			t.ok = false
+			t.firstBreak = event
+			return
 		}
 	}
-	// sets == 0 means nothing to connect: every witness had died, so an
-	// entire component died with them.
-	if sets > 1 {
-		t.ok = false
-		t.firstBreak = event
-	}
-}
-
-// find returns the root of witness set a, halving the path.
-func (t *ConnTracker) find(a int32) int32 {
-	p := t.parent
-	for p[a] >= 0 {
-		if p[p[a]] >= 0 {
-			p[a] = p[p[a]]
-		}
-		a = p[a]
-	}
-	return a
-}
-
-// union merges the sets with roots a and b, the smaller under the
-// larger, and returns the new root.
-func (t *ConnTracker) union(a, b int32) int32 {
-	p := t.parent
-	if p[a] > p[b] {
-		a, b = b, a
-	}
-	p[a] += p[b]
-	p[b] = a
-	return a
 }

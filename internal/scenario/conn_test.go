@@ -142,17 +142,30 @@ func TestConnTrackerHubCheckStaysLocal(t *testing.T) {
 			near[u] = true
 		}
 	}
-	reached := 0
-	for v, stamp := range conn.seen {
-		if stamp.epoch != conn.epoch {
-			continue
-		}
-		reached++
+	reached := conn.region.Nodes
+	for _, v := range reached {
 		if !near[v] {
 			t.Fatalf("check reached node %d, outside the %d witnesses' adjacency lists", v, len(witnesses))
 		}
 	}
-	t.Logf("%d witnesses, %d nodes reached of %d", len(witnesses), reached, s.G.NumAlive())
+	t.Logf("%d witnesses, %d nodes reached of %d", len(witnesses), len(reached), s.G.NumAlive())
+}
+
+// TestConnTrackerPartitionCostsSmallSide pins the cost of a real
+// partition: cutting a 10⁴-node line three nodes from one end leaves a
+// 3-node side, and the check must latch the break once that side runs
+// dry, not after walking the other 9996 nodes.
+func TestConnTrackerPartitionCostsSmallSide(t *testing.T) {
+	g := gen.Line(10_000)
+	conn := NewConnTracker(g, 1)
+	g.RemoveNode(3)
+	conn.AfterDelete(g, []int{2, 4}, 7)
+	if conn.StillConnected() || conn.FirstBreak() != 7 {
+		t.Fatalf("tracker (%v, first break %d), want the cut latched at event 7", conn.StillConnected(), conn.FirstBreak())
+	}
+	if reached := len(conn.region.Nodes); reached > 16 {
+		t.Fatalf("check reached %d nodes; the small side holds 3", reached)
+	}
 }
 
 // BenchmarkConnTracker times one verification on a fresh BA graph with
@@ -183,7 +196,7 @@ func BenchmarkConnTracker(b *testing.B) {
 	})
 	b.Run("ball", func(b *testing.B) {
 		s := fresh()
-		ball := s.G.BFSBall(new(graph.Marks), 0, 128)
+		ball := s.G.BFSBall(new(graph.Region), 0, 128)
 		// The ball's neighbor lists, members and repeats included:
 		// the tracker skips dead and duplicate witnesses itself.
 		var witnesses []int

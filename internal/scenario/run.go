@@ -342,8 +342,8 @@ type trialRun struct {
 	measuredAt int
 
 	// scratch
-	nbrScratch []int
-	marks      graph.Marks // ball walks and batch boundaries
+	nbrScratch []int        // a deletion's or a ball's G neighbour lists
+	ballRegion graph.Region // the ball walks' scratch
 }
 
 // newTrialRun builds one trial's state from its pre-split generator.
@@ -476,9 +476,13 @@ func (t *trialRun) doBatchKill(event, size int) {
 		return
 	}
 	batch := t.sampleBall(size)
-	var boundary []int
 	if t.conn != nil {
-		boundary = t.batchBoundary(batch)
+		// The ball's neighbour lists, members and repeats included: the
+		// tracker skips dead and duplicate witnesses itself.
+		t.nbrScratch = t.nbrScratch[:0]
+		for _, v := range batch {
+			t.nbrScratch = t.s.G.AppendNeighbors(t.nbrScratch, v)
+		}
 	}
 	for _, v := range batch {
 		t.alive.Remove(v)
@@ -490,7 +494,7 @@ func (t *trialRun) doBatchKill(event, size int) {
 	t.res.PeakDelta = t.s.PeakDeltaEdges(t.res.PeakDelta, hr.Added)
 	t.noteHeal(hr.Added)
 	if t.conn != nil {
-		t.conn.AfterBatch(t.s.G, boundary, event)
+		t.conn.AfterBatch(t.s.G, t.nbrScratch, event)
 	}
 }
 
@@ -499,30 +503,7 @@ func (t *trialRun) doBatchKill(event, size int) {
 // going down. If the epicenter's component is smaller than size, the
 // whole component dies.
 func (t *trialRun) sampleBall(size int) []int {
-	return t.s.G.BFSBall(&t.marks, t.alive.Random(t.opR), size)
-}
-
-// batchBoundary returns the distinct alive G neighbors of the batch that
-// are outside it — the witnesses ConnTracker.AfterBatch checks. It
-// starts from fresh marks rather than trusting what the ball walk left
-// behind: a walk that marked its frontier too (as an earlier one did)
-// would make every boundary node look like a batch member and return
-// nothing.
-func (t *trialRun) batchBoundary(batch []int) []int {
-	m := &t.marks
-	m.Reset(t.s.G.N())
-	for _, v := range batch {
-		m.Mark(v)
-	}
-	var out []int
-	for _, v := range batch {
-		for _, u := range t.s.G.Neighbors(v) {
-			if m.Mark(int(u)) {
-				out = append(out, int(u))
-			}
-		}
-	}
-	return out
+	return t.s.G.BFSBall(&t.ballRegion, t.alive.Random(t.opR), size)
 }
 
 // noteHeal forwards freshly added healing edges to a HealObserver victim

@@ -17,10 +17,12 @@
 //   - per-event work must be output-sensitive: victims are drawn from an
 //     incrementally maintained alive-set (O(1) per uniform pick), peak δ
 //     is maintained from the endpoints of edges the healer actually adds
-//     (δ can only rise there), and connectivity is verified by a
-//     multi-source search from the deletion's surviving boundary that
-//     stops once the boundary is joined (ConnTracker) instead of a full
-//     sweep per event;
+//     (δ can only rise there), and connectivity is verified by
+//     graph.Region.Components, a multi-source search from the deletion's
+//     surviving boundary that stops once at most one of its searches is
+//     still growing (ConnTracker), instead of a full sweep per event: a
+//     joined boundary stops where its searches meet, a partition once
+//     its smaller sides have run dry;
 //   - global metrics are sampled: above Config.SampleThreshold alive
 //     nodes the checkpoints use k-source estimates with confidence
 //     intervals (metrics.AutoStretch, metrics.SampledDiameter) instead

@@ -387,11 +387,11 @@ func TestConnTrackerSeesDisconnect(t *testing.T) {
 	}
 }
 
-// TestBatchBoundaryNonEmpty is the regression test for a bug where
-// batchBoundary reused sampleBall's epoch: that ball BFS stamped every
-// enqueued neighbor, so every boundary node looked like a batch member
-// and AfterBatch received zero witnesses — disaster waves were never
-// connectivity-checked at all.
+// TestBatchBoundaryNonEmpty is the regression test for a bug where the
+// batch boundary reused the ball walk's visit marks: every boundary node
+// looked like a batch member, AfterBatch received zero witnesses, and
+// disaster waves were never connectivity-checked at all. Every wave
+// must hand the tracker at least one alive witness outside the ball.
 func TestBatchBoundaryNonEmpty(t *testing.T) {
 	sc := Schedule{Name: "b", Phases: []Phase{Disaster(3, 4)}}
 	events, err := sc.Compile()
@@ -400,31 +400,23 @@ func TestBatchBoundaryNonEmpty(t *testing.T) {
 	}
 	cfg := baseConfig(40, sc)
 	run := newTrialRun(cfg, events, Uniform{}, 0, rng.New(3).Split())
-	for i := 0; i < 3; i++ {
-		ball := run.sampleBall(4)
-		if len(ball) != 4 {
-			t.Fatalf("ball %v on a connected 40-node graph", ball)
+	for wave := 0; wave < 3; wave++ {
+		if kind := events[run.res.Events].Kind; kind != OpBatchKill {
+			t.Fatalf("event %d is %v, want a batch kill", run.res.Events, kind)
 		}
-		boundary := run.batchBoundary(ball)
-		if len(boundary) == 0 {
-			t.Fatalf("wave %d: empty boundary for ball %v of a connected graph", i, ball)
+		killed := run.res.Killed
+		run.step()
+		if got := run.res.Killed - killed; got != 4 {
+			t.Fatalf("wave %d killed %d nodes of a connected 40-node graph, want 4", wave, got)
 		}
-		inBall := map[int]bool{}
-		for _, v := range ball {
-			inBall[v] = true
+		if !run.conn.StillConnected() {
+			t.Fatalf("wave %d: DASH-healed batch reported as a partition", wave)
 		}
-		for _, w := range boundary {
-			if inBall[w] {
-				t.Fatalf("boundary member %d is inside the ball %v", w, ball)
-			}
-			if !run.s.G.Alive(w) {
-				t.Fatalf("boundary member %d is dead", w)
-			}
+		// The check seeds its search with the witnesses still alive
+		// after the kill, so none of them is a ball member.
+		if len(run.conn.region.Nodes) == 0 {
+			t.Fatalf("wave %d handed the tracker no alive witness (raw lists %v)", wave, run.nbrScratch)
 		}
-		for _, v := range ball {
-			run.alive.Remove(v)
-		}
-		run.s.DeleteBatchAndHeal(ball)
 	}
 }
 
