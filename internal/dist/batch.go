@@ -188,9 +188,10 @@ func (pi *pipeline) leadClusters(es *epochState) {
 // hands them, with their initial IDs, to the cluster's leader.
 func (pi *pipeline) launchCluster(es *epochState) {
 	es.stage = fmt.Sprintf("heal[%d]", es.root)
-	reps := make(map[int]uint64)
-	for _, v := range pi.regionBuf.Representatives(pi.mirGp, es.attach, pi.nw.initIDs) {
-		reps[v] = pi.nw.initIDs[v]
+	vs := pi.regionBuf.Representatives(pi.mirGp, es.attach, pi.nw.initIDs)
+	reps := make(nonTable, 0, len(vs))
+	for _, v := range vs {
+		reps.set(v, pi.nw.initIDs[v])
 	}
 	pi.stageSend(es, func() {
 		pi.nw.send(es.leader, message{

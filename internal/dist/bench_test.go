@@ -125,3 +125,24 @@ func BenchmarkEpochOverlap(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkNewNetwork builds dist-churn's network: NewKind over a
+// Barabási–Albert graph with n = 8192, m = 3. Bootstrapping fills every
+// node's NoN tables, Σ deg² rows in all, so this is the construction half
+// of that workload's setup.
+func BenchmarkNewNetwork(b *testing.B) {
+	r := rng.New(1)
+	g := gen.BarabasiAlbert(8192, 3, r)
+	ids := make([]uint64, g.N())
+	for v := range ids {
+		ids[v] = r.Uint64()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		nw := NewKind(g, ids, HealDASH)
+		b.StopTimer()
+		nw.Close()
+		b.StartTimer()
+	}
+}

@@ -235,20 +235,30 @@ func assemble(g *graph.Graph, ids []uint64, kind HealerKind) *Network {
 	// adjacency, and the NoN tables (each neighbor's full neighborhood
 	// with initial IDs) that the protocol's wills rely on. At t=0 every
 	// current label equals the initial ID, exactly like core.NewState.
+	// G's rows are sorted, so every list and table is filled in order by
+	// appending. A node's NoN tables share one array, each a cap-limited
+	// window of it, so a table that outgrows its window moves out instead
+	// of writing into the next one.
 	for v := 0; v < n; v++ {
 		if !g.Alive(v) {
 			nw.dead[v] = true
 			continue
 		}
 		nd := newNode(nw, v, ids[v], g.Degree(v))
+		size := 0
+		for _, u := range g.Neighbors(v) {
+			size += tableCap(g.Degree(int(u)))
+		}
+		rows := make(nonTable, 0, size)
 		for _, u32 := range g.Neighbors(v) {
 			u := int(u32)
-			uNbrs := g.Neighbors(u)
-			non := make(map[int]uint64, len(uNbrs))
-			for _, w := range uNbrs {
-				non[int(w)] = ids[w]
+			lo := len(rows)
+			for _, w := range g.Neighbors(u) {
+				rows = append(rows, nonEntry{int(w), ids[w]})
 			}
-			nd.gNbrs[u] = &nbrInfo{initID: ids[u], curID: ids[u], nbrs: non}
+			end := lo + tableCap(len(rows)-lo)
+			nd.gNbrs = append(nd.gNbrs, nbrInfo{v: u, initID: ids[u], curID: ids[u], nbrs: rows[lo:len(rows):end]})
+			rows = rows[:end]
 		}
 		nodes[v] = nd
 	}

@@ -175,6 +175,9 @@ type message struct {
 	report healReport
 
 	// msgAttach payload: connect to peer; leader is where the ack goes.
+	// msgNoNAdd and msgNoNRemove carry the neighbor the sender gained or
+	// lost in peer (and, for an add, its initial ID in peerInitID); a
+	// msgJoinReq carries the newcomer's initial ID in peerInitID.
 	peer       int
 	peerInitID uint64
 	peerCurID  uint64
@@ -184,12 +187,12 @@ type message struct {
 	label uint64
 	hops  int
 
-	// msgNoNAdd / msgNoNRemove payload: the neighbor the sender
-	// gained/lost. msgNoNFull uses nonNbrs instead; msgBatchHealStart
-	// reuses it for the representatives.
-	nonPeer       int
-	nonPeerInitID uint64
-	nonNbrs       map[int]uint64
+	// NoN table payload: a msgNoNFull or msgJoinAck hello, a
+	// msgJoinReq's attach set, or msgBatchHealStart's representatives.
+	// The receiver owns it, except a join's attach set, which every
+	// target's request shares. (The message is copied by value into and
+	// out of every mailbox; TestMessageSize pins its size.)
+	nonNbrs nonTable
 
 	// msgSnapshot reply channel.
 	reply chan nodeSnap

@@ -1,20 +1,30 @@
 package dist
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync/atomic"
 )
 
-// nbrInfo is everything a node knows about one G neighbor: its immutable
-// initial ID, its current component label (kept fresh by msgLabelNotify),
-// and — the paper's neighbor-of-neighbor assumption — that neighbor's own
-// neighborhood with initial IDs, kept fresh by NoN gossip. The NoN table
-// is what lets the survivors of a deletion agree on a leader and on the
-// set of orphans without any central coordinator.
+// nbrInfo is everything a node knows about one G neighbor v: its
+// immutable initial ID, its current component label (kept fresh by
+// msgLabelNotify), and — the paper's neighbor-of-neighbor assumption —
+// v's own neighborhood with initial IDs, kept fresh by NoN gossip (nil
+// until v's hello or join ack arrives). The NoN table is what lets the
+// survivors of a deletion agree on a leader and on the set of orphans
+// without any central coordinator.
 type nbrInfo struct {
+	v      int
 	initID uint64
 	curID  uint64
-	nbrs   map[int]uint64 // the neighbor's neighbors -> their initial IDs
+	nbrs   nonTable
+}
+
+// heldHello is a msgNoNFull buffered until its edge's attach order.
+type heldHello struct {
+	from int
+	nbrs nonTable
 }
 
 // healState is the leader's per-round scratchpad while it collects the
@@ -24,14 +34,14 @@ type nbrInfo struct {
 // the representative set the supervisor's msgBatchHealStart handed over.
 type healState struct {
 	victimCurID uint64
-	expect      map[int]struct{} // orphans that must report; nil until the
-	// leader has itself processed the death notice
+	expect      nonTable // orphans that must report (the victim's NoN
+	// table); nil until the leader has itself processed the death notice
 	reports  map[int]healReport
 	acksLeft int
 	rt       []healReport // the sorted reconnection set, kept for the flood
 	wired    bool
 
-	reps map[int]uint64 // batch: the cluster's representatives -> initial IDs
+	reps nonTable // batch: the cluster's representatives
 }
 
 // node is one network participant: an actor owning all of its state,
@@ -52,14 +62,15 @@ type node struct {
 
 	inbox mailbox
 
-	gNbrs  map[int]*nbrInfo
-	gpNbrs map[int]struct{} // subset of gNbrs: edges also in G′
+	gNbrs  nbrList
+	gpNbrs nodeSet // subset of gNbrs: edges also in G′
 
 	// pendingHello buffers a msgNoNFull that arrived before this node
 	// processed its own attach order for the same new edge (the leader
 	// sends the two attach orders back to back, so the peer's hello can
-	// overtake ours). onAttach drains it into the fresh nbrInfo.
-	pendingHello map[int]map[int]uint64
+	// overtake ours). onAttach drains it into the fresh nbrInfo. Sorted
+	// by sender.
+	pendingHello []heldHello
 
 	heals map[int]*healState // rounds this node is leading, by victim
 
@@ -110,17 +121,23 @@ type wireRec struct {
 // label) and initial degree deg, and no neighbors yet.
 func newNode(nw *Network, v int, id uint64, deg int) *node {
 	return &node{
-		nw:           nw,
-		id:           v,
-		initID:       id,
-		curID:        id,
-		initDeg:      deg,
-		gNbrs:        make(map[int]*nbrInfo, deg),
-		gpNbrs:       make(map[int]struct{}),
-		pendingHello: make(map[int]map[int]uint64),
-		heals:        make(map[int]*healState),
-		floodRound:   -1,
+		nw:         nw,
+		id:         v,
+		initID:     id,
+		curID:      id,
+		initDeg:    deg,
+		gNbrs:      make(nbrList, 0, tableCap(deg)),
+		heals:      make(map[int]*healState),
+		floodRound: -1,
 	}
+}
+
+// findHello returns the position of the buffered hello from the given
+// sender in pendingHello, or where it would go, and whether it is there.
+func (nd *node) findHello(from int) (int, bool) {
+	return slices.BinarySearchFunc(nd.pendingHello, from, func(h heldHello, from int) int {
+		return cmp.Compare(h.from, from)
+	})
 }
 
 func (nd *node) delta() int { return len(nd.gNbrs) - nd.initDeg }
@@ -202,36 +219,40 @@ func (nd *node) handle(msg message) bool {
 	case msgLabelFlood:
 		nd.onLabelFlood(msg.victim, msg.label, msg.hops)
 	case msgLabelNotify:
-		if info, ok := nd.gNbrs[msg.from]; ok {
+		if info := nd.gNbrs.find(msg.from); info != nil {
 			info.curID = msg.label
 		}
 	case msgNoNFull:
-		if info, ok := nd.gNbrs[msg.from]; ok {
+		if info := nd.gNbrs.find(msg.from); info != nil {
 			info.nbrs = msg.nonNbrs
 		} else {
 			// The peer's hello overtook our own attach order for the
 			// new edge; hold it until onAttach creates the entry.
-			nd.pendingHello[msg.from] = msg.nonNbrs
+			if i, ok := nd.findHello(msg.from); ok {
+				nd.pendingHello[i].nbrs = msg.nonNbrs
+			} else {
+				nd.pendingHello = slices.Insert(nd.pendingHello, i, heldHello{msg.from, msg.nonNbrs})
+			}
 		}
 	case msgNoNAdd:
-		if info, ok := nd.gNbrs[msg.from]; ok && info.nbrs != nil {
-			info.nbrs[msg.nonPeer] = msg.nonPeerInitID
-		} else if hello, ok := nd.pendingHello[msg.from]; ok {
+		if info := nd.gNbrs.find(msg.from); info != nil && info.nbrs != nil {
+			info.nbrs.set(msg.peer, msg.peerInitID)
+		} else if i, ok := nd.findHello(msg.from); ok {
 			// Same-sender FIFO guarantees the hello precedes any
 			// incremental gossip, so a buffered hello is the only other
 			// place an update can land.
-			hello[msg.nonPeer] = msg.nonPeerInitID
+			nd.pendingHello[i].nbrs.set(msg.peer, msg.peerInitID)
 		}
 	case msgNoNRemove:
-		if info, ok := nd.gNbrs[msg.from]; ok && info.nbrs != nil {
-			delete(info.nbrs, msg.nonPeer)
-		} else if hello, ok := nd.pendingHello[msg.from]; ok {
-			delete(hello, msg.nonPeer)
+		if info := nd.gNbrs.find(msg.from); info != nil && info.nbrs != nil {
+			info.nbrs.remove(msg.peer)
+		} else if i, ok := nd.findHello(msg.from); ok {
+			nd.pendingHello[i].nbrs.remove(msg.peer)
 		}
 	case msgJoinReq:
 		nd.onJoinReq(msg)
 	case msgJoinAck:
-		if info, ok := nd.gNbrs[msg.from]; ok {
+		if info := nd.gNbrs.find(msg.from); info != nil {
 			info.curID = msg.label
 			info.nbrs = msg.nonNbrs // freshly built per ack; never shared
 		}
@@ -260,9 +281,9 @@ func (nd *node) handle(msg message) bool {
 // its final traffic counters with the supervisor. The survivors already
 // hold everything else they need (the will) in their NoN tables.
 func (nd *node) die() {
-	for w := range nd.gNbrs {
+	for i := range nd.gNbrs {
 		nd.coordMsgs++
-		nd.send(w, message{kind: msgDeathNotice, from: nd.id, victim: nd.id})
+		nd.send(nd.gNbrs[i].v, message{kind: msgDeathNotice, from: nd.id, victim: nd.id})
 	}
 	nd.nw.storeFinal(nd.id, finalStats{nd.msgSent, nd.coordMsgs, nd.nonMsgs})
 }
@@ -273,19 +294,14 @@ func (nd *node) die() {
 // report. When this orphan IS the leader it also freezes the expected
 // reporter set from its (pre-deletion) view of the victim's neighborhood.
 func (nd *node) onDeathNotice(x int) {
-	info, ok := nd.gNbrs[x]
+	info, ok := nd.gNbrs.remove(x)
 	if !ok {
 		panic(fmt.Sprintf("dist: node %d got death notice for non-neighbor %d", nd.id, x))
 	}
-	_, wasGp := nd.gpNbrs[x]
-	delete(nd.gNbrs, x)
-	delete(nd.gpNbrs, x)
+	wasGp := nd.gpNbrs.remove(x)
 
 	// NoN gossip: my neighborhood shrank.
-	for w := range nd.gNbrs {
-		nd.nonMsgs++
-		nd.send(w, message{kind: msgNoNRemove, from: nd.id, nonPeer: x})
-	}
+	nd.gossipRemove(x)
 
 	// Leader election, resolved locally: every orphan holds the same NoN
 	// view of the victim's neighborhood (quiescence between rounds keeps
@@ -296,19 +312,18 @@ func (nd *node) onDeathNotice(x int) {
 	}
 	leader := nd.id
 	best := nd.initID
-	for v, vid := range info.nbrs {
-		if vid < best {
-			leader, best = v, vid
+	for _, e := range info.nbrs {
+		if e.id < best {
+			leader, best = e.v, e.id
 		}
 	}
 
 	if leader == nd.id {
 		hs := nd.healFor(x)
 		hs.victimCurID = info.curID
-		hs.expect = make(map[int]struct{}, len(info.nbrs))
-		for v := range info.nbrs {
-			hs.expect[v] = struct{}{}
-		}
+		// The dead neighbor's table is no longer gossiped into, so it
+		// can serve as the expected reporter set as it is.
+		hs.expect = info.nbrs
 	}
 
 	nd.coordMsgs++
@@ -351,9 +366,9 @@ func (nd *node) maybeWire(x int, hs *healState) {
 	if hs.wired || hs.expect == nil || len(hs.reports) < len(hs.expect) {
 		return
 	}
-	for v := range hs.expect {
-		if _, ok := hs.reports[v]; !ok {
-			panic(fmt.Sprintf("dist: leader %d: report count full but orphan %d missing", nd.id, v))
+	for _, e := range hs.expect {
+		if _, ok := hs.reports[e.v]; !ok {
+			panic(fmt.Sprintf("dist: leader %d: report count full but orphan %d missing", nd.id, e.v))
 		}
 	}
 	hs.wired = true
@@ -473,8 +488,8 @@ func sortByDeltaID(rt []healReport) {
 // neighbors need nothing.
 func (nd *node) onAttach(msg message) {
 	b := msg.peer
-	_, hadG := nd.gNbrs[b]
-	_, hadGp := nd.gpNbrs[b]
+	_, hadG := nd.gNbrs.search(b)
+	hadGp := nd.gpNbrs.has(b)
 	if nd.roundWires == nil {
 		nd.roundWires = make(map[int][]wireRec)
 	}
@@ -488,31 +503,21 @@ func (nd *node) onAttach(msg message) {
 	}
 	nd.roundWires[msg.victim] = append(nd.roundWires[msg.victim],
 		wireRec{peer: b, addedG: !hadG, addedGp: !hadGp})
-	if _, already := nd.gNbrs[b]; !already {
-		info := &nbrInfo{initID: msg.peerInitID, curID: msg.peerCurID}
-		if hello, ok := nd.pendingHello[b]; ok {
-			info.nbrs = hello
-			delete(nd.pendingHello, b)
+	if !hadG {
+		info := nbrInfo{v: b, initID: msg.peerInitID, curID: msg.peerCurID}
+		if i, ok := nd.findHello(b); ok {
+			info.nbrs = nd.pendingHello[i].nbrs
+			nd.pendingHello = slices.Delete(nd.pendingHello, i, i+1)
 		}
-		nd.gNbrs[b] = info
+		nd.gNbrs.insert(info)
 		// Hello: seed the new neighbor's NoN entry for me with my full,
 		// current neighborhood (it does the same for me).
-		hello := make(map[int]uint64, len(nd.gNbrs))
-		for w, info := range nd.gNbrs {
-			hello[w] = info.initID
-		}
 		nd.nonMsgs++
-		nd.send(b, message{kind: msgNoNFull, from: nd.id, nonNbrs: hello})
+		nd.send(b, message{kind: msgNoNFull, from: nd.id, nonNbrs: nd.gNbrs.hello()})
 		// Incremental gossip to everyone else: my neighborhood grew.
-		for w := range nd.gNbrs {
-			if w == b {
-				continue
-			}
-			nd.nonMsgs++
-			nd.send(w, message{kind: msgNoNAdd, from: nd.id, nonPeer: b, nonPeerInitID: msg.peerInitID})
-		}
+		nd.gossipAdd(b, msg.peerInitID)
 	}
-	nd.gpNbrs[b] = struct{}{}
+	nd.gpNbrs.add(b)
 	nd.coordMsgs++
 	nd.send(msg.leader, message{kind: msgAttachAck, from: nd.id, victim: msg.victim})
 }
@@ -527,24 +532,31 @@ func (nd *node) onAttach(msg message) {
 // edges, not healing edges.
 func (nd *node) onJoinReq(msg message) {
 	v := msg.from
-	non := make(map[int]uint64, len(msg.nonNbrs))
-	for w, id := range msg.nonNbrs {
-		non[w] = id
-	}
-	nd.gNbrs[v] = &nbrInfo{initID: msg.nonPeerInitID, curID: msg.nonPeerInitID, nbrs: non}
-	for w := range nd.gNbrs {
-		if w == v {
-			continue
-		}
-		nd.nonMsgs++
-		nd.send(w, message{kind: msgNoNAdd, from: nd.id, nonPeer: v, nonPeerInitID: msg.nonPeerInitID})
-	}
-	hello := make(map[int]uint64, len(nd.gNbrs))
-	for w, info := range nd.gNbrs {
-		hello[w] = info.initID
-	}
+	// The attach set is one table shared by every target's request.
+	non := append(make(nonTable, 0, tableCap(len(msg.nonNbrs))), msg.nonNbrs...)
+	nd.gNbrs.insert(nbrInfo{v: v, initID: msg.peerInitID, curID: msg.peerInitID, nbrs: non})
+	nd.gossipAdd(v, msg.peerInitID)
 	nd.nonMsgs++
-	nd.send(v, message{kind: msgJoinAck, from: nd.id, label: nd.curID, nonNbrs: hello})
+	nd.send(v, message{kind: msgJoinAck, from: nd.id, label: nd.curID, nonNbrs: nd.gNbrs.hello()})
+}
+
+// gossipAdd tells every G neighbor but v itself that this node gained
+// neighbor v (incremental NoN gossip).
+func (nd *node) gossipAdd(v int, initID uint64) {
+	for i := range nd.gNbrs {
+		if w := nd.gNbrs[i].v; w != v {
+			nd.nonMsgs++
+			nd.send(w, message{kind: msgNoNAdd, from: nd.id, peer: v, peerInitID: initID})
+		}
+	}
+}
+
+// gossipRemove tells every G neighbor that this node lost neighbor v.
+func (nd *node) gossipRemove(v int) {
+	for i := range nd.gNbrs {
+		nd.nonMsgs++
+		nd.send(nd.gNbrs[i].v, message{kind: msgNoNRemove, from: nd.id, peer: v})
+	}
 }
 
 func (nd *node) onAttachAck(x int) {
@@ -607,9 +619,9 @@ func (nd *node) onLabelFlood(victim int, label uint64, hops int) {
 		nd.curID = label
 		nd.floodRound = victim
 		nd.floodHops = hops
-		for w := range nd.gNbrs {
+		for i := range nd.gNbrs {
 			nd.msgSent++
-			nd.send(w, message{kind: msgLabelNotify, from: nd.id, label: label})
+			nd.send(nd.gNbrs[i].v, message{kind: msgLabelNotify, from: nd.id, label: label})
 		}
 	case label == nd.curID && victim == nd.floodRound && hops < nd.floodHops: // relax
 		nd.floodHops = hops
@@ -617,7 +629,7 @@ func (nd *node) onLabelFlood(victim int, label uint64, hops int) {
 		return
 	}
 	nd.nw.recordFloodDepth(nd.curEpoch, nd.id, hops)
-	for w := range nd.gpNbrs {
+	for _, w := range nd.gpNbrs {
 		nd.coordMsgs++
 		nd.send(w, message{kind: msgLabelFlood, from: nd.id, victim: victim, label: label, hops: hops + 1})
 	}
@@ -632,25 +644,21 @@ func (nd *node) onLabelFlood(victim int, label uint64, hops int) {
 // and there is no election or report: the supervisor appoints the
 // cluster leader, which solicits reports once the cluster's heal opens.
 func (nd *node) onCrashNotice(w int) {
-	if _, ok := nd.gNbrs[w]; !ok {
+	if _, ok := nd.gNbrs.remove(w); !ok {
 		return
 	}
-	delete(nd.gNbrs, w)
-	delete(nd.gpNbrs, w)
-	for u := range nd.gNbrs {
-		nd.nonMsgs++
-		nd.send(u, message{kind: msgNoNRemove, from: nd.id, nonPeer: w})
-	}
+	nd.gpNbrs.remove(w)
+	nd.gossipRemove(w)
 }
 
 // onBatchHealStart opens this cluster's heal: solicit a heal report
 // from every representative the supervisor picked.
-func (nd *node) onBatchHealStart(root int, reps map[int]uint64) {
+func (nd *node) onBatchHealStart(root int, reps nonTable) {
 	hs := nd.healFor(root)
 	hs.reps = reps // built by the supervisor; never mutated again
-	for v := range reps {
+	for _, e := range reps {
 		nd.coordMsgs++
-		nd.send(v, message{kind: msgBatchReportReq, from: nd.id, victim: root})
+		nd.send(e.v, message{kind: msgBatchReportReq, from: nd.id, victim: root})
 	}
 }
 
@@ -714,21 +722,16 @@ func (nd *node) onEpochAbort(msg message) {
 	x := msg.victim
 	for _, rec := range nd.roundWires[x] {
 		if rec.addedGp {
-			delete(nd.gpNbrs, rec.peer)
+			nd.gpNbrs.remove(rec.peer)
 		}
 		if rec.addedG {
-			delete(nd.gNbrs, rec.peer)
-			for w := range nd.gNbrs {
-				nd.nonMsgs++
-				nd.send(w, message{kind: msgNoNRemove, from: nd.id, nonPeer: rec.peer})
-			}
+			nd.gNbrs.remove(rec.peer)
+			nd.gossipRemove(rec.peer)
 		}
 	}
 	delete(nd.roundWires, x)
 	delete(nd.heals, x)
-	if len(nd.pendingHello) > 0 {
-		nd.pendingHello = make(map[int]map[int]uint64)
-	}
+	nd.pendingHello = nil
 }
 
 func (nd *node) snapshot() nodeSnap {
@@ -736,17 +739,14 @@ func (nd *node) snapshot() nodeSnap {
 		id:        nd.id,
 		curID:     nd.curID,
 		delta:     nd.delta(),
-		gNbrs:     make([]int, 0, len(nd.gNbrs)),
-		gpNbrs:    make([]int, 0, len(nd.gpNbrs)),
+		gNbrs:     make([]int, len(nd.gNbrs)),
+		gpNbrs:    slices.Clone([]int(nd.gpNbrs)),
 		msgSent:   nd.msgSent,
 		coordMsgs: nd.coordMsgs,
 		nonMsgs:   nd.nonMsgs,
 	}
-	for w := range nd.gNbrs {
-		snap.gNbrs = append(snap.gNbrs, w)
-	}
-	for w := range nd.gpNbrs {
-		snap.gpNbrs = append(snap.gpNbrs, w)
+	for i := range nd.gNbrs {
+		snap.gNbrs[i] = nd.gNbrs[i].v
 	}
 	return snap
 }

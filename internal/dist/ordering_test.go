@@ -83,14 +83,14 @@ func TestEarlyHelloIsBuffered(t *testing.T) {
 	deliverKind(t, nw, 2, msgNoNFull)
 	deliverKind(t, nw, 2, msgAttach)
 
-	info := nw.node(2).gNbrs[0]
+	info := nw.node(2).gNbrs.find(0)
 	if info == nil {
 		t.Fatal("node 2 did not attach to 0")
 	}
 	if info.nbrs == nil {
 		t.Fatal("early hello was dropped: node 2 has an empty NoN view of new neighbor 0")
 	}
-	if _, ok := info.nbrs[2]; !ok {
+	if _, ok := info.nbrs.search(2); !ok {
 		t.Fatalf("node 2's NoN view of 0 = %v, missing 2 itself", info.nbrs)
 	}
 
@@ -128,7 +128,7 @@ func TestLateHelloAfterAttach(t *testing.T) {
 	deliverKind(t, nw, 0, msgAttach)
 	deliverKind(t, nw, 2, msgNoNFull) // 0's hello arrives after the attach
 
-	info := nw.node(2).gNbrs[0]
+	info := nw.node(2).gNbrs.find(0)
 	if info == nil || info.nbrs == nil {
 		t.Fatal("hello after attach not applied")
 	}

@@ -183,7 +183,7 @@ type epochState struct {
 	newID      int
 	joinInitID uint64
 	attach     []int
-	attachInfo map[int]uint64
+	attachInfo nonTable
 
 	// Batch payload.
 	batch        []int
@@ -461,13 +461,13 @@ func (pi *pipeline) issueJoin(attachTo []int, id uint64) (int, *Epoch) {
 	nw.exited = append(nw.exited, false)
 	nw.deadStats = append(nw.deadStats, finalStats{})
 	nw.initIDs = append(nw.initIDs, id)
-	attachInfo := make(map[int]uint64, len(attach))
+	attachInfo := make(nonTable, 0, len(attach))
 	nd := newNode(nw, v, id, len(attach))
 	for _, u := range attach {
-		attachInfo[u] = nw.initIDs[u]
+		attachInfo.set(u, nw.initIDs[u])
 		// The target's current label and neighborhood arrive with its
 		// msgJoinAck; until then only the immutable ID is known.
-		nd.gNbrs[u] = &nbrInfo{initID: nw.initIDs[u]}
+		nd.gNbrs.insert(nbrInfo{v: u, initID: nw.initIDs[u]})
 	}
 	nw.appendNode(nd)
 	nw.mu.Unlock()
@@ -583,7 +583,7 @@ func (pi *pipeline) launch(es *epochState) {
 			for _, u := range es.attach {
 				pi.nw.send(u, message{
 					kind: msgJoinReq, from: es.newID, epoch: es.id,
-					nonPeerInitID: es.joinInitID, nonNbrs: es.attachInfo,
+					peerInitID: es.joinInitID, nonNbrs: es.attachInfo,
 				})
 			}
 		})

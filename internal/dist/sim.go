@@ -139,10 +139,12 @@ func (s *Sim) Fingerprint() [16]byte {
 
 // stateEnc accumulates a canonical binary serialization of simulator
 // state for Fingerprint: every integer as 8 little-endian bytes, every
-// map in sorted key order, and every variable-length part (list, map,
-// string) preceded by its length, with a presence byte wherever nil
-// and empty differ to the protocol. Two different states therefore
-// never serialize to the same bytes. The buffer is reused across calls.
+// map in sorted key order (a node's neighbor lists and NoN tables are
+// kept sorted, so they are written as they are), and every
+// variable-length part (list, map, string) preceded by its length, with
+// a presence byte wherever nil and empty differ to the protocol. Two
+// different states therefore never serialize to the same bytes. The
+// buffer is reused across calls.
 type stateEnc struct {
 	b []byte
 }
@@ -191,20 +193,20 @@ func (e *stateEnc) u64s(xs []uint64) {
 // keys writes m's keys in ascending order (a set).
 func keys[V any](e *stateEnc, m map[int]V) { e.ints(sortedKeys(m)) }
 
-// idMap writes m's (key, initial ID) pairs in ascending key order.
-func (e *stateEnc) idMap(m map[int]uint64) {
-	e.int(len(m))
-	for _, k := range sortedKeys(m) {
-		e.int(k)
-		e.u64(m[k])
+// table writes t's (node, initial ID) rows in its (ascending) order.
+func (e *stateEnc) table(t nonTable) {
+	e.int(len(t))
+	for _, r := range t {
+		e.int(r.v)
+		e.u64(r.id)
 	}
 }
 
-// optIDMap writes a presence byte, then m when it is non-nil.
-func (e *stateEnc) optIDMap(m map[int]uint64) {
-	e.bool(m != nil)
-	if m != nil {
-		e.idMap(m)
+// optTable writes a presence byte, then t when it is non-nil.
+func (e *stateEnc) optTable(t nonTable) {
+	e.bool(t != nil)
+	if t != nil {
+		e.table(t)
 	}
 }
 
@@ -227,10 +229,8 @@ func (e *stateEnc) message(m message) {
 	e.int(m.leader)
 	e.u64(m.label)
 	e.int(m.hops)
-	e.int(m.nonPeer)
-	e.u64(m.nonPeerInitID)
 	e.report(m.report)
-	e.optIDMap(m.nonNbrs)
+	e.optTable(m.nonNbrs)
 }
 
 // graph writes g's slot count, then per slot whether it is alive and,
@@ -289,18 +289,17 @@ func (nd *node) encodeState(e *stateEnc) {
 		}
 	}
 	e.int(len(nd.gNbrs))
-	for _, u := range sortedKeys(nd.gNbrs) {
-		info := nd.gNbrs[u]
-		e.int(u)
+	for _, info := range nd.gNbrs {
+		e.int(info.v)
 		e.u64(info.initID)
 		e.u64(info.curID)
-		e.optIDMap(info.nbrs)
+		e.optTable(info.nbrs)
 	}
-	keys(e, nd.gpNbrs)
+	e.ints(nd.gpNbrs)
 	e.int(len(nd.pendingHello))
-	for _, u := range sortedKeys(nd.pendingHello) {
-		e.int(u)
-		e.idMap(nd.pendingHello[u])
+	for _, h := range nd.pendingHello {
+		e.int(h.from)
+		e.table(h.nbrs)
 	}
 	e.int(len(nd.heals))
 	for _, victim := range sortedKeys(nd.heals) {
@@ -309,10 +308,7 @@ func (nd *node) encodeState(e *stateEnc) {
 		e.u64(hs.victimCurID)
 		e.int(hs.acksLeft)
 		e.bool(hs.wired)
-		e.bool(hs.expect != nil)
-		if hs.expect != nil {
-			keys(e, hs.expect)
-		}
+		e.optTable(hs.expect)
 		e.int(len(hs.reports))
 		for _, from := range sortedKeys(hs.reports) {
 			e.report(hs.reports[from])
@@ -321,11 +317,11 @@ func (nd *node) encodeState(e *stateEnc) {
 		for _, r := range hs.rt {
 			e.report(r)
 		}
-		e.optIDMap(hs.reps)
+		e.optTable(hs.reps)
 	}
 	// Mailbox as channels: per sender in FIFO order. The cross-sender
-	// arrival order in the backing queue is scheduling noise (handlers
-	// iterate maps when broadcasting), so it must not enter the hash.
+	// arrival order in the backing queue is scheduling noise (it depends
+	// on which senders ran first), so it must not enter the hash.
 	bySender := make(map[int][]message)
 	for _, m := range nd.inbox.peekAll() {
 		bySender[m.from] = append(bySender[m.from], m)
